@@ -7,122 +7,21 @@ dense brute-force simulator that serves as the verification oracle
 (:mod:`.simulator`).  ``mcusynth`` on the command line ties them together.
 """
 
-from .circuit import CNOT, CV, CVDG, Circuit, Gate, GateCounts, cnot, cv, cvdg
-from .simulator import (
-    MAX_WIDTH,
-    apply_gate,
-    basis_state,
-    circuit_unitary,
-    operator_distance,
-    reference_mcu,
-    run_circuit,
-)
-from .synthesize import (
-    SynthesisPlan,
-    make_plan,
-    net_v_exponent,
-    peephole_cancel,
-    synth_ccu,
-    synth_cccu,
-    synth_cu,
-    synth_mcu,
-)
-from .textio import (
-    CircuitFormatError,
-    format_circuit,
-    parse_circuit,
-    parse_gate_spec,
-    read_circuit,
-    write_circuit,
-)
-from .unitary2 import (
-    ATOL,
-    INGEST_ATOL,
-    NAMED_GATES,
-    dagger,
-    is_unitary,
-    multiply,
-    power,
-    random_unitary,
-    require_unitary,
-    unitary_root,
-)
-from .z2identity import (
-    EXHAUSTIVE_LIMIT,
-    CheckReport,
-    SignedParityTerm,
-    alternating_binomial_sides,
-    parity_sum_closed_form,
-    parity_sum_direct,
-    parity_sum_recurrent,
-    signed_parity_terms,
-    verify_alternating_binomial,
-    verify_append_recurrence,
-    verify_closed_form,
-    verify_closed_form_sampled,
-    verify_sum_shift_laws,
-    verify_xor_int_laws,
-    xor_int,
-    xor_mod2,
-)
+from .simulator import circuit_unitary, operator_distance, reference_mcu
+from .synthesize import net_v_exponent, peephole_cancel, synth_mcu
+from .unitary2 import NAMED_GATES, unitary_root
+from .z2identity import parity_sum_direct
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ATOL",
-    "CNOT",
-    "CV",
-    "CVDG",
-    "Circuit",
-    "CircuitFormatError",
-    "CheckReport",
-    "EXHAUSTIVE_LIMIT",
-    "Gate",
-    "INGEST_ATOL",
-    "GateCounts",
-    "MAX_WIDTH",
     "NAMED_GATES",
-    "SignedParityTerm",
-    "SynthesisPlan",
-    "alternating_binomial_sides",
-    "apply_gate",
-    "basis_state",
     "circuit_unitary",
-    "cnot",
-    "cv",
-    "cvdg",
-    "dagger",
-    "format_circuit",
-    "is_unitary",
-    "make_plan",
-    "multiply",
     "net_v_exponent",
     "operator_distance",
-    "parity_sum_closed_form",
     "parity_sum_direct",
-    "parity_sum_recurrent",
-    "parse_circuit",
-    "parse_gate_spec",
     "peephole_cancel",
-    "power",
-    "random_unitary",
-    "read_circuit",
     "reference_mcu",
-    "require_unitary",
-    "run_circuit",
-    "signed_parity_terms",
-    "synth_ccu",
-    "synth_cccu",
-    "synth_cu",
     "synth_mcu",
     "unitary_root",
-    "verify_alternating_binomial",
-    "verify_append_recurrence",
-    "verify_closed_form",
-    "verify_closed_form_sampled",
-    "verify_sum_shift_laws",
-    "verify_xor_int_laws",
-    "write_circuit",
-    "xor_int",
-    "xor_mod2",
 ]

@@ -3,8 +3,7 @@
 Gates carry symbolic labels rather than matrices: a circuit has at most one
 controlled-V matrix, bound once at the circuit level (``v_binding``).  That
 keeps inversion and peephole cancellation exact, since cv and cvdg are
-inverses by construction.  Circuits are immutable; ``append`` returns a new
-circuit.
+inverses by construction.  Circuits are immutable.
 
 Qubit index convention: qubit 0 is the leftmost tensor factor, i.e. the most
 significant bit of a basis index.
@@ -17,7 +16,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .unitary2 import INGEST_ATOL, require_unitary
+from .unitary2 import require_unitary
 
 CNOT = "cnot"
 CV = "cv"
@@ -95,7 +94,7 @@ class Circuit:
         object.__setattr__(self, "gates", gates)
         if v_binding is not None:
             # private copy so freezing never touches the caller's array
-            v_binding = require_unitary(v_binding, atol=INGEST_ATOL, name="v binding").copy()
+            v_binding = require_unitary(v_binding, name="v binding").copy()
             v_binding.setflags(write=False)
         object.__setattr__(self, "v_binding", v_binding)
 
@@ -110,15 +109,6 @@ class Circuit:
     @property
     def needs_v(self) -> bool:
         return any(g.kind != CNOT for g in self.gates)
-
-    def append(self, gate: Gate) -> "Circuit":
-        """New circuit with gate at the end."""
-        self._check_gate(self.width, gate)
-        return Circuit(self.width, self.gates + (gate,), self.v_binding)
-
-    def with_v(self, v: np.ndarray) -> "Circuit":
-        """New circuit with the controlled-V matrix bound."""
-        return Circuit(self.width, self.gates, v)
 
     def inverted(self) -> "Circuit":
         """Gates reversed, cv and cvdg swapped; composes with self to identity."""

@@ -18,6 +18,7 @@ import sys
 
 from . import z2identity
 from .simulator import (
+    MAX_STATE_WIDTH,
     MAX_WIDTH,
     basis_state,
     circuit_unitary,
@@ -30,6 +31,9 @@ from .synthesize import peephole_cancel, synth_mcu
 from .textio import CircuitFormatError, parse_gate_spec, read_circuit, write_circuit
 
 RECURRENT_LIMIT = 24
+# synth_mcu emits 2^n - 1 + 2*(n*2^(n-1) - 2^n + 1) gates: 983,041 at n=16,
+# about 1.3 s; each further control more than doubles the count
+MAX_CONTROLS = 16
 CHECK_TOLERANCE = 1e-9
 AMPLITUDE_FLOOR = 1e-12
 
@@ -100,6 +104,8 @@ def _counts_line(circuit) -> str:
 def cmd_synth(args: argparse.Namespace) -> int:
     if args.controls < 1:
         return _usage_error("--controls must be at least 1")
+    if args.controls > MAX_CONTROLS:
+        return _usage_error(f"--controls must be at most {MAX_CONTROLS}")
     try:
         u = parse_gate_spec(args.gate)
     except CircuitFormatError as exc:
@@ -158,6 +164,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     except (CircuitFormatError, OSError) as exc:
         return _usage_error(str(exc))
 
+    if circuit.width > MAX_STATE_WIDTH:
+        return _usage_error(
+            f"width {circuit.width} exceeds the state-vector cap {MAX_STATE_WIDTH}"
+        )
     if any(ch not in "01" for ch in args.input) or not args.input:
         return _usage_error(f"--input must be a nonempty bitstring, got {args.input!r}")
     if len(args.input) != circuit.width:

@@ -25,11 +25,19 @@ from typing import Sequence
 import numpy as np
 
 from .circuit import CNOT, CV, Circuit, Gate
-from .unitary2 import INGEST_ATOL, require_unitary
+from .unitary2 import require_unitary
 
 # 2^12 x 2^12 complex128 is a 256 MB operator; past that the oracle role
 # stops making sense
 MAX_WIDTH = 12
+
+# cap for simulating one state.  A width-w state is 2^w * 16 B; per gate
+# _apply also holds a full copy plus the gathered quarter blocks and their
+# products (2.5 states on top of the input, by tracemalloc), and _gate_rows
+# keeps two int64 index arrays of 2^(w-2) entries for each of up to w(w-1)
+# (control, target) pairs.  At 16 that is 1 MiB per state, 3.5 MiB per gate
+# and at most 60 MiB of indices; every further qubit doubles all three.
+MAX_STATE_WIDTH = 16
 
 
 def basis_index(bits: Sequence[int]) -> int:
@@ -114,11 +122,11 @@ def run_circuit(circuit: Circuit, state: np.ndarray) -> np.ndarray:
     return state
 
 
-def circuit_unitary(circuit: Circuit, max_width: int = MAX_WIDTH) -> np.ndarray:
+def circuit_unitary(circuit: Circuit) -> np.ndarray:
     """Full matrix of the circuit: column j is the circuit run on basis j."""
-    if circuit.width > max_width:
+    if circuit.width > MAX_WIDTH:
         raise ValueError(
-            f"width {circuit.width} exceeds the dense-simulation cap {max_width}"
+            f"width {circuit.width} exceeds the dense-simulation cap {MAX_WIDTH}"
         )
     if circuit.needs_v and circuit.v_binding is None:
         raise ValueError("circuit contains cv/cvdg gates but no V binding")
@@ -137,7 +145,7 @@ def reference_mcu(n: int, u: np.ndarray) -> np.ndarray:
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    u = require_unitary(u, atol=INGEST_ATOL)
+    u = require_unitary(u)
     dim = 1 << (n + 1)
     op = np.eye(dim, dtype=complex)
     op[dim - 2 : dim, dim - 2 : dim] = u

@@ -10,48 +10,25 @@ on the target commute, so for control bits x the target collects
 
 i.e. u fires exactly when every control is 1.  The block list is the same
 canonical subset enumeration the identity engine uses (size ascending,
-lexicographic within size).
+lexicographic within size).  ``synth_mcu`` is the one entry point: n = 1 is
+a single cv with v = u, and n = 2 is the five-gate sequence
+cv(0,2), cv(1,2), cnot(0,1), cvdg(1,2), cnot(0,1) with v = sqrt(u)
+(Barenco et al. 1995, Lemma 6.1).
 
 The emitted circuits are naive compute/apply/uncompute blocks; adjacent
 blocks often share cnots, which ``peephole_cancel`` removes as an explicit,
 separate pass.  Gate totals grow exponentially by design: 2^n - 1 cv-kind
-gates and 2*(n*2^(n-1) - 2^n + 1) cnots.
+gates and 2*(n*2^(n-1) - 2^n + 1) cnots.  Checking a circuit against the
+reference operator is the ``check`` command's job, not the synthesizer's.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .circuit import CNOT, CV, CVDG, Circuit, Gate, cnot, cv, cvdg
-from .simulator import MAX_WIDTH, circuit_unitary, operator_distance, reference_mcu
-from .unitary2 import INGEST_ATOL, require_unitary, unitary_root
+from .unitary2 import unitary_root
 from .z2identity import SignedParityTerm, signed_parity_terms
-
-
-@dataclass(frozen=True, eq=False)
-class SynthesisPlan:
-    """Everything needed to emit one decomposition: the root and the blocks."""
-
-    n_controls: int
-    target_u: np.ndarray
-    v: np.ndarray
-    blocks: tuple[SignedParityTerm, ...]
-
-
-def make_plan(n: int, u: np.ndarray) -> SynthesisPlan:
-    """Root v = u^(1/2^(n-1)) plus the canonical signed block list."""
-    if n < 1:
-        raise ValueError(f"need n >= 1 controls, got {n}")
-    u = require_unitary(u, atol=INGEST_ATOL)
-    v = unitary_root(u, n - 1)
-    return SynthesisPlan(
-        n_controls=n,
-        target_u=u,
-        v=v,
-        blocks=tuple(signed_parity_terms(n)),
-    )
 
 
 def _block_gates(term: SignedParityTerm, target: int) -> list[Gate]:
@@ -63,50 +40,19 @@ def _block_gates(term: SignedParityTerm, target: int) -> list[Gate]:
     return chain + [apply_gate(subset[-1], target)] + chain[::-1]
 
 
-def synth_mcu(n: int, u: np.ndarray, verify: bool = False, atol: float = 1e-9) -> Circuit:
+def synth_mcu(n: int, u: np.ndarray) -> Circuit:
     """Synthesize the n-controlled-u circuit on n + 1 qubits.
 
-    Controls are qubits 0..n-1, the target is qubit n.  With ``verify`` the
-    result is simulated and compared against the reference operator before
-    being returned (only possible up to the dense-simulation width cap).
+    Controls are qubits 0..n-1, the target is qubit n, and the circuit binds
+    v = u^(1/2^(n-1)), the principal root from ``unitary_root``.
     """
-    plan = make_plan(n, u)
+    if n < 1:
+        raise ValueError(f"need n >= 1 controls, got {n}")
+    v = unitary_root(u, n - 1)
     gates: list[Gate] = []
-    for term in plan.blocks:
+    for term in signed_parity_terms(n):
         gates.extend(_block_gates(term, n))
-    result = Circuit(n + 1, gates, plan.v)
-    if verify:
-        if result.width > MAX_WIDTH:
-            raise ValueError(
-                f"cannot verify inline: width {result.width} exceeds cap {MAX_WIDTH}"
-            )
-        distance = operator_distance(circuit_unitary(result), reference_mcu(n, u))
-        if distance >= atol:
-            raise AssertionError(
-                f"synthesized circuit is off by {distance:.3e} (tolerance {atol})"
-            )
-    return result
-
-
-def synth_cu(u: np.ndarray) -> Circuit:
-    """Singly controlled u: one cv gate with v bound to u itself."""
-    return Circuit(2, (cv(0, 1),), require_unitary(u, atol=INGEST_ATOL))
-
-
-def synth_ccu(u: np.ndarray) -> Circuit:
-    """Doubly controlled u via the square root v of u.
-
-    The explicit five-gate sequence: cv(0,2), cv(1,2), cnot(0,1), cvdg(1,2),
-    cnot(0,1).  The target collects v^(x + y - (x xor y)) = v^(2xy) = u^(xy).
-    """
-    v = unitary_root(u, 1)
-    gates = (cv(0, 2), cv(1, 2), cnot(0, 1), cvdg(1, 2), cnot(0, 1))
-    return Circuit(3, gates, v)
-
-
-def synth_cccu(u: np.ndarray) -> Circuit:
-    """Triply controlled u (the fourth root of u does the work)."""
-    return synth_mcu(3, u)
+    return Circuit(n + 1, gates, v)
 
 
 def _cancels(a: Gate, b: Gate) -> bool:

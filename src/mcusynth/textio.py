@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .circuit import Circuit, Gate, GATE_KINDS
-from .unitary2 import INGEST_ATOL, NAMED_GATES, require_unitary
+from .unitary2 import NAMED_GATES, require_unitary
 
 
 class CircuitFormatError(ValueError):
@@ -165,6 +165,6 @@ def load_gate_json(path: str | Path) -> np.ndarray:
     except TypeError:
         raise CircuitFormatError(f"{path}: matrix entries must be numbers") from None
     try:
-        return require_unitary(m, atol=INGEST_ATOL, name=f"matrix from {path}")
+        return require_unitary(m, name=f"matrix from {path}")
     except ValueError as exc:
         raise CircuitFormatError(str(exc)) from None

@@ -1,9 +1,9 @@
-"""2x2 complex-unitary arithmetic: products, adjoints, powers and 2^k-th roots.
+"""2x2 complex-unitary arithmetic: unitarity checks, powers and 2^k-th roots.
 
 Matrices are plain ``numpy`` arrays of shape (2, 2), dtype complex128.
 ``unitary_root`` is the one nontrivial operation: it returns the principal
-2^k-th root of a unitary, computed from the closed-form eigendecomposition of
-a 2x2 matrix (quadratic characteristic polynomial), never an iterative solver.
+2^k-th root of a unitary in closed form from the axis-angle decomposition
+u = e^(i mu) (cos d I + i sin d n.sigma), never from an iterative solver.
 """
 
 from __future__ import annotations
@@ -12,9 +12,8 @@ import cmath
 
 import numpy as np
 
-ATOL = 1e-12
-# externally supplied matrices (circuit files, json gate specs) are accepted
-# at a looser grade, since decimal serialization loses bits
+# every matrix checked here may come from a decimal file (circuit files, json
+# gate specs) or be derived from one, and decimal serialization loses bits
 INGEST_ATOL = 1e-9
 
 I2 = np.eye(2, dtype=complex)
@@ -28,41 +27,31 @@ T = np.array([[1, 0], [0, cmath.exp(1j * cmath.pi / 4)]], dtype=complex)
 NAMED_GATES = {"I": I2, "X": X, "Y": Y, "Z": Z, "H": H, "S": S, "T": T}
 
 
-def is_unitary(m: np.ndarray, atol: float = ATOL) -> bool:
-    """True if m is 2x2 with m @ m+ == I and |det m| == 1 within atol."""
+def is_unitary(m: np.ndarray) -> bool:
+    """True if m is 2x2 with m @ m+ == I and |det m| == 1 within INGEST_ATOL."""
     m = np.asarray(m, dtype=complex)
     if m.shape != (2, 2):
         return False
-    if np.max(np.abs(m @ m.conj().T - I2)) > atol:
+    if np.max(np.abs(m @ m.conj().T - I2)) > INGEST_ATOL:
         return False
-    return abs(abs(np.linalg.det(m)) - 1.0) <= atol
+    return abs(abs(np.linalg.det(m)) - 1.0) <= INGEST_ATOL
 
 
-def require_unitary(m: np.ndarray, atol: float = ATOL, name: str = "matrix") -> np.ndarray:
+def require_unitary(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Return m as a complex128 array, raising ValueError if not unitary."""
     m = np.asarray(m, dtype=complex)
     if m.shape != (2, 2):
         raise ValueError(f"{name} must be 2x2, got shape {m.shape}")
-    if not is_unitary(m, atol=atol):
-        raise ValueError(f"{name} is not unitary within {atol}")
+    if not is_unitary(m):
+        raise ValueError(f"{name} is not unitary within {INGEST_ATOL}")
     return m
-
-
-def multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product a @ b."""
-    return np.asarray(a, dtype=complex) @ np.asarray(b, dtype=complex)
-
-
-def dagger(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(a, dtype=complex).conj().T
 
 
 def power(a: np.ndarray, e: int) -> np.ndarray:
     """a**e by repeated squaring; negative exponents use the adjoint."""
     a = np.asarray(a, dtype=complex)
     if e < 0:
-        return power(dagger(a), -e)
+        return power(a.conj().T, -e)
     result = I2.copy()
     base = a
     while e:
@@ -76,46 +65,54 @@ def power(a: np.ndarray, e: int) -> np.ndarray:
 def unitary_root(u: np.ndarray, k: int) -> np.ndarray:
     """Principal 2^k-th root: a unitary v with v**(2**k) == u.
 
-    The eigenvalues of u lie on the unit circle; each eigenphase is taken on
-    the principal branch (-pi, pi] and divided by 2^k, which fixes the root
-    deterministically.  The spectral projectors come from the resolvent form
-    (u - lam2*I)/(lam1 - lam2), so no eigenvector basis is ever chosen.
+    Write u = e^(i mu) (cos d I + i sin d n.sigma) with a real unit axis n.
+    Its eigenphases mu +- d are taken on the principal branch (-pi, pi] and
+    divided by 2^k, which fixes the root deterministically:
 
-    A (near-)scalar input short-circuits to exp(i*phi/2^k) * I.  The cutoff
-    is an eigenvalue gap of 1e-8: below it the projector denominators would
-    amplify double-precision noise past the gap itself, while the scalar
-    form errs by at most the gap, which is the smaller of the two.
+        v = e^(i mu/2^k) (cos(d/2^k) I + i sin(d/2^k)/sin d * sin d n.sigma)
 
-    k == 0 returns u unchanged, with no spectral round-trip.  Large k is
-    fine: the result simply tends to the identity.
+    where sin d n.sigma is the Hermitian part of -i e^(-i mu) A and
+    A = u - tr(u)/2 I is the traceless part.  |sin d| is read off its norm
+    and is the ratio's denominator, so neither a small eigen-gap (d near 0)
+    nor eigenphases straddling -1 (|d| near pi) lose digits to cancellation.
+    The formula is even in d, so which eigenphase carries the + sign does
+    not matter.
+
+    k == 0 returns u unchanged, with no round trip.  Large k is fine: the
+    result simply tends to the identity.
     """
-    u = require_unitary(u, atol=INGEST_ATOL)
+    u = require_unitary(u)
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
     if k == 0:
         return u.copy()
 
-    trace = u[0, 0] + u[1, 1]
+    half_trace = (u[0, 0] + u[1, 1]) / 2
+    traceless = u - half_trace * I2
+    # eigenvalues e^(i mu) (cos d +- i sin d); e^(i mu) = +-sqrt(det u), and
+    # the sign only swaps the pair.  A = e^(i mu) i sin d n.sigma and
+    # |n.sigma|_F = sqrt(2), so |sin d| is read off the norm of A
     det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
-    disc = cmath.sqrt(trace * trace - 4 * det)
-    lam1 = (trace + disc) / 2
-    lam2 = (trace - disc) / 2
-    # eigenvalues of a unitary are unit-modulus; renormalize off rounding
-    lam1 /= abs(lam1)
-    lam2 /= abs(lam2)
+    offset = 1j * cmath.sqrt(det) * np.linalg.norm(traceless) / np.sqrt(2)
+    phases = np.angle([half_trace + offset, half_trace - offset])
+    # np.angle returns -pi for a -0.0 imaginary part; the branch is (-pi, pi]
+    phases[phases == -np.pi] = np.pi
+    mu = (phases[0] + phases[1]) / 2
+    d = (phases[0] - phases[1]) / 2
 
+    # e^(-i mu) A = i sin d n.sigma.  Keep its Hermitian part, so n is real
+    # and v exactly unitary: the ratio below grows like 1/|sin d| when the
+    # eigenphases straddle -1 (|d| near pi), and would blow the rounding in
+    # A's anti-Hermitian part up into a non-unitary v
+    axis = -1j * cmath.exp(-1j * mu) * traceless
+    axis = (axis + axis.conj().T) / 2
+    sin_d = np.linalg.norm(axis) / np.sqrt(2)
     scale = 1 << k
-    if abs(lam1 - lam2) <= 1e-8:
-        phi = cmath.phase(trace)
-        return cmath.exp(1j * phi / scale) * I2
-
-    if cmath.phase(lam1) > cmath.phase(lam2):
-        lam1, lam2 = lam2, lam1
-    root1 = cmath.exp(1j * cmath.phase(lam1) / scale)
-    root2 = cmath.exp(1j * cmath.phase(lam2) / scale)
-    proj1 = (u - lam2 * I2) / (lam1 - lam2)
-    proj2 = (u - lam1 * I2) / (lam2 - lam1)
-    return root1 * proj1 + root2 * proj2
+    # sin(d/2^k) / sin(d) is even in d, so its denominator is the accurate
+    # |sin d| from the norm, not sin of the rounded d; a zero norm means a
+    # zero axis, so any finite ratio will do
+    ratio = np.sin(abs(d) / scale) / sin_d if sin_d else 0.0
+    return cmath.exp(1j * mu / scale) * (np.cos(d / scale) * I2 + 1j * ratio * axis)
 
 
 def random_unitary(rng: np.random.Generator) -> np.ndarray:

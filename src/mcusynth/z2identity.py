@@ -130,17 +130,17 @@ def _signed_masks(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def parity_sum_direct(bits: Sequence[int], limit: int = EXHAUSTIVE_LIMIT) -> int:
+def parity_sum_direct(bits: Sequence[int]) -> int:
     """Alternating sum of subset xor-parities, by direct enumeration.
 
     Walks all 2^n - 1 nonempty subsets in canonical order; each term is the
     xor of the selected bits, signed + for odd sizes and - for even sizes.
-    Cost is O(2^n), so ``limit`` guards against accidental huge n.
+    Cost is O(2^n), so ``EXHAUSTIVE_LIMIT`` guards against accidental huge n.
     """
     bits = _as_bits(bits)
     n = len(bits)
-    if n > limit:
-        raise ValueError(f"direct enumeration capped at n={limit}, got n={n}")
+    if n > EXHAUSTIVE_LIMIT:
+        raise ValueError(f"direct enumeration capped at n={EXHAUSTIVE_LIMIT}, got n={n}")
     support = 0
     for i, b in enumerate(bits):
         support |= b << i
@@ -170,14 +170,14 @@ def parity_sum_closed_form(bits: Sequence[int]) -> int:
     return (1 << (len(bits) - 1)) if all(bits) else 0
 
 
-def verify_closed_form(n: int, limit: int = EXHAUSTIVE_LIMIT) -> CheckReport:
+def verify_closed_form(n: int) -> CheckReport:
     """Exhaustively confirm direct == recurrent == closed form for width n."""
-    if not 1 <= n <= limit:
-        raise ValueError(f"need 1 <= n <= {limit}, got {n}")
+    if not 1 <= n <= EXHAUSTIVE_LIMIT:
+        raise ValueError(f"need 1 <= n <= {EXHAUSTIVE_LIMIT}, got {n}")
     checked = 0
     for bits in itertools.product((0, 1), repeat=n):
         checked += 1
-        direct = parity_sum_direct(bits, limit=limit)
+        direct = parity_sum_direct(bits)
         recurrent = parity_sum_recurrent(bits)
         closed = parity_sum_closed_form(bits)
         if direct != closed or direct != recurrent:
@@ -213,7 +213,7 @@ def verify_closed_form_sampled(n: int, samples: int, seed: int = 0) -> CheckRepo
     return CheckReport(f"closed-form (sampled) n={n}", True, samples, "samples")
 
 
-def verify_append_recurrence(n: int, limit: int = EXHAUSTIVE_LIMIT) -> CheckReport:
+def verify_append_recurrence(n: int) -> CheckReport:
     """Check the append step pointwise for every width-n assignment.
 
     For every prefix p of length n-1 and appended bit b, the direct sum of
@@ -221,14 +221,14 @@ def verify_append_recurrence(n: int, limit: int = EXHAUSTIVE_LIMIT) -> CheckRepo
     The left operand of xor_int is a full integer here, not a bit; that is
     precisely what the integer extension exists for.
     """
-    if not 2 <= n <= limit:
-        raise ValueError(f"need 2 <= n <= {limit}, got {n}")
+    if not 2 <= n <= EXHAUSTIVE_LIMIT:
+        raise ValueError(f"need 2 <= n <= {EXHAUSTIVE_LIMIT}, got {n}")
     checked = 0
     for prefix in itertools.product((0, 1), repeat=n - 1):
-        base = parity_sum_direct(prefix, limit=limit)
+        base = parity_sum_direct(prefix)
         for b in (0, 1):
             checked += 1
-            got = parity_sum_direct(prefix + (b,), limit=limit)
+            got = parity_sum_direct(prefix + (b,))
             want = base + b - xor_int(base, b)
             if got != want:
                 return CheckReport(

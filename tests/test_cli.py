@@ -1,5 +1,7 @@
+import cmath
 import json
 
+import numpy as np
 import pytest
 
 from mcusynth.cli import main
@@ -70,6 +72,14 @@ class TestSynth:
     def test_zero_controls(self, tmp_path):
         assert main(["synth", "--controls", "0", "--gate", "X", "--out", str(tmp_path / "x")]) == 2
 
+    def test_too_many_controls(self, tmp_path, capsys):
+        # refused before any subset list is built, so both return at once
+        for controls in ("17", "40"):
+            args = ["synth", "--controls", controls, "--gate", "X", "--out", str(tmp_path / "x")]
+            assert main(args) == 2
+            assert "at most 16" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_unwritable_path(self, tmp_path):
         target = tmp_path / "missing-dir" / "c.circ"
         assert main(["synth", "--controls", "1", "--gate", "X", "--out", str(target)]) == 2
@@ -90,19 +100,23 @@ class TestSynth:
 
     def test_rounded_matrix_survives_full_pipeline(self, tmp_path):
         # decimals truncated to 10 digits: unitary only to ~1e-10, which the
-        # ingest tolerance admits and the whole synth/check path must accept
-        gate_file = tmp_path / "rounded.json"
-        payload = {
-            "matrix": [
-                [[round(float(H[r, c].real), 10), round(float(H[r, c].imag), 10)] for c in range(2)]
-                for r in range(2)
-            ]
-        }
-        gate_file.write_text(json.dumps(payload))
-        out_file = tmp_path / "rh.circ"
-        spec = f"@{gate_file}"
-        assert main(["synth", "--controls", "3", "--gate", spec, "--out", str(out_file)]) == 0
-        assert main(["check", "--circuit", str(out_file), "--controls", "3", "--gate", spec]) == 0
+        # ingest tolerance admits and the whole synth/check path must accept.
+        # The x rotation by 2(pi - 1e-8) has eigenphases on either side of
+        # -1, where the root is most sensitive
+        phase = cmath.exp(1j * (cmath.pi - 1e-8))
+        for name, u in [("h", H), ("rx", H @ np.diag([phase, phase.conjugate()]) @ H)]:
+            gate_file = tmp_path / f"{name}.json"
+            payload = {
+                "matrix": [
+                    [[round(float(u[r, c].real), 10), round(float(u[r, c].imag), 10)] for c in range(2)]
+                    for r in range(2)
+                ]
+            }
+            gate_file.write_text(json.dumps(payload))
+            out_file = tmp_path / f"{name}.circ"
+            spec = f"@{gate_file}"
+            assert main(["synth", "--controls", "3", "--gate", spec, "--out", str(out_file)]) == 0, name
+            assert main(["check", "--circuit", str(out_file), "--controls", "3", "--gate", spec]) == 0, name
 
 
 class TestCheck:
@@ -185,6 +199,13 @@ class TestSimulate:
         path = tmp_path / "cx.circ"
         path.write_text("qubits 2\ncnot 0 1\n")
         assert main(["simulate", "--circuit", str(path), "--input", "101"]) == 2
+
+    def test_width_cap(self, tmp_path, capsys):
+        # refused before the 2^40-entry state is allocated
+        path = tmp_path / "wide.circ"
+        path.write_text("qubits 40\ncnot 0 39\n")
+        assert main(["simulate", "--circuit", str(path), "--input", "1" * 40]) == 2
+        assert "state-vector cap 16" in capsys.readouterr().err
 
     def test_non_bit_input(self, tmp_path):
         path = tmp_path / "cx.circ"

@@ -130,8 +130,6 @@ class TestCircuitUnitary:
     def test_width_cap(self):
         with pytest.raises(ValueError):
             circuit_unitary(Circuit(13))
-        with pytest.raises(ValueError):
-            circuit_unitary(Circuit(4), max_width=3)
 
     def test_missing_binding_rejected(self):
         with pytest.raises(ValueError):

@@ -5,19 +5,14 @@ import pytest
 
 from mcusynth.circuit import CNOT, Circuit, cnot, cv, cvdg
 from mcusynth.simulator import circuit_unitary, operator_distance, reference_mcu
-from mcusynth.synthesize import (
-    make_plan,
-    net_v_exponent,
-    peephole_cancel,
-    synth_ccu,
-    synth_cccu,
-    synth_cu,
-    synth_mcu,
-)
-from mcusynth.unitary2 import H, I2, NAMED_GATES, T, X, power, random_unitary
-from mcusynth.z2identity import parity_sum_direct
+from mcusynth.synthesize import net_v_exponent, peephole_cancel, synth_mcu
+from mcusynth.unitary2 import H, I2, NAMED_GATES, T, X, power, random_unitary, unitary_root
+from mcusynth.z2identity import parity_sum_direct, signed_parity_terms
 
 RNG = np.random.default_rng(4242)
+
+# the paper's doubly controlled sequence (Barenco et al. 1995, Lemma 6.1)
+FIVE_GATES = (cv(0, 2), cv(1, 2), cnot(0, 1), cvdg(1, 2), cnot(0, 1))
 
 
 def cnot_count_formula(n):
@@ -26,92 +21,111 @@ def cnot_count_formula(n):
 
 class TestSingleControl:
     def test_structure(self):
-        c = synth_cu(X)
+        c = synth_mcu(1, X)
         assert c.width == 2
         assert c.gates == (cv(0, 1),)
         assert np.array_equal(c.v_binding, X)
 
     def test_x_gives_cnot_matrix(self):
-        assert operator_distance(circuit_unitary(synth_cu(X)), reference_mcu(1, X)) == 0
+        assert operator_distance(circuit_unitary(synth_mcu(1, X)), reference_mcu(1, X)) == 0
 
     def test_identity_gives_identity(self):
-        assert operator_distance(circuit_unitary(synth_cu(I2)), np.eye(4)) == 0
+        assert operator_distance(circuit_unitary(synth_mcu(1, I2)), np.eye(4)) == 0
 
     def test_random_matches_reference(self):
         u = random_unitary(RNG)
-        assert operator_distance(circuit_unitary(synth_cu(u)), reference_mcu(1, u)) < 1e-12
+        assert operator_distance(circuit_unitary(synth_mcu(1, u)), reference_mcu(1, u)) < 1e-12
 
 
 class TestDoubleControl:
     def test_exact_gate_sequence(self):
-        c = synth_ccu(X)
+        c = synth_mcu(2, X)
         assert c.width == 3
-        assert c.gates == (cv(0, 2), cv(1, 2), cnot(0, 1), cvdg(1, 2), cnot(0, 1))
+        assert c.gates == FIVE_GATES
 
     def test_toffoli_permutation(self):
-        op = circuit_unitary(synth_ccu(X))
+        op = circuit_unitary(synth_mcu(2, X))
         expected = np.eye(8)
         expected[[6, 7]] = expected[[7, 6]]
         assert operator_distance(op, expected) < 1e-12
 
     def test_identity_input(self):
-        assert operator_distance(circuit_unitary(synth_ccu(I2)), np.eye(8)) < 1e-12
+        assert operator_distance(circuit_unitary(synth_mcu(2, I2)), np.eye(8)) < 1e-12
 
     def test_counts(self):
-        counts = synth_ccu(H).counts()
+        counts = synth_mcu(2, H).counts()
         assert (counts.cnot, counts.cv, counts.cvdg) == (2, 2, 1)
         assert counts.total == 5
 
     def test_same_as_general_form(self):
+        # every u gives the same five gates, bound to the square root of u
         for u in (X, H, random_unitary(RNG)):
-            assert synth_ccu(u) == synth_mcu(2, u)
+            c = synth_mcu(2, u)
+            assert c.gates == FIVE_GATES
+            assert np.array_equal(c.v_binding, unitary_root(u, 1))
 
     def test_random_matches_reference(self):
         for _ in range(5):
             u = random_unitary(RNG)
-            d = operator_distance(circuit_unitary(synth_ccu(u)), reference_mcu(2, u))
+            d = operator_distance(circuit_unitary(synth_mcu(2, u)), reference_mcu(2, u))
             assert d < 1e-12
 
 
 class TestTripleControl:
-    def test_alias_for_general_form(self):
+    def test_binds_fourth_root(self):
         u = random_unitary(RNG)
-        assert synth_cccu(u) == synth_mcu(3, u)
+        assert np.array_equal(synth_mcu(3, u).v_binding, unitary_root(u, 2))
 
     def test_x_permutation(self):
-        op = circuit_unitary(synth_cccu(X))
+        op = circuit_unitary(synth_mcu(3, X))
         expected = np.eye(16)
         expected[[14, 15]] = expected[[15, 14]]
         assert operator_distance(op, expected) < 1e-12
 
     def test_counts(self):
-        assert synth_cccu(T).counts().total == 17
+        assert synth_mcu(3, T).counts().total == 17
 
 
 class TestPlan:
+    """The root synth_mcu binds and the block list it walks."""
+
     def test_root_property(self):
         for n in range(1, 6):
             u = random_unitary(RNG)
-            plan = make_plan(n, u)
-            assert np.max(np.abs(power(plan.v, 1 << (n - 1)) - u)) < 1e-11
+            v = synth_mcu(n, u).v_binding
+            assert np.max(np.abs(power(v, 1 << (n - 1)) - u)) < 1e-11
 
     def test_blocks_cover_subsets_once(self):
-        plan = make_plan(4, H)
-        subsets = [t.subset for t in plan.blocks]
+        subsets = [t.subset for t in signed_parity_terms(4)]
         assert len(subsets) == 15
         assert set(subsets) == {
             s
             for k in range(1, 5)
             for s in itertools.combinations(range(4), k)
         }
+        # one cv-kind gate per block, applied from the subset's last wire
+        applied = [(g.control, g.kind) for g in synth_mcu(4, H).gates if g.kind != CNOT]
+        terms = signed_parity_terms(4)
+        assert applied == [(t.subset[-1], "cv" if t.sign > 0 else "cvdg") for t in terms]
 
     def test_block_signs(self):
-        for term in make_plan(5, X).blocks:
+        for term in signed_parity_terms(5):
             assert term.sign == (-1) ** (len(term.subset) - 1)
 
     def test_single_control_uses_u_itself(self):
         u = random_unitary(RNG)
-        assert np.array_equal(make_plan(1, u).v, u)
+        assert np.array_equal(synth_mcu(1, u).v_binding, u)
+
+    def test_small_eigen_gap_survives_check_tolerance(self):
+        # a gap of 5e-9 once fell under a scalar cutoff in the root and left
+        # synth_mcu(4, u) off by ~gap/2, outside check's 1e-9
+        rng = np.random.default_rng(5009)
+        for _ in range(10):
+            q = random_unitary(rng)
+            phi = rng.uniform(-3.0, 3.0)
+            u = q @ np.diag([np.exp(1j * phi), np.exp(1j * (phi + 5e-9))]) @ q.conj().T
+            d = operator_distance(circuit_unitary(synth_mcu(4, u)), reference_mcu(4, u))
+            assert d < 1e-9
 
 
 class TestGeneralSynthesis:
@@ -142,14 +156,6 @@ class TestGeneralSynthesis:
             for n in (1, 2, 3):
                 d = operator_distance(circuit_unitary(synth_mcu(n, u)), reference_mcu(n, u))
                 assert d < 1e-10, (name, n)
-
-    def test_inline_verification(self):
-        c = synth_mcu(2, X, verify=True)
-        assert c.counts().total == 5
-
-    def test_inline_verification_width_cap(self):
-        with pytest.raises(ValueError):
-            synth_mcu(12, X, verify=True)
 
     def test_structure_is_blockwise(self):
         # n=3 block list spelled out gate by gate

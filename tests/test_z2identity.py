@@ -127,10 +127,6 @@ class TestParitySum:
     def test_resource_guard(self):
         with pytest.raises(ValueError):
             parity_sum_direct([1] * (EXHAUSTIVE_LIMIT + 1))
-        # a custom limit overrides the default
-        assert parity_sum_direct([1, 1], limit=2) == 2
-        with pytest.raises(ValueError):
-            parity_sum_direct([1, 1, 1], limit=2)
 
 
 class TestSignedParityTerms:
