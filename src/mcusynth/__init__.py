@@ -2,13 +2,14 @@
 
 The package has three layers: an exact integer engine for the parity-sum
 identity the construction rests on (:mod:`.z2identity`), the synthesizer and
-its circuit IR (:mod:`.synthesize`, :mod:`.circuit`, :mod:`.unitary2`), and a
-dense brute-force simulator that serves as the verification oracle
-(:mod:`.simulator`).  ``mcusynth`` on the command line ties them together.
+its circuit IR (:mod:`.synthesize`, :mod:`.circuit`, :mod:`.unitary2`), and the
+verification oracles (:mod:`.simulator`): an exact linear trace for circuits
+of the synthesizer's shape and a dense brute-force simulator for the rest.
+``mcusynth`` on the command line ties them together.
 """
 
-from .simulator import circuit_unitary, operator_distance, reference_mcu
-from .synthesize import net_v_exponent, peephole_cancel, synth_mcu
+from .simulator import circuit_unitary, linear_trace, operator_distance, reference_mcu
+from .synthesize import peephole_cancel, synth_mcu
 from .unitary2 import NAMED_GATES, unitary_root
 from .z2identity import parity_sum_direct
 
@@ -17,7 +18,7 @@ __version__ = "0.1.0"
 __all__ = [
     "NAMED_GATES",
     "circuit_unitary",
-    "net_v_exponent",
+    "linear_trace",
     "operator_distance",
     "parity_sum_direct",
     "peephole_cancel",

@@ -7,6 +7,14 @@ Subcommands:
     check --circuit PATH --controls N --gate SPEC
     simulate --circuit PATH --input BITS
 
+``check`` and ``simulate`` take their route from the circuit's gates.  A
+circuit of the synthesizer's shape (cnots among the controls, cv/cvdg onto
+the target) goes through the exact linear trace, so ``check`` takes every
+width ``synth`` can emit; any other circuit goes through the dense
+simulator and its width cap.  ``simulate`` keeps its state-vector cap on
+both routes.  Widths past a cap are refused with exit 2 before any array of
+2^width entries is allocated.
+
 Exit codes are a stable contract: 0 success / all checks pass, 1 a
 verification failed, 2 usage or parse error.
 """
@@ -23,16 +31,20 @@ from .simulator import (
     basis_state,
     circuit_unitary,
     index_bits,
+    linear_trace,
     operator_distance,
     reference_mcu,
     run_circuit,
+    trace_blocks,
 )
 from .synthesize import peephole_cancel, synth_mcu
 from .textio import CircuitFormatError, parse_gate_spec, read_circuit, write_circuit
 
 RECURRENT_LIMIT = 24
 # synth_mcu emits 2^n - 1 + 2*(n*2^(n-1) - 2^n + 1) gates: 983,041 at n=16,
-# about 1.3 s; each further control more than doubles the count
+# about 1.3 s; each further control more than doubles the count.  check
+# takes the same range: its linear trace is one pass over those gates plus
+# a few arrays of 2^n entries
 MAX_CONTROLS = 16
 CHECK_TOLERANCE = 1e-9
 AMPLITUDE_FLOOR = 1e-12
@@ -101,11 +113,17 @@ def _counts_line(circuit) -> str:
     return f"cnot={c.cnot} cv={c.cv} cvdg={c.cvdg} total={c.total}"
 
 
+def _controls_error(controls: int) -> str | None:
+    if controls < 1:
+        return "--controls must be at least 1"
+    if controls > MAX_CONTROLS:
+        return f"--controls must be at most {MAX_CONTROLS}"
+    return None
+
+
 def cmd_synth(args: argparse.Namespace) -> int:
-    if args.controls < 1:
-        return _usage_error("--controls must be at least 1")
-    if args.controls > MAX_CONTROLS:
-        return _usage_error(f"--controls must be at most {MAX_CONTROLS}")
+    if error := _controls_error(args.controls):
+        return _usage_error(error)
     try:
         u = parse_gate_spec(args.gate)
     except CircuitFormatError as exc:
@@ -130,8 +148,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    if args.controls < 1:
-        return _usage_error("--controls must be at least 1")
+    if error := _controls_error(args.controls):
+        return _usage_error(error)
     try:
         u = parse_gate_spec(args.gate)
         circuit = read_circuit(args.circuit)
@@ -142,14 +160,18 @@ def cmd_check(args: argparse.Namespace) -> int:
         return _usage_error(
             f"circuit width {circuit.width} does not match controls+1 = {args.controls + 1}"
         )
-    if circuit.width > MAX_WIDTH:
-        return _usage_error(f"width {circuit.width} exceeds the simulation cap {MAX_WIDTH}")
     try:
-        actual = circuit_unitary(circuit)
+        trace = linear_trace(circuit)
+        if trace is not None:
+            actual, reference = trace_blocks(trace, u)
+        elif circuit.width > MAX_WIDTH:
+            return _usage_error(f"width {circuit.width} exceeds the simulation cap {MAX_WIDTH}")
+        else:
+            actual, reference = circuit_unitary(circuit), reference_mcu(args.controls, u)
     except ValueError as exc:
         return _usage_error(str(exc))
 
-    distance = operator_distance(actual, reference_mcu(args.controls, u))
+    distance = operator_distance(actual, reference)
     print(f"distance {distance:.12g}")
     if distance < CHECK_TOLERANCE:
         print("PASS")
@@ -193,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mcusynth",
         description="Synthesize n-controlled single-qubit unitaries from cnot and "
-        "controlled-V gates, and verify them against a dense-matrix oracle.",
+        "controlled-V gates, and verify them against the n-controlled-U definition.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -1,8 +1,7 @@
-"""Brute-force dense verification oracle.
+"""Verification oracles: an exact linear trace and a dense simulator.
 
-State vectors are numpy arrays of length 2^m, operators are 2^m x 2^m
-matrices.  Basis index convention, fixed globally: qubit 0 is the most
-significant bit, so a basis label (x_0, ..., x_{m-1}) maps to the index
+Basis index convention, fixed globally: qubit 0 is the most significant bit,
+so a basis label (x_0, ..., x_{m-1}) maps to the index
 sum_i x_i * 2^(m-1-i).  Under this convention a single cnot with control 0
 and target 1 on two qubits produces exactly
 
@@ -11,21 +10,33 @@ and target 1 on two qubits produces exactly
      [0, 0, 0, 1],
      [0, 0, 1, 0]]
 
-Everything here is deliberately dense and direct: it exists to check the
-synthesizer, not to scale.  ``reference_mcu`` builds the multi-controlled
-operator straight from its definition and never from a circuit, so it is an
-independent oracle for synthesized circuits.
+Circuits of the synthesizer's shape (cnots among the first m - 1 wires,
+cv/cvdg from one of them onto the last wire) are linear: on control input x
+they put the controls in state y(x), an invertible GF(2) image of x, and
+apply V^e(x) to the last wire (the phase-polynomial view of Amy, Maslov
+and Mosca, arXiv:1303.2042).  ``linear_trace`` computes y and e for all
+2^(m-1) inputs in one pass over the gates.  ``run_circuit`` applies such a
+circuit from its trace, and ``trace_blocks`` gives the nonzero blocks of its
+operator and of the reference, whose ``operator_distance`` is that of the
+full operators; no 2^m x 2^m matrix is built.
+
+``circuit_unitary`` always builds the dense 2^m x 2^m operator gate by gate,
+and ``run_circuit`` runs every other circuit gate by gate on a dense state
+vector.  That path is deliberately direct, exists to check, not to scale,
+and is the reference the trace is tested against.  ``reference_mcu`` builds
+the multi-controlled operator straight from its definition and never from a
+circuit, so it is an independent oracle for synthesized circuits.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .circuit import CNOT, CV, Circuit, Gate
-from .unitary2 import require_unitary
+from .unitary2 import I2, power, require_unitary
 
 # 2^12 x 2^12 complex128 is a 256 MB operator; past that the oracle role
 # stops making sense
@@ -35,8 +46,9 @@ MAX_WIDTH = 12
 # _apply also holds a full copy plus the gathered quarter blocks and their
 # products (2.5 states on top of the input, by tracemalloc), and _gate_rows
 # keeps two int64 index arrays of 2^(w-2) entries for each of up to w(w-1)
-# (control, target) pairs.  At 16 that is 1 MiB per state, 3.5 MiB per gate
-# and at most 60 MiB of indices; every further qubit doubles all three.
+# (control, target) pairs, least recently used evicted first.  At 16 that is
+# 1 MiB per state, 3.5 MiB per gate and at most 60 MiB of indices; every
+# further qubit doubles all three.
 MAX_STATE_WIDTH = 16
 
 
@@ -63,7 +75,109 @@ def basis_state(bits: Sequence[int]) -> np.ndarray:
     return state
 
 
-@lru_cache(maxsize=None)
+class LinearTrace(NamedTuple):
+    """What a linear circuit does to each control input.
+
+    For control index x (the first width - 1 qubits, qubit 0 most
+    significant), ``outputs[x]`` is the control index y(x) the input lands
+    on and ``exponents[x]`` the net power of ``v`` applied to the last wire;
+    both are int64 arrays of length 2^(width - 1).  ``v`` is the circuit's V
+    binding, or the identity when the circuit has no cv-kind gate.
+    """
+
+    outputs: np.ndarray
+    exponents: np.ndarray
+    v: np.ndarray
+
+
+def _walsh_hadamard(a: np.ndarray) -> np.ndarray:
+    # (H a)[x] = sum_s (-1)^popcount(s & x) a[s], one butterfly per index bit
+    h = 1
+    while h < a.shape[0]:
+        pairs = a.reshape(-1, 2, h)
+        a = np.stack((pairs[:, 0] + pairs[:, 1], pairs[:, 0] - pairs[:, 1]), axis=1).reshape(-1)
+        h *= 2
+    return a
+
+
+def linear_trace(circuit: Circuit) -> LinearTrace | None:
+    """Trace a cnot + controlled-V circuit exactly, for every control input.
+
+    The last wire is the target, the others are controls.  Each control wire
+    carries an xor of input bits, kept as a bitmask over the control index
+    x: a cnot xors its control's mask into its target's, and a cv (cvdg)
+    adds +1 (-1) to the coefficient c[S] of its control's current mask S.
+    The target then collects V^e(x) with
+
+        e(x) = sum_S c[S] * parity(S & x) = (sum(c) - WHT(c)(x)) / 2,
+
+    computed exactly in int64 by a fast Walsh-Hadamard transform, O(n 2^n)
+    for n controls.  Returns None when a gate leaves that class: a cnot that
+    touches the last wire, or a cv-kind gate aimed at any other wire.
+    """
+    n = circuit.width - 1
+    masks = [1 << (n - 1 - i) for i in range(n)]
+    # sparse until the walk is done, so that a circuit outside the class
+    # allocates nothing of size 2^n
+    coeffs: dict[int, int] = {}
+    for gate in circuit.gates:
+        kind, control, target = gate.kind, gate.control, gate.target
+        if kind == CNOT:
+            if control == n or target == n:
+                return None
+            masks[target] ^= masks[control]
+        elif target != n:
+            return None
+        else:
+            mask = masks[control]
+            coeffs[mask] = coeffs.get(mask, 0) + (1 if kind == CV else -1)
+    v = circuit.v_binding
+    if v is None:
+        if circuit.needs_v:
+            raise ValueError("circuit contains cv/cvdg gates but no V binding")
+        v = I2
+    # y is linear: for x < 2^j, y(x + 2^j) = y(x) ^ y(2^j), and y(2^j) has
+    # output bit i set iff mask i contains input bit j
+    outputs = np.zeros(1, dtype=np.int64)
+    for j in range(n):
+        column = sum(((mask >> j) & 1) << (n - 1 - i) for i, mask in enumerate(masks))
+        outputs = np.concatenate((outputs, outputs ^ column))
+    c = np.zeros(1 << n, dtype=np.int64)
+    c[list(coeffs)] = list(coeffs.values())
+    exponents = (c.sum() - _walsh_hadamard(c)) // 2
+    return LinearTrace(outputs, exponents, v)
+
+
+def _v_powers(trace: LinearTrace) -> np.ndarray:
+    # V^e(x) for every control index x, one matrix power per distinct e
+    values, which = np.unique(trace.exponents, return_inverse=True)
+    powers = np.array([power(trace.v, int(e)) for e in values])
+    return powers[which.reshape(-1)]
+
+
+def trace_blocks(trace: LinearTrace, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The nonzero blocks of a traced circuit's operator and of reference_mcu.
+
+    Column block x of the circuit's operator holds V^e(x) in row block y(x)
+    and zeros elsewhere; column block x of ``reference_mcu(n, u)`` holds R_x
+    in row block x, with R_x = u for x all ones and I otherwise.  Entry x of
+    each returned array is a 4 x 2 stack: rows 0-1 are row block y(x), rows
+    2-3 row block x when that differs (zeros otherwise).  So
+    ``operator_distance`` of the pair is exactly ``operator_distance`` of
+    the two 2^m x 2^m operators, neither of which is built.
+    """
+    u = require_unitary(u)
+    count = trace.outputs.shape[0]
+    actual = np.zeros((count, 4, 2), dtype=complex)
+    actual[:, :2] = _v_powers(trace)
+    rows = 2 * (trace.outputs != np.arange(count))[:, None] + np.arange(2)
+    reference = np.zeros((count, 4, 2), dtype=complex)
+    reference[np.arange(count)[:, None], rows] = I2
+    reference[-1, rows[-1]] = u
+    return actual, reference
+
+
+@lru_cache(maxsize=MAX_STATE_WIDTH * (MAX_STATE_WIDTH - 1))
 def _gate_rows(width: int, control: int, target: int) -> tuple[np.ndarray, np.ndarray]:
     # rows with control bit set, paired as (target bit 0, target bit 1)
     idx = np.arange(1 << width)
@@ -109,12 +223,22 @@ def apply_gate(state: np.ndarray, gate: Gate, v: np.ndarray | None = None) -> np
 
 
 def run_circuit(circuit: Circuit, state: np.ndarray) -> np.ndarray:
-    """Run every gate of the circuit on the given state."""
+    """The circuit applied to the given state.
+
+    A circuit in ``linear_trace``'s class moves the target pair of each
+    control index x to y(x) and applies V^e(x) to it; any other circuit is
+    run gate by gate on the dense state.
+    """
     state = np.asarray(state, dtype=complex)
     if state.shape != (1 << circuit.width,):
         raise ValueError(
             f"state has dimension {state.shape}, circuit width {circuit.width}"
         )
+    trace = linear_trace(circuit)
+    if trace is not None:
+        out = np.zeros_like(state).reshape(-1, 2)
+        out[trace.outputs] = (_v_powers(trace) @ state.reshape(-1, 2, 1))[..., 0]
+        return out.reshape(-1)
     if circuit.needs_v and circuit.v_binding is None:
         raise ValueError("circuit contains cv/cvdg gates but no V binding")
     for gate in circuit.gates:

@@ -78,30 +78,3 @@ def peephole_cancel(circuit: Circuit) -> Circuit:
             kept.append(gate)
     return Circuit(circuit.width, kept, circuit.v_binding)
 
-
-def net_v_exponent(circuit: Circuit, control_bits) -> int:
-    """Net V-power applied to the last wire for classical control bits.
-
-    Walks the circuit symbolically: cnots update the classical wire values,
-    each cv (cvdg) with a hot control adds +1 (-1).  No matrices involved.
-    Raises if a cnot touches the last wire or a cv-kind gate targets
-    anything else, since then the trace is not classical.
-    """
-    target = circuit.width - 1
-    bits = list(control_bits)
-    if len(bits) != target:
-        raise ValueError(f"expected {target} control bits, got {len(bits)}")
-    if any(b not in (0, 1) for b in bits):
-        raise ValueError("control bits must be 0 or 1")
-    exponent = 0
-    for gate in circuit.gates:
-        if gate.kind == CNOT:
-            if gate.control == target or gate.target == target:
-                raise ValueError(f"cnot on the target wire breaks the classical trace: {gate}")
-            bits[gate.target] ^= bits[gate.control]
-        else:
-            if gate.target != target:
-                raise ValueError(f"cv-kind gate off the target wire: {gate}")
-            if bits[gate.control]:
-                exponent += 1 if gate.kind == CV else -1
-    return exponent

@@ -11,12 +11,14 @@ import numpy as np
 
 from mcusynth.cli import main
 from mcusynth.simulator import (
+    basis_index,
     circuit_unitary,
+    linear_trace,
     operator_distance,
     reference_mcu,
     run_circuit,
 )
-from mcusynth.synthesize import net_v_exponent, peephole_cancel, synth_mcu
+from mcusynth.synthesize import peephole_cancel, synth_mcu
 from mcusynth.unitary2 import I2, NAMED_GATES, X, power, random_unitary, unitary_root
 from mcusynth.z2identity import (
     alternating_binomial_sides,
@@ -123,9 +125,10 @@ def test_criterion_6_gate_counts():
 
 def test_criterion_7_symbolic_exponent_trace():
     for n in range(1, 9):
-        circuit = synth_mcu(n, X)
+        trace = linear_trace(synth_mcu(n, X))
+        assert np.array_equal(trace.outputs, np.arange(1 << n)), n
         for bits in itertools.product((0, 1), repeat=n):
-            assert net_v_exponent(circuit, bits) == parity_sum_direct(bits), (n, bits)
+            assert trace.exponents[basis_index(bits)] == parity_sum_direct(bits), (n, bits)
     report("7 symbolic exponent trace (n=1..8, all settings)")
 
 

@@ -158,6 +158,52 @@ class TestCheck:
         path.write_text("qubits 2\ncv 0 1\n")
         assert main(["check", "--circuit", str(path), "--controls", "1", "--gate", "X"]) == 2
 
+    def test_missing_binding_past_the_dense_cap(self, tmp_path, capsys):
+        # width 14 is only reachable through the linear trace
+        path = tmp_path / "nobind.circ"
+        path.write_text("qubits 14\ncv 0 13\n")
+        assert main(["check", "--circuit", str(path), "--controls", "13", "--gate", "X"]) == 2
+        assert "no V binding" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("controls", [13, 16])
+    def test_passes_past_the_dense_cap(self, controls, tmp_path, capsys):
+        path = self.synth(tmp_path, controls, "H")
+        args = ["check", "--circuit", str(path), "--controls", str(controls), "--gate", "H"]
+        assert main(args) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "PASS"
+
+    def test_mutant_past_the_dense_cap_fails(self, tmp_path, capsys):
+        # dropping the first gate, cv 0 13, leaves V^-1 on every input with
+        # x_0 = 1; V = X^(1/4096) is about 4e-4 away from I
+        path = self.synth(tmp_path, 13, "X")
+        lines = path.read_text().splitlines()
+        first = next(i for i, l in enumerate(lines) if l.split()[:1] == ["cv"])
+        del lines[first]
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["check", "--circuit", str(path), "--controls", "13", "--gate", "X"]) == 1
+        distance, verdict = capsys.readouterr().out.splitlines()
+        assert float(distance.split()[1]) > 1e-4
+        assert verdict.startswith("FAIL")
+
+    def test_too_many_controls(self, tmp_path, capsys):
+        # refused before the file is read: the missing file is not reported
+        missing = tmp_path / "none.circ"
+        assert main(["check", "--circuit", str(missing), "--controls", "17", "--gate", "X"]) == 2
+        assert "at most 16" in capsys.readouterr().err
+        wide = tmp_path / "wide.circ"
+        wide.write_text("qubits 40\ncnot 0 39\n")
+        for controls, message in (("39", "at most 16"), ("2", "does not match")):
+            args = ["check", "--circuit", str(wide), "--controls", controls, "--gate", "X"]
+            assert main(args) == 2
+            assert message in capsys.readouterr().err
+
+    def test_out_of_class_file_keeps_the_dense_cap(self, tmp_path, capsys):
+        path = tmp_path / "offclass.circ"
+        path.write_text("qubits 13\ncnot 0 12\n")
+        assert main(["check", "--circuit", str(path), "--controls", "12", "--gate", "X"]) == 2
+        assert "exceeds the simulation cap 12" in capsys.readouterr().err
+
     @pytest.mark.parametrize("gate", sorted(NAMED_GATES))
     def test_all_named_gates_round_trip(self, gate, tmp_path):
         for controls in range(1, 6):

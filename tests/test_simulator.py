@@ -1,17 +1,25 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcusynth.circuit import Circuit, cnot, cv, cvdg
+from mcusynth.cli import CHECK_TOLERANCE
 from mcusynth.simulator import (
+    MAX_STATE_WIDTH,
+    _gate_rows,
     apply_gate,
     basis_index,
     basis_state,
     circuit_unitary,
     index_bits,
+    linear_trace,
     operator_distance,
     reference_mcu,
     run_circuit,
+    trace_blocks,
 )
+from mcusynth.synthesize import peephole_cancel, synth_mcu
 from mcusynth.unitary2 import H, I2, T, X, random_unitary, unitary_root
 
 RNG = np.random.default_rng(77)
@@ -93,6 +101,16 @@ class TestApplyGate:
         before = s.copy()
         apply_gate(s, cnot(0, 1))
         assert np.array_equal(s, before)
+
+    def test_index_cache_is_bounded(self):
+        # every (control, target) pair of widths 2..10 is 330 keys; the
+        # cache keeps at most the w(w-1) = 240 pairs of the widest state
+        for width in range(2, 11):
+            for control in range(width):
+                for target in range(width):
+                    if control != target:
+                        apply_gate(basis_state([0] * width), cnot(control, target))
+        assert _gate_rows.cache_info().currsize <= MAX_STATE_WIDTH * (MAX_STATE_WIDTH - 1)
 
 
 class TestCircuitUnitary:
@@ -201,3 +219,70 @@ def test_root_circuit_reproduces_controlled_gate():
     v = unitary_root(X, 1)
     c = Circuit(2, [cv(0, 1), cv(0, 1)], v)
     assert operator_distance(circuit_unitary(c), CNOT_MATRIX) < 1e-12
+
+
+@st.composite
+def linear_circuits(draw):
+    """(circuit, u) in the trace's class, on 2..7 qubits.
+
+    Either random cnots among the controls plus cv/cvdg onto the target
+    under a Haar-random V, or a synthesized circuit for a Haar-random u,
+    plain, peephole-cancelled or with one gate deleted.
+    """
+    width = draw(st.integers(2, 7))
+    n = width - 1
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u = random_unitary(rng)
+    if draw(st.booleans()):
+        circuit = synth_mcu(n, u)
+        form = draw(st.sampled_from(["plain", "peephole", "mutant"]))
+        if form == "peephole":
+            circuit = peephole_cancel(circuit)
+        elif form == "mutant":
+            gates = list(circuit.gates)
+            del gates[draw(st.integers(0, len(gates) - 1))]
+            circuit = Circuit(width, gates, circuit.v_binding)
+        return circuit, u
+    pairs = [(c, t) for c in range(n) for t in range(n) if c != t]
+    gate = st.builds(cv, st.integers(0, n - 1), st.just(n)) | st.builds(
+        cvdg, st.integers(0, n - 1), st.just(n)
+    )
+    if pairs:
+        gate |= st.sampled_from(pairs).map(lambda p: cnot(*p))
+    gates = draw(st.lists(gate, max_size=40))
+    return Circuit(width, gates, random_unitary(rng)), u
+
+
+class TestLinearTrace:
+    @settings(max_examples=80, deadline=None)
+    @given(linear_circuits())
+    def test_matches_dense_oracle(self, case):
+        circuit, u = case
+        n = circuit.width - 1
+        trace = linear_trace(circuit)
+        assert trace is not None
+        traced = operator_distance(*trace_blocks(trace, u))
+        dense_op = circuit_unitary(circuit)
+        dense = operator_distance(dense_op, reference_mcu(n, u))
+        assert abs(traced - dense) < 1e-12
+        assert (traced < CHECK_TOLERANCE) == (dense < CHECK_TOLERANCE)
+        # run_circuit takes the trace route; the dense operator's columns
+        # are the reference
+        if circuit.width <= 6:
+            for index in range(1 << circuit.width):
+                state = basis_state(index_bits(index, circuit.width))
+                assert np.max(np.abs(run_circuit(circuit, state) - dense_op[:, index])) < 1e-12
+        state = random_state(circuit.width)
+        assert np.max(np.abs(run_circuit(circuit, state) - dense_op @ state)) < 1e-12
+
+    def test_cnot_only_circuit_needs_no_binding(self):
+        trace = linear_trace(Circuit(3, [cnot(0, 1)]))
+        # |x0 x1> -> |x0, x0 ^ x1>
+        assert list(trace.outputs) == [0, 1, 3, 2]
+        assert not trace.exponents.any()
+        assert operator_distance(*trace_blocks(trace, I2)) == 1.0
+
+    def test_missing_binding_rejected(self):
+        # even when the cv-kind gates cancel, as on the dense path
+        with pytest.raises(ValueError, match="no V binding"):
+            linear_trace(Circuit(3, [cv(0, 2), cvdg(0, 2)]))
