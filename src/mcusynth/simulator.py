@@ -15,10 +15,11 @@ cv/cvdg from one of them onto the last wire) are linear: on control input x
 they put the controls in state y(x), an invertible GF(2) image of x, and
 apply V^e(x) to the last wire (the phase-polynomial view of Amy, Maslov
 and Mosca, arXiv:1303.2042).  ``linear_trace`` computes y and e for all
-2^(m-1) inputs in one pass over the gates.  ``run_circuit`` applies such a
-circuit from its trace, and ``trace_blocks`` gives the nonzero blocks of its
-operator and of the reference, whose ``operator_distance`` is that of the
-full operators; no 2^m x 2^m matrix is built.
+2^(m-1) inputs in one pass over the gates, e from the parity-sum engine in
+``z2identity``.  ``run_circuit`` applies such a circuit from its trace, and
+``trace_blocks`` gives the nonzero blocks of its operator and of the
+reference, whose ``operator_distance`` is that of the full operators; no
+2^m x 2^m matrix is built.
 
 ``circuit_unitary`` always builds the dense 2^m x 2^m operator gate by gate,
 and ``run_circuit`` runs every other circuit gate by gate on a dense state
@@ -37,6 +38,7 @@ import numpy as np
 
 from .circuit import CNOT, CV, Circuit, Gate
 from .unitary2 import I2, power, require_unitary
+from .z2identity import parity_sums
 
 # 2^12 x 2^12 complex128 is a 256 MB operator; past that the oracle role
 # stops making sense
@@ -90,16 +92,6 @@ class LinearTrace(NamedTuple):
     v: np.ndarray
 
 
-def _walsh_hadamard(a: np.ndarray) -> np.ndarray:
-    # (H a)[x] = sum_s (-1)^popcount(s & x) a[s], one butterfly per index bit
-    h = 1
-    while h < a.shape[0]:
-        pairs = a.reshape(-1, 2, h)
-        a = np.stack((pairs[:, 0] + pairs[:, 1], pairs[:, 0] - pairs[:, 1]), axis=1).reshape(-1)
-        h *= 2
-    return a
-
-
 def linear_trace(circuit: Circuit) -> LinearTrace | None:
     """Trace a cnot + controlled-V circuit exactly, for every control input.
 
@@ -109,9 +101,9 @@ def linear_trace(circuit: Circuit) -> LinearTrace | None:
     adds +1 (-1) to the coefficient c[S] of its control's current mask S.
     The target then collects V^e(x) with
 
-        e(x) = sum_S c[S] * parity(S & x) = (sum(c) - WHT(c)(x)) / 2,
+        e(x) = sum_S c[S] * parity(S & x),
 
-    computed exactly in int64 by a fast Walsh-Hadamard transform, O(n 2^n)
+    exactly and for all x at once by ``z2identity.parity_sums``, O(n 2^n)
     for n controls.  Returns None when a gate leaves that class: a cnot that
     touches the last wire, or a cv-kind gate aimed at any other wire.
     """
@@ -144,8 +136,7 @@ def linear_trace(circuit: Circuit) -> LinearTrace | None:
         outputs = np.concatenate((outputs, outputs ^ column))
     c = np.zeros(1 << n, dtype=np.int64)
     c[list(coeffs)] = list(coeffs.values())
-    exponents = (c.sum() - _walsh_hadamard(c)) // 2
-    return LinearTrace(outputs, exponents, v)
+    return LinearTrace(outputs, parity_sums(c), v)
 
 
 def _v_powers(trace: LinearTrace) -> np.ndarray:

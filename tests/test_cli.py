@@ -127,9 +127,10 @@ class TestCheck:
 
     def test_passes_on_fresh_synthesis(self, tmp_path, capsys):
         path = self.synth(tmp_path, 2, "X")
+        capsys.readouterr()
         assert main(["check", "--circuit", str(path), "--controls", "2", "--gate", "X"]) == 0
-        out = capsys.readouterr().out
-        assert "distance" in out and "PASS" in out
+        # the round-off residual (about 1e-16) is printed as 0.0
+        assert capsys.readouterr().out == "distance 0.0\nPASS\n"
 
     def test_fails_after_deleting_a_gate(self, tmp_path, capsys):
         path = self.synth(tmp_path, 2, "X")

@@ -3,10 +3,12 @@ import math
 import operator
 from functools import reduce
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from mcusynth import z2identity
 from mcusynth.z2identity import (
     EXHAUSTIVE_LIMIT,
     SignedParityTerm,
@@ -14,6 +16,7 @@ from mcusynth.z2identity import (
     parity_sum_closed_form,
     parity_sum_direct,
     parity_sum_recurrent,
+    parity_sums,
     signed_parity_terms,
     verify_alternating_binomial,
     verify_append_recurrence,
@@ -129,6 +132,28 @@ class TestParitySum:
             parity_sum_direct([1] * (EXHAUSTIVE_LIMIT + 1))
 
 
+class TestParitySums:
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_signed_table_matches_definition(self, n):
+        # subset mask bit n-1-i is position i, so entry x of the result is
+        # the x-th assignment in itertools.product order
+        table = np.zeros(1 << n, dtype=np.int64)
+        for term in signed_parity_terms(n):
+            table[sum(2 ** (n - 1 - i) for i in term.subset)] = term.sign
+        sums = parity_sums(table)
+        for x, bits in enumerate(itertools.product((0, 1), repeat=n)):
+            assert sums[x] == parity_sum_direct(bits), bits
+
+    @given(st.integers(0, 6).flatmap(
+        lambda n: st.lists(st.integers(-(10**6), 10**6), min_size=1 << n, max_size=1 << n)
+    ))
+    def test_any_coefficients(self, coeffs):
+        sums = parity_sums(np.array(coeffs))
+        for x in range(len(coeffs)):
+            want = sum(c * (bin(s & x).count("1") % 2) for s, c in enumerate(coeffs))
+            assert sums[x] == want
+
+
 class TestSignedParityTerms:
     def test_canonical_order(self):
         terms = signed_parity_terms(3)
@@ -167,7 +192,7 @@ class TestSignedParityTerms:
 
 
 class TestVerifiers:
-    @pytest.mark.parametrize("n", [1, 2, 4, 10])
+    @pytest.mark.parametrize("n", [1, 2, 4, 10, EXHAUSTIVE_LIMIT])
     def test_closed_form_passes(self, n):
         report = verify_closed_form(n)
         assert report.passed
@@ -184,11 +209,54 @@ class TestVerifiers:
         assert report.passed
         assert report.checked == 500
 
-    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, EXHAUSTIVE_LIMIT])
     def test_append_recurrence_passes(self, n):
         report = verify_append_recurrence(n)
         assert report.passed
         assert report.checked == 1 << n
+
+    @pytest.mark.parametrize(
+        "broken, want",
+        [("parity_sum_closed_form", (0, 0, 1)), ("parity_sum_recurrent", (0, 1, 0))],
+        ids=["closed_form", "recurrent"],
+    )
+    def test_closed_form_reports_first_failure(self, monkeypatch, broken, want):
+        # wrong at two assignments; the report names the earlier one
+        bad, later = (0, 1, 1, 0, 1), (1, 1, 0, 0, 0)
+        real = getattr(z2identity, broken)
+        monkeypatch.setattr(
+            z2identity, broken, lambda bits: real(bits) + (tuple(bits) in (bad, later))
+        )
+        report = verify_closed_form(5)
+        assert not report.passed
+        assert report.checked == list(itertools.product((0, 1), repeat=5)).index(bad) + 1
+        assert report.counterexample == (bad,) + want
+        assert all(type(v) is int for v in bad + report.counterexample[1:])
+        assert report.summary() == (
+            f"closed-form n=5: FAIL (14 assignments) counterexample={(bad,) + want!r}"
+        )
+
+    @pytest.mark.parametrize(
+        "wrong_at, prefix, b, checked",
+        # xor_int(s, b) with s the prefix sum: 0 unless the prefix is all
+        # ones, where it is 2^(n-2) = 4 at n = 4
+        [((0, 1), (0, 0, 0), 1, 2), ((4, 0), (1, 1, 1), 0, 15)],
+        ids=["zero_prefix", "all_ones_prefix"],
+    )
+    def test_append_recurrence_reports_first_failure(
+        self, monkeypatch, wrong_at, prefix, b, checked
+    ):
+        real = z2identity.xor_int
+        monkeypatch.setattr(
+            z2identity, "xor_int", lambda x, y: real(x, y) + ((x, y) == wrong_at)
+        )
+        report = verify_append_recurrence(4)
+        assert not report.passed
+        assert report.checked == checked
+        got_prefix, got_b, got, want = report.counterexample
+        assert (got_prefix, got_b) == (prefix, b)
+        assert want == got - 1
+        assert all(type(v) is int for v in got_prefix + (got_b, got, want))
 
     def test_xor_int_laws_pass(self):
         assert verify_xor_int_laws(-5, 5).passed
