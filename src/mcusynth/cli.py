@@ -41,6 +41,9 @@ from .synthesize import peephole_cancel, synth_mcu
 from .textio import CircuitFormatError, parse_gate_spec, read_circuit, write_circuit
 
 RECURRENT_LIMIT = 24
+# the sampled verifier holds all its rows at once; at this cap
+# `verify-identity --n 24 --recurrent-only` takes 8.9 s and peaks at 119 MiB
+MAX_SAMPLES = 1_000_000
 # synth_mcu emits 2^n - 1 + 2*(n*2^(n-1) - 2^n + 1) gates: 983,041 at n=16,
 # about 1.3 s; each further control more than doubles the count.  check
 # takes the same range: its linear trace is one pass over those gates plus
@@ -79,6 +82,8 @@ def cmd_verify_identity(args: argparse.Namespace) -> int:
             return _usage_error(f"--recurrent-only supports 1 <= n <= {RECURRENT_LIMIT}")
         if args.samples < 1:
             return _usage_error("--samples must be at least 1")
+        if args.samples > MAX_SAMPLES:
+            return _usage_error(f"--samples must be at most {MAX_SAMPLES}")
     elif not 1 <= n <= z2identity.EXHAUSTIVE_LIMIT:
         return _usage_error(
             f"full mode supports 1 <= n <= {z2identity.EXHAUSTIVE_LIMIT}"

@@ -40,9 +40,10 @@ from .circuit import CNOT, CV, Circuit, Gate
 from .unitary2 import I2, power, require_unitary
 from .z2identity import parity_sums
 
-# 2^12 x 2^12 complex128 is a 256 MB operator; past that the oracle role
-# stops making sense
-MAX_WIDTH = 12
+# dense cost is gates x 4^width: the synthesized 8- and 9-control H circuits
+# (1,793 and 4,097 gates) take 3.8 s and 37 s through circuit_unitary, and
+# width 11 runs at 61 ms a gate, about 560 s for its 9,217 (2-core Xeon)
+MAX_WIDTH = 10
 
 # cap for simulating one state.  A width-w state is 2^w * 16 B; per gate
 # _apply also holds a full copy plus the gathered quarter blocks and their
@@ -75,6 +76,13 @@ def basis_state(bits: Sequence[int]) -> np.ndarray:
     state = np.zeros(1 << len(bits), dtype=complex)
     state[basis_index(bits)] = 1.0
     return state
+
+
+def _v_binding(circuit: Circuit) -> np.ndarray | None:
+    """The circuit's V binding, which cv/cvdg gates require."""
+    if circuit.needs_v and circuit.v_binding is None:
+        raise ValueError("circuit contains cv/cvdg gates but no V binding")
+    return circuit.v_binding
 
 
 class LinearTrace(NamedTuple):
@@ -123,11 +131,7 @@ def linear_trace(circuit: Circuit) -> LinearTrace | None:
         else:
             mask = masks[control]
             coeffs[mask] = coeffs.get(mask, 0) + (1 if kind == CV else -1)
-    v = circuit.v_binding
-    if v is None:
-        if circuit.needs_v:
-            raise ValueError("circuit contains cv/cvdg gates but no V binding")
-        v = I2
+    v = _v_binding(circuit)
     # y is linear: for x < 2^j, y(x + 2^j) = y(x) ^ y(2^j), and y(2^j) has
     # output bit i set iff mask i contains input bit j
     outputs = np.zeros(1, dtype=np.int64)
@@ -136,7 +140,7 @@ def linear_trace(circuit: Circuit) -> LinearTrace | None:
         outputs = np.concatenate((outputs, outputs ^ column))
     c = np.zeros(1 << n, dtype=np.int64)
     c[list(coeffs)] = list(coeffs.values())
-    return LinearTrace(outputs, parity_sums(c), v)
+    return LinearTrace(outputs, parity_sums(c), I2 if v is None else v)
 
 
 def _v_powers(trace: LinearTrace) -> np.ndarray:
@@ -230,10 +234,9 @@ def run_circuit(circuit: Circuit, state: np.ndarray) -> np.ndarray:
         out = np.zeros_like(state).reshape(-1, 2)
         out[trace.outputs] = (_v_powers(trace) @ state.reshape(-1, 2, 1))[..., 0]
         return out.reshape(-1)
-    if circuit.needs_v and circuit.v_binding is None:
-        raise ValueError("circuit contains cv/cvdg gates but no V binding")
+    v = _v_binding(circuit)
     for gate in circuit.gates:
-        state = _apply(state, gate, circuit.v_binding, circuit.width)
+        state = _apply(state, gate, v, circuit.width)
     return state
 
 
@@ -243,11 +246,10 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
         raise ValueError(
             f"width {circuit.width} exceeds the dense-simulation cap {MAX_WIDTH}"
         )
-    if circuit.needs_v and circuit.v_binding is None:
-        raise ValueError("circuit contains cv/cvdg gates but no V binding")
+    v = _v_binding(circuit)
     op = np.eye(1 << circuit.width, dtype=complex)
     for gate in circuit.gates:
-        op = _apply(op, gate, circuit.v_binding, circuit.width)
+        op = _apply(op, gate, v, circuit.width)
     return op
 
 

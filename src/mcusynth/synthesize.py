@@ -28,12 +28,11 @@ import numpy as np
 
 from .circuit import CNOT, CV, CVDG, Circuit, Gate, cnot, cv, cvdg
 from .unitary2 import unitary_root
-from .z2identity import SignedParityTerm, signed_parity_terms
+from .z2identity import signed_parity_terms
 
 
-def _block_gates(term: SignedParityTerm, target: int) -> list[Gate]:
-    subset = term.subset
-    apply_gate = cv if term.sign > 0 else cvdg
+def _block_gates(sign: int, subset: tuple[int, ...], target: int) -> list[Gate]:
+    apply_gate = cv if sign > 0 else cvdg
     if len(subset) == 1:
         return [apply_gate(subset[0], target)]
     chain = [cnot(subset[i], subset[i + 1]) for i in range(len(subset) - 1)]
@@ -50,8 +49,8 @@ def synth_mcu(n: int, u: np.ndarray) -> Circuit:
         raise ValueError(f"need n >= 1 controls, got {n}")
     v = unitary_root(u, n - 1)
     gates: list[Gate] = []
-    for term in signed_parity_terms(n):
-        gates.extend(_block_gates(term, n))
+    for sign, subset in signed_parity_terms(n):
+        gates.extend(_block_gates(sign, subset, n))
     return Circuit(n + 1, gates, v)
 
 

@@ -4,9 +4,11 @@ import json
 import numpy as np
 import pytest
 
-from mcusynth.cli import main
+from mcusynth.cli import MAX_SAMPLES, main
+from mcusynth.simulator import MAX_WIDTH
 from mcusynth.textio import read_circuit
 from mcusynth.unitary2 import H, NAMED_GATES
+from mcusynth.z2identity import EXHAUSTIVE_LIMIT
 
 
 class TestVerifyIdentity:
@@ -22,7 +24,7 @@ class TestVerifyIdentity:
 
     def test_out_of_range(self, capsys):
         assert main(["verify-identity", "--n", "0"]) == 2
-        assert main(["verify-identity", "--n", "15"]) == 2
+        assert main(["verify-identity", "--n", str(EXHAUSTIVE_LIMIT + 1)]) == 2
         assert "error:" in capsys.readouterr().err
 
     def test_recurrent_only(self, capsys):
@@ -35,6 +37,12 @@ class TestVerifyIdentity:
 
     def test_zero_samples(self):
         assert main(["verify-identity", "--n", "5", "--recurrent-only", "--samples", "0"]) == 2
+
+    def test_too_many_samples(self, capsys):
+        # the sampled verifier holds every row at once
+        args = ["verify-identity", "--n", "5", "--recurrent-only", "--samples"]
+        assert main(args + [str(MAX_SAMPLES + 1)]) == 2
+        assert f"at most {MAX_SAMPLES}" in capsys.readouterr().err
 
 
 class TestSynth:
@@ -201,9 +209,11 @@ class TestCheck:
 
     def test_out_of_class_file_keeps_the_dense_cap(self, tmp_path, capsys):
         path = tmp_path / "offclass.circ"
-        path.write_text("qubits 13\ncnot 0 12\n")
-        assert main(["check", "--circuit", str(path), "--controls", "12", "--gate", "X"]) == 2
-        assert "exceeds the simulation cap 12" in capsys.readouterr().err
+        width = MAX_WIDTH + 1
+        path.write_text(f"qubits {width}\ncnot 0 {width - 1}\n")
+        args = ["check", "--circuit", str(path), "--controls", str(width - 1), "--gate", "X"]
+        assert main(args) == 2
+        assert f"width {width} exceeds the simulation cap {MAX_WIDTH}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("gate", sorted(NAMED_GATES))
     def test_all_named_gates_round_trip(self, gate, tmp_path):

@@ -214,6 +214,22 @@ class TestOperatorDistance:
             operator_distance(np.eye(2), np.eye(4))
 
 
+@pytest.mark.parametrize(
+    "entry, circuit",
+    [
+        (linear_trace, Circuit(2, [cv(0, 1)])),
+        # the cnot onto the target keeps run_circuit off the trace route
+        (lambda c: run_circuit(c, basis_state([1, 1, 1])), Circuit(3, [cv(0, 2), cnot(0, 2)])),
+        (circuit_unitary, Circuit(2, [cv(0, 1)])),
+    ],
+    ids=["linear_trace", "run_circuit_dense", "circuit_unitary"],
+)
+def test_missing_binding_message(entry, circuit):
+    with pytest.raises(ValueError) as info:
+        entry(circuit)
+    assert str(info.value) == "circuit contains cv/cvdg gates but no V binding"
+
+
 def test_root_circuit_reproduces_controlled_gate():
     # controlled-sqrt(X) twice == controlled-X, end to end through the simulator
     v = unitary_root(X, 1)

@@ -102,7 +102,7 @@ class TestPlan:
             assert np.max(np.abs(power(v, 1 << (n - 1)) - u)) < 1e-11
 
     def test_blocks_cover_subsets_once(self):
-        subsets = [t.subset for t in signed_parity_terms(4)]
+        subsets = [subset for _, subset in signed_parity_terms(4)]
         assert len(subsets) == 15
         assert set(subsets) == {
             s
@@ -112,11 +112,11 @@ class TestPlan:
         # one cv-kind gate per block, applied from the subset's last wire
         applied = [(g.control, g.kind) for g in synth_mcu(4, H).gates if g.kind != CNOT]
         terms = signed_parity_terms(4)
-        assert applied == [(t.subset[-1], "cv" if t.sign > 0 else "cvdg") for t in terms]
+        assert applied == [(subset[-1], "cv" if sign > 0 else "cvdg") for sign, subset in terms]
 
     def test_block_signs(self):
-        for term in signed_parity_terms(5):
-            assert term.sign == (-1) ** (len(term.subset) - 1)
+        for sign, subset in signed_parity_terms(5):
+            assert sign == (-1) ** (len(subset) - 1)
 
     def test_single_control_uses_u_itself(self):
         u = random_unitary(RNG)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from mcusynth import z2identity
 from mcusynth.z2identity import (
     EXHAUSTIVE_LIMIT,
-    SignedParityTerm,
+    MAX_BITS,
     alternating_binomial_sides,
     parity_sum_closed_form,
     parity_sum_direct,
@@ -131,6 +131,29 @@ class TestParitySum:
         with pytest.raises(ValueError):
             parity_sum_direct([1] * (EXHAUSTIVE_LIMIT + 1))
 
+    def test_int64_bound(self):
+        # 2^(n-1) at the widest accepted vector; one bit more is refused,
+        # not wrapped
+        widest = [1] * MAX_BITS
+        assert parity_sum_recurrent(widest) == parity_sum_closed_form(widest) == 1 << 61
+        for form in (parity_sum_recurrent, parity_sum_closed_form):
+            with pytest.raises(ValueError, match="capped at 62 bits"):
+                form([1] * 63)
+        with pytest.raises(ValueError, match="capped at 62 bits"):
+            verify_closed_form_sampled(63, samples=1)
+
+    @given(st.integers(1, 10).flatmap(lambda n: st.lists(
+        st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n), min_size=1, max_size=8
+    )))
+    def test_array_forms_match_definition(self, rows):
+        # one call per form covers the whole table
+        n = len(rows[0])
+        recurrent, closed = parity_sum_recurrent(rows), parity_sum_closed_form(rows)
+        direct = z2identity._direct_sums(n)
+        for k, bits in enumerate(rows):
+            want = parity_sum_direct(bits)
+            assert recurrent[k] == closed[k] == direct[int("".join(map(str, bits)), 2)] == want
+
 
 class TestParitySums:
     @pytest.mark.parametrize("n", range(1, 11))
@@ -138,8 +161,8 @@ class TestParitySums:
         # subset mask bit n-1-i is position i, so entry x of the result is
         # the x-th assignment in itertools.product order
         table = np.zeros(1 << n, dtype=np.int64)
-        for term in signed_parity_terms(n):
-            table[sum(2 ** (n - 1 - i) for i in term.subset)] = term.sign
+        for sign, subset in signed_parity_terms(n):
+            table[sum(2 ** (n - 1 - i) for i in subset)] = sign
         sums = parity_sums(table)
         for x, bits in enumerate(itertools.product((0, 1), repeat=n)):
             assert sums[x] == parity_sum_direct(bits), bits
@@ -157,7 +180,7 @@ class TestParitySums:
 class TestSignedParityTerms:
     def test_canonical_order(self):
         terms = signed_parity_terms(3)
-        assert [t.subset for t in terms] == [
+        assert [subset for _, subset in terms] == [
             (0,), (1,), (2,),
             (0, 1), (0, 2), (1, 2),
             (0, 1, 2),
@@ -167,32 +190,19 @@ class TestSignedParityTerms:
         for n in range(1, 7):
             terms = signed_parity_terms(n)
             assert len(terms) == (1 << n) - 1
-            assert len({t.subset for t in terms}) == len(terms)
+            assert len({subset for _, subset in terms}) == len(terms)
 
     def test_sign_rule(self):
-        for term in signed_parity_terms(5):
-            assert term.sign == (-1) ** (len(term.subset) - 1)
-
-    def test_parity_of_selected_bits(self):
-        term = SignedParityTerm((0, 2))
-        assert term.parity([1, 0, 1]) == 0
-        assert term.parity([1, 1, 0]) == 1
+        for sign, subset in signed_parity_terms(5):
+            assert sign == (-1) ** (len(subset) - 1)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            SignedParityTerm(())
-        with pytest.raises(ValueError):
-            SignedParityTerm((2, 1))
-        with pytest.raises(ValueError):
-            SignedParityTerm((1, 1))
-        with pytest.raises(ValueError):
-            SignedParityTerm((-1,))
         with pytest.raises(ValueError):
             signed_parity_terms(0)
 
 
 class TestVerifiers:
-    @pytest.mark.parametrize("n", [1, 2, 4, 10, EXHAUSTIVE_LIMIT])
+    @pytest.mark.parametrize("n", [1, 2, 4, 10, 14, EXHAUSTIVE_LIMIT])
     def test_closed_form_passes(self, n):
         report = verify_closed_form(n)
         assert report.passed
@@ -209,7 +219,7 @@ class TestVerifiers:
         assert report.passed
         assert report.checked == 500
 
-    @pytest.mark.parametrize("n", [2, 3, 5, 8, EXHAUSTIVE_LIMIT])
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 14, EXHAUSTIVE_LIMIT])
     def test_append_recurrence_passes(self, n):
         report = verify_append_recurrence(n)
         assert report.passed
@@ -224,9 +234,11 @@ class TestVerifiers:
         # wrong at two assignments; the report names the earlier one
         bad, later = (0, 1, 1, 0, 1), (1, 1, 0, 0, 0)
         real = getattr(z2identity, broken)
-        monkeypatch.setattr(
-            z2identity, broken, lambda bits: real(bits) + (tuple(bits) in (bad, later))
-        )
+
+        def marked(bits):
+            return real(bits) + ((bits == bad).all(axis=-1) | (bits == later).all(axis=-1))
+
+        monkeypatch.setattr(z2identity, broken, marked)
         report = verify_closed_form(5)
         assert not report.passed
         assert report.checked == list(itertools.product((0, 1), repeat=5)).index(bad) + 1
@@ -247,8 +259,9 @@ class TestVerifiers:
         self, monkeypatch, wrong_at, prefix, b, checked
     ):
         real = z2identity.xor_int
+        a, b_at = wrong_at
         monkeypatch.setattr(
-            z2identity, "xor_int", lambda x, y: real(x, y) + ((x, y) == wrong_at)
+            z2identity, "xor_int", lambda x, y: real(x, y) + ((x == a) & (y == b_at))
         )
         report = verify_append_recurrence(4)
         assert not report.passed
@@ -257,6 +270,55 @@ class TestVerifiers:
         assert (got_prefix, got_b) == (prefix, b)
         assert want == got - 1
         assert all(type(v) is int for v in got_prefix + (got_b, got, want))
+
+    def test_closed_form_sampled_reports_first_failure(self, monkeypatch):
+        # wrong on every sample that starts (1, 1, 1); the report names the
+        # first, which is not the first row
+        real, tables = z2identity.parity_sum_closed_form, []
+
+        def marked(bits):
+            tables.append(bits)
+            return real(bits) + bits[..., :3].all(axis=-1)
+
+        monkeypatch.setattr(z2identity, "parity_sum_closed_form", marked)
+        report = verify_closed_form_sampled(6, samples=200, seed=2)
+        (table,) = tables
+        k = next(i for i, row in enumerate(table.tolist()) if row[:3] == [1, 1, 1])
+        assert k > 0
+        bits = tuple(table[k].tolist())
+        closed = 32 if all(bits) else 0
+        want = (bits, closed, closed + 1)
+        assert not report.passed
+        assert report.checked == k + 1
+        assert report.counterexample == want
+        assert all(type(v) is int for v in bits + report.counterexample[1:])
+        assert report.summary() == (
+            f"closed-form (sampled) n=6: FAIL ({k + 1} samples) counterexample={want!r}"
+        )
+
+    @pytest.mark.parametrize(
+        "wrong_at, checked, counterexample",
+        # xor_int(5, 0) and xor_int(3, 3) break the unary facts x(+)0 and
+        # x(+)x, which are checked before any triple.  xor_int(2, -1) is first reached as the inner
+        # xor_int(y, z) of associativity at (-8, 2, -1), triple 178 in
+        # x-major order
+        [
+            ((5, 0), 0, ("zero", 5)),
+            ((3, 3), 0, ("self", 3)),
+            ((2, -1), 178, ("associativity", -8, 2, -1)),
+        ],
+        ids=["zero", "self", "triple"],
+    )
+    def test_xor_int_laws_report_first_failure(
+        self, monkeypatch, wrong_at, checked, counterexample
+    ):
+        real, (a, b) = z2identity.xor_int, wrong_at
+        monkeypatch.setattr(z2identity, "xor_int", lambda x, y: real(x, y) + ((x == a) & (y == b)))
+        report = verify_xor_int_laws(-8, 8)
+        assert not report.passed
+        assert report.checked == checked
+        assert report.counterexample == counterexample
+        assert all(type(v) is int for v in report.counterexample[1:])
 
     def test_xor_int_laws_pass(self):
         assert verify_xor_int_laws(-5, 5).passed
