@@ -36,7 +36,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .circuit import CNOT, CV, Circuit, Gate
+from .circuit import CNOT_CODE, CV_CODE, GATE_KINDS, Circuit, Gate
 from .unitary2 import I2, power, require_unitary
 from .z2identity import parity_sums
 
@@ -116,22 +116,20 @@ def linear_trace(circuit: Circuit) -> LinearTrace | None:
     touches the last wire, or a cv-kind gate aimed at any other wire.
     """
     n = circuit.width - 1
-    masks = [1 << (n - 1 - i) for i in range(n)]
-    # sparse until the walk is done, so that a circuit outside the class
-    # allocates nothing of size 2^n
-    coeffs: dict[int, int] = {}
-    for gate in circuit.gates:
-        kind, control, target = gate.kind, gate.control, gate.target
-        if kind == CNOT:
-            if control == n or target == n:
-                return None
-            masks[target] ^= masks[control]
-        elif target != n:
-            return None
-        else:
-            mask = masks[control]
-            coeffs[mask] = coeffs.get(mask, 0) + (1 if kind == CV else -1)
+    cnots = circuit.kind == CNOT_CODE
+    # decided before anything of size 2^n is allocated
+    if np.any(cnots & ((circuit.control == n) | (circuit.target == n))) or np.any(
+        ~cnots & (circuit.target != n)
+    ):
+        return None
     v = _v_binding(circuit)
+    masks = [1 << (n - 1 - i) for i in range(n)]
+    applied = []  # the mask each cv-kind gate reads, in gate order
+    for kind, control, target in circuit.rows():
+        if kind == CNOT_CODE:
+            masks[target] ^= masks[control]
+        else:
+            applied.append(masks[control])
     # y is linear: for x < 2^j, y(x + 2^j) = y(x) ^ y(2^j), and y(2^j) has
     # output bit i set iff mask i contains input bit j
     outputs = np.zeros(1, dtype=np.int64)
@@ -139,7 +137,7 @@ def linear_trace(circuit: Circuit) -> LinearTrace | None:
         column = sum(((mask >> j) & 1) << (n - 1 - i) for i, mask in enumerate(masks))
         outputs = np.concatenate((outputs, outputs ^ column))
     c = np.zeros(1 << n, dtype=np.int64)
-    c[list(coeffs)] = list(coeffs.values())
+    np.add.at(c, np.array(applied, dtype=np.int64), np.where(circuit.kind[~cnots] == CV_CODE, 1, -1))
     return LinearTrace(outputs, parity_sums(c), I2 if v is None else v)
 
 
@@ -185,17 +183,17 @@ def _gate_rows(width: int, control: int, target: int) -> tuple[np.ndarray, np.nd
     return rows0, rows1
 
 
-def _apply(arr: np.ndarray, gate: Gate, v: np.ndarray | None, width: int) -> np.ndarray:
-    if gate.control >= width or gate.target >= width:
-        raise ValueError(f"gate {gate} out of range for width {width}")
-    rows0, rows1 = _gate_rows(width, gate.control, gate.target)
+def _apply(
+    arr: np.ndarray, kind: int, control: int, target: int, v: np.ndarray | None, width: int
+) -> np.ndarray:
+    rows0, rows1 = _gate_rows(width, control, target)
     out = arr.copy()
-    if gate.kind == CNOT:
+    if kind == CNOT_CODE:
         out[rows0], out[rows1] = arr[rows1], arr[rows0]
         return out
     if v is None:
-        raise ValueError(f"{gate.kind} gate needs a bound V matrix")
-    m = v if gate.kind == CV else v.conj().T
+        raise ValueError(f"{GATE_KINDS[kind]} gate needs a bound V matrix")
+    m = v if kind == CV_CODE else v.conj().T
     a0, a1 = arr[rows0], arr[rows1]
     out[rows0] = m[0, 0] * a0 + m[0, 1] * a1
     out[rows1] = m[1, 0] * a0 + m[1, 1] * a1
@@ -214,7 +212,9 @@ def apply_gate(state: np.ndarray, gate: Gate, v: np.ndarray | None = None) -> np
     width = dim.bit_length() - 1
     if state.ndim != 1 or dim != 1 << width:
         raise ValueError(f"state length must be a power of two, got {state.shape}")
-    return _apply(state, gate, v, width)
+    if gate.control >= width or gate.target >= width:
+        raise ValueError(f"gate {gate} out of range for width {width}")
+    return _apply(state, GATE_KINDS.index(gate.kind), gate.control, gate.target, v, width)
 
 
 def run_circuit(circuit: Circuit, state: np.ndarray) -> np.ndarray:
@@ -235,8 +235,8 @@ def run_circuit(circuit: Circuit, state: np.ndarray) -> np.ndarray:
         out[trace.outputs] = (_v_powers(trace) @ state.reshape(-1, 2, 1))[..., 0]
         return out.reshape(-1)
     v = _v_binding(circuit)
-    for gate in circuit.gates:
-        state = _apply(state, gate, v, circuit.width)
+    for kind, control, target in circuit.rows():
+        state = _apply(state, kind, control, target, v, circuit.width)
     return state
 
 
@@ -248,8 +248,8 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
         )
     v = _v_binding(circuit)
     op = np.eye(1 << circuit.width, dtype=complex)
-    for gate in circuit.gates:
-        op = _apply(op, gate, v, circuit.width)
+    for kind, control, target in circuit.rows():
+        op = _apply(op, kind, control, target, v, circuit.width)
     return op
 
 

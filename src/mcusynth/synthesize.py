@@ -10,7 +10,8 @@ on the target commute, so for control bits x the target collects
 
 i.e. u fires exactly when every control is 1.  The block list is the same
 canonical subset enumeration the identity engine uses (size ascending,
-lexicographic within size).  ``synth_mcu`` is the one entry point: n = 1 is
+lexicographic within size), emitted one subset size at a time straight into
+the circuit's int columns.  ``synth_mcu`` is the one entry point: n = 1 is
 a single cv with v = u, and n = 2 is the five-gate sequence
 cv(0,2), cv(1,2), cnot(0,1), cvdg(1,2), cnot(0,1) with v = sqrt(u)
 (Barenco et al. 1995, Lemma 6.1).
@@ -24,19 +25,29 @@ reference operator is the ``check`` command's job, not the synthesizer's.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
-from .circuit import CNOT, CV, CVDG, Circuit, Gate, cnot, cv, cvdg
+from .circuit import CNOT_CODE, CV_CODE, CVDG_CODE, GATE_KINDS, INVERSE_CODE, Circuit
 from .unitary2 import unitary_root
-from .z2identity import signed_parity_terms
 
 
-def _block_gates(sign: int, subset: tuple[int, ...], target: int) -> list[Gate]:
-    apply_gate = cv if sign > 0 else cvdg
-    if len(subset) == 1:
-        return [apply_gate(subset[0], target)]
-    chain = [cnot(subset[i], subset[i + 1]) for i in range(len(subset) - 1)]
-    return chain + [apply_gate(subset[-1], target)] + chain[::-1]
+def _blocks(n: int, k: int) -> np.ndarray:
+    """The (3, C(n, k), 2k - 1) kind / control / target planes of the
+    k-subset blocks, subsets in lexicographic order.
+
+    Row i of each plane is the block of the i-th subset s: cnot(s[j],
+    s[j + 1]) for j < k - 1, the cv (odd k) or cvdg (even k) from s[-1] onto
+    the target n, then the chain reversed.
+    """
+    subsets = np.array(list(itertools.combinations(range(n), k)), dtype=np.int64)
+    apply = np.full((len(subsets), 1), n)
+    control = np.concatenate((subsets[:, :-1], subsets[:, -1:], subsets[:, -2::-1]), axis=1)
+    target = np.concatenate((subsets[:, 1:], apply, subsets[:, :0:-1]), axis=1)
+    kind = np.full(2 * k - 1, CNOT_CODE)
+    kind[k - 1] = CV_CODE if k % 2 else CVDG_CODE
+    return np.stack((np.broadcast_to(kind, control.shape), control, target))
 
 
 def synth_mcu(n: int, u: np.ndarray) -> Circuit:
@@ -48,17 +59,8 @@ def synth_mcu(n: int, u: np.ndarray) -> Circuit:
     if n < 1:
         raise ValueError(f"need n >= 1 controls, got {n}")
     v = unitary_root(u, n - 1)
-    gates: list[Gate] = []
-    for sign, subset in signed_parity_terms(n):
-        gates.extend(_block_gates(sign, subset, n))
-    return Circuit(n + 1, gates, v)
-
-
-def _cancels(a: Gate, b: Gate) -> bool:
-    if a.control != b.control or a.target != b.target:
-        return False
-    kinds = {a.kind, b.kind}
-    return kinds == {CNOT} or kinds == {CV, CVDG}
+    table = np.concatenate([_blocks(n, k).reshape(3, -1) for k in range(1, n + 1)], axis=1)
+    return Circuit(n + 1, table, v)
 
 
 def peephole_cancel(circuit: Circuit) -> Circuit:
@@ -69,11 +71,13 @@ def peephole_cancel(circuit: Circuit) -> Circuit:
     idempotent; the simulated operator is unchanged and the gate count never
     increases.
     """
-    kept: list[Gate] = []
-    for gate in circuit.gates:
-        if kept and _cancels(kept[-1], gate):
+    # a gate's key equals another's inverse key iff the two cancel
+    pair = circuit.pair_ids() * len(GATE_KINDS)
+    keys = (pair + circuit.kind).tolist()
+    kept: list[int] = []
+    for row, inverse in enumerate((pair + INVERSE_CODE[circuit.kind]).tolist()):
+        if kept and keys[kept[-1]] == inverse:
             kept.pop()
         else:
-            kept.append(gate)
-    return Circuit(circuit.width, kept, circuit.v_binding)
-
+            kept.append(row)
+    return Circuit(circuit.width, circuit.table[:, kept], circuit.v_binding)

@@ -24,6 +24,7 @@ output is deterministic.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 from typing import Callable, Sequence
@@ -137,6 +138,10 @@ def parity_sums(coeffs: np.ndarray) -> np.ndarray:
     return (c.sum() - a) // 2
 
 
+# these two caches hold the last widths asked for: verify-identity runs
+# verify_closed_form(k) and then verify_append_recurrence(k), which reuse
+# width k's table and the sums of widths k - 1 and k.  Results are read-only
+@functools.lru_cache(maxsize=2)
 def _direct_sums(n: int) -> np.ndarray:
     # parity_sum_direct of every width-n assignment, in product order: the
     # coefficient of subset mask S is the sign of a |S|-element subset, so
@@ -146,15 +151,19 @@ def _direct_sums(n: int) -> np.ndarray:
         odd = np.concatenate((odd, 1 - odd))  # popcount parity of 0..2^n - 1
     signs = 2 * odd - 1
     signs[0] = 0
-    return parity_sums(signs)
+    sums = parity_sums(signs)
+    sums.setflags(write=False)
+    return sums
 
 
+@functools.lru_cache(maxsize=1)
 def _assignments(n: int) -> np.ndarray:
     # all 2^n width-n bit vectors as int8 rows, in itertools.product order
     x = np.arange(1 << n)
     table = np.empty((1 << n, n), dtype=np.int8)
     for i in range(n):
         table[:, i] = (x >> (n - 1 - i)) & 1
+    table.setflags(write=False)
     return table
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mcusynth.circuit import CNOT, CV, CVDG, Circuit, Gate, cnot, cv, cvdg
+from mcusynth.circuit import CNOT, CV, CVDG, Circuit, Gate, GateError, cnot, cv, cvdg
 from mcusynth.unitary2 import X
 
 
@@ -101,3 +101,57 @@ class TestCircuit:
         assert a != Circuit(3, [cnot(0, 1)])
         assert a != Circuit(2, [cnot(0, 1)], X)
         assert Circuit(2, [cnot(0, 1)], X) == Circuit(2, [cnot(0, 1)], X)
+
+
+class TestGateTable:
+    """The circuit's own form: a (3, m) int table, kind codes index GATE_KINDS."""
+
+    GATES = [cv(0, 2), cv(1, 2), cnot(0, 1), cvdg(1, 2), cnot(0, 1)]
+    TABLE = np.array([[1, 1, 0, 2, 0], [0, 1, 0, 1, 0], [2, 2, 1, 2, 1]])
+
+    def test_table_and_gates_build_the_same_circuit(self):
+        a, b = Circuit(3, self.TABLE, X), Circuit(3, self.GATES, X)
+        assert a == b
+        assert np.array_equal(a.table, self.TABLE)
+        assert [a.kind.tolist(), a.control.tolist(), a.target.tolist()] == self.TABLE.tolist()
+        assert list(a.rows()) == [tuple(col) for col in self.TABLE.T.tolist()]
+
+    def test_table_is_a_private_read_only_copy(self):
+        mine = self.TABLE.copy()
+        c = Circuit(3, mine)
+        mine[1, 0] = 2  # caller's array stays writable, the circuit unchanged
+        assert c.control[0] == 0
+        with pytest.raises(ValueError):
+            c.table[1, 0] = 2
+
+    @pytest.mark.parametrize(
+        "column, message",
+        [
+            ((5, 0, 1), "unknown gate kind 5"),
+            ((0, -1, 1), "qubit indices must be nonnegative"),
+            ((1, 2, 2), "control and target coincide on qubit 2"),
+            ((2, 0, 3), "gate Gate(kind='cvdg', control=0, target=3) out of range for width 3"),
+        ],
+    )
+    def test_first_bad_row_is_named(self, column, message):
+        table = self.TABLE.copy()
+        table[:, 3] = column
+        table[:, 4] = (0, 0, 7)  # a later fault does not win
+        with pytest.raises(GateError) as exc:
+            Circuit(3, table)
+        assert (exc.value.row, str(exc.value)) == (3, message)
+
+    def test_rejects_bad_shape(self):
+        with pytest.raises(ValueError, match="shape"):
+            Circuit(3, self.TABLE[:2])
+
+    def test_gates_view(self):
+        c = Circuit(3, self.GATES, X)
+        assert len(c.gates) == len(c) == 5
+        assert c.gates[2] == cnot(0, 1) and c.gates[-1] == cnot(0, 1)
+        assert c.gates[1:3] == (cv(1, 2), cnot(0, 1))
+        assert c.gates == tuple(self.GATES) and c.gates != self.GATES
+        assert c.gates == Circuit(3, self.TABLE).gates
+        assert c.gates + (cv(0, 2),) == (*self.GATES, cv(0, 2))
+        assert list(c) == self.GATES
+        assert cvdg(1, 2) in c.gates

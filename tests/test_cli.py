@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from mcusynth import z2identity
 from mcusynth.cli import MAX_SAMPLES, main
 from mcusynth.simulator import MAX_WIDTH
 from mcusynth.textio import read_circuit
@@ -21,6 +22,21 @@ class TestVerifyIdentity:
         assert "sum-shift-laws n=3: PASS" in out
         assert "alternating-binomial n=2..60: PASS (59 values)" in out
         assert "all checks passed" in out
+
+    def test_full_mode_builds_each_width_once(self, monkeypatch, capsys):
+        # one parity_sums call per width, smallest first; the lines keep
+        # their order: every closed-form line before every recurrence line
+        widths = []
+        real = z2identity.parity_sums
+        monkeypatch.setattr(
+            z2identity, "parity_sums", lambda c: widths.append(len(c).bit_length() - 1) or real(c)
+        )
+        z2identity._direct_sums.cache_clear()
+        assert main(["verify-identity", "--n", "12"]) == 0
+        assert widths == list(range(1, 13))
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:12] == [f"closed-form n={k}: PASS ({2**k} assignments)" for k in range(1, 13)]
+        assert lines[12:23] == [f"recurrence n={k}: PASS ({2**k} cases)" for k in range(2, 13)]
 
     def test_out_of_range(self, capsys):
         assert main(["verify-identity", "--n", "0"]) == 2

@@ -3,7 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
-from mcusynth.circuit import CNOT, Circuit, cnot, cv, cvdg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mcusynth.circuit import CNOT, GATE_KINDS, Circuit, Gate, cnot, cv, cvdg
 from mcusynth.simulator import (
     basis_index,
     circuit_unitary,
@@ -239,3 +242,53 @@ class TestPeephole:
     def test_triple_control_stays_within_drawn_count(self):
         c = peephole_cancel(synth_mcu(3, H))
         assert c.counts().total <= 17
+
+
+def block_reference(n):
+    """The synthesizer's gate list written out block by block from the
+    identity engine's subset list: chain, apply, reversed chain."""
+    gates = []
+    for sign, subset in signed_parity_terms(n):
+        chain = [cnot(a, b) for a, b in zip(subset, subset[1:])]
+        gates += chain + [(cv if sign > 0 else cvdg)(subset[-1], n)] + chain[::-1]
+    return tuple(gates)
+
+
+def stack_walk(gates):
+    # the peephole pass spelled out over Gate objects
+    kept = []
+    for gate in gates:
+        if kept and kept[-1] == gate.inverse():
+            kept.pop()
+        else:
+            kept.append(gate)
+    return tuple(kept)
+
+
+class TestArrayEmitter:
+    """synth_mcu and peephole_cancel work on int columns; these pin them to
+    the per-gate definitions."""
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_matches_block_reference(self, n):
+        assert synth_mcu(n, H).gates == block_reference(n)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_peephole_matches_stack_walk(self, n):
+        c = synth_mcu(n, H)
+        assert peephole_cancel(c).gates == stack_walk(block_reference(n))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from(GATE_KINDS), st.integers(0, 3), st.integers(0, 3)).filter(
+                lambda g: g[1] != g[2]
+            ),
+            max_size=40,
+        )
+    )
+    def test_peephole_matches_stack_walk_on_hand_built(self, rows):
+        gates = [Gate(*row) for row in rows]
+        slim = peephole_cancel(Circuit(4, gates, X))
+        assert slim.gates == stack_walk(gates)
+        assert np.array_equal(slim.v_binding, X)

@@ -2,8 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mcusynth.circuit import Circuit, cnot, cv
+from mcusynth import textio
+from mcusynth.circuit import GATE_KINDS, Circuit, Gate, cnot, cv
 from mcusynth.synthesize import synth_mcu
 from mcusynth.textio import (
     CircuitFormatError,
@@ -14,9 +17,89 @@ from mcusynth.textio import (
     read_circuit,
     write_circuit,
 )
-from mcusynth.unitary2 import H, NAMED_GATES, X, random_unitary
+from mcusynth.unitary2 import H, NAMED_GATES, T, X, random_unitary
 
 RNG = np.random.default_rng(99)
+
+
+def reference_parse(text):
+    """The file format read line by line, one Gate at a time: the outcome
+    as ("ok", width, gates, v) or ("error", message)."""
+
+    def fail(message):
+        raise CircuitFormatError(message)
+
+    def ints(args, count, lineno, keyword):
+        if len(args) != count:
+            fail(f"line {lineno}: {keyword} takes {count} argument(s), got {len(args)}")
+        try:
+            return [int(a) for a in args]
+        except ValueError:
+            fail(f"line {lineno}: {keyword} arguments must be integers")
+
+    try:
+        width = v = None
+        gates = []
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            fields = raw.split("#", 1)[0].split()
+            if not fields:
+                continue
+            keyword, args = fields[0], fields[1:]
+            if keyword == "qubits":
+                if width is not None:
+                    fail(f"line {lineno}: duplicate qubits line")
+                width = ints(args, 1, lineno, "qubits")[0]
+                if width < 1:
+                    fail(f"line {lineno}: need at least 1 qubit")
+            elif width is None:
+                fail(f"line {lineno}: 'qubits' must come first")
+            elif keyword == "vmatrix":
+                if v is not None:
+                    fail(f"line {lineno}: duplicate vmatrix line")
+                if len(args) != 8:
+                    fail(f"line {lineno}: vmatrix needs 8 numbers, got {len(args)}")
+                try:
+                    re_im = [float(a) for a in args]
+                except ValueError:
+                    fail(f"line {lineno}: bad number in vmatrix")
+                v = (np.array(re_im[0::2]) + 1j * np.array(re_im[1::2])).reshape(2, 2)
+            elif keyword in GATE_KINDS:
+                control, target = ints(args, 2, lineno, keyword)
+                try:
+                    gate = Gate(keyword, control, target)
+                except ValueError as exc:
+                    fail(f"line {lineno}: {exc}")
+                if control >= width or target >= width:
+                    fail(f"line {lineno}: gate {gate} out of range for width {width}")
+                gates.append(gate)
+            else:
+                fail(f"line {lineno}: unknown keyword {keyword!r}")
+        if width is None:
+            fail("missing 'qubits' line")
+        try:
+            Circuit(width, gates, v)
+        except ValueError as exc:
+            fail(str(exc))
+    except CircuitFormatError as exc:
+        return ("error", str(exc))
+    return ("ok", width, tuple(gates), v)
+
+
+def outcome(text):
+    # parse_circuit's result in reference_parse's terms
+    try:
+        c = parse_circuit(text)
+    except CircuitFormatError as exc:
+        return ("error", str(exc))
+    return ("ok", c.width, tuple(c.gates), c.v_binding)
+
+
+def same_outcome(a, b):
+    if a[0] == "error" or b[0] == "error":
+        return a == b
+    if a[:3] != b[:3] or (a[3] is None) != (b[3] is None):
+        return False
+    return a[3] is None or np.array_equal(a[3], b[3])
 
 
 class TestRoundTrip:
@@ -144,3 +227,126 @@ def test_written_file_is_line_oriented(tmp_path):
     assert lines[1] == "qubits 3"
     assert lines[2].startswith("vmatrix ")
     assert lines[3:] == ["cv 0 2", "cv 1 2", "cnot 0 1", "cvdg 1 2", "cnot 0 1"]
+
+
+@st.composite
+def hand_built_circuits(draw):
+    width = draw(st.integers(1, 6))
+    pairs = [(c, t) for c in range(width) for t in range(width) if c != t]
+    gates = []
+    if pairs:
+        rows = draw(st.lists(st.tuples(st.sampled_from(GATE_KINDS), st.sampled_from(pairs))))
+        gates = [Gate(kind, c, t) for kind, (c, t) in rows]
+    v = None
+    if draw(st.booleans()):
+        v = random_unitary(np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    return Circuit(width, gates, v)
+
+
+class TestColumnTextIO:
+    """format_circuit and parse_circuit work on whole columns; these pin
+    them to the line-by-line definition of the format."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(hand_built_circuits(), st.data())
+    def test_round_trip_with_comments_and_blanks(self, circuit, data):
+        text = format_circuit(circuit)
+        noisy = []
+        for line in text.splitlines():
+            noisy.append(line + data.draw(st.sampled_from(["", "  # note", "\t#", " "])))
+            noisy += data.draw(st.lists(st.sampled_from(["", "  ", "# comment", "\t# cnot 9 9"]), max_size=2))
+        parsed = parse_circuit("\n".join(noisy) + data.draw(st.sampled_from(["", "\n", "\r\n"])))
+        assert parsed == circuit
+        assert format_circuit(parsed) == text
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.sampled_from(
+            [
+                "qubits 3\nvmatrix 0 0 1 0 1 0 0 0\ncv 0 2\ncv 1 2\ncnot 0 1\ncvdg 1 2\ncnot 0 1\n",
+                "# header\nqubits 4\ncnot 0 1 # c\n\ncv 1 3\ncvdg 2 3\ncnot 2 1\n",
+            ]
+        ),
+        st.lists(
+            st.tuples(
+                st.integers(0, 200),
+                st.sampled_from(
+                    list("0123456789 -+_#x\t\n\r\x0b\x0c\x1c\x1f\x85\xa0\u2028\u3000\u0663")
+                    + ["cnot ", "cv ", "cvdg ", "qubits ", "vmatrix ", "\r\n", "", "", ""]
+                ),
+                st.integers(0, 3),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    def test_matches_line_by_line_reference(self, base, edits):
+        # each edit deletes up to 3 characters at a position and inserts a piece
+        text = base
+        for at, piece, cut in edits:
+            at %= len(text) + 1
+            text = text[:at] + piece + text[at + cut :]
+        assert same_outcome(outcome(text), reference_parse(text))
+
+    def test_whitespace_tables_match_str(self):
+        # the tokenizer's idea of separators and line breaks is Python's own
+        for code in range(0x110000):
+            ch = chr(code)
+            line_break = len(f"a{ch}b".splitlines()) == 2
+            mapped = ch.translate(textio._WIDE_WHITESPACE) if not ch.isascii() else ch
+            byte_class = textio._BYTE_CLASS[ord(mapped)] if mapped.isascii() else 0
+            assert (byte_class == textio._BREAK) == line_break, hex(code)
+            assert (byte_class != 0) == ch.isspace(), hex(code)
+
+
+@pytest.fixture(scope="module")
+def twelve_control_lines():
+    return format_circuit(synth_mcu(12, T), header="controls=12 gate=T").splitlines()
+
+
+class TestDeepParseErrors:
+    """A fault deep in a 45,060-line file names its own line, in the words
+    the line-by-line reader uses."""
+
+    LINE = 40_123
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("cnot 0 13", "gate Gate(kind='cnot', control=0, target=13) out of range for width 13"),
+            ("cv 12 12", "control and target coincide on qubit 12"),
+            ("cvdg -1 12", "qubit indices must be nonnegative"),
+            ("cnot 0 one", "cnot arguments must be integers"),
+            ("cnot 0 1.5", "cnot arguments must be integers"),
+            ("cvdg 3", "cvdg takes 2 argument(s), got 1"),
+            ("cnot 1 2 3", "cnot takes 2 argument(s), got 3"),
+            ("ccx 0 1", "unknown keyword 'ccx'"),
+            ("qubits 13", "duplicate qubits line"),
+        ],
+    )
+    def test_names_the_line(self, twelve_control_lines, bad, message):
+        lines = list(twelve_control_lines)
+        lines[self.LINE - 1] = bad
+        # a later fault of another kind must not win
+        lines[self.LINE + 500] = "cnot 0"
+        text = "\n".join(lines) + "\n"
+        with pytest.raises(CircuitFormatError) as exc:
+            parse_circuit(text)
+        assert str(exc.value) == f"line {self.LINE}: {message}"
+        assert reference_parse(text) == ("error", str(exc.value))
+
+    def test_two_fields_then_four_do_not_realign(self, twelve_control_lines):
+        # "cv 0" + "12 cnot 0 1" would read as two valid gates if the tokens
+        # were dealt out three per row regardless of lines
+        lines = list(twelve_control_lines)
+        lines[self.LINE - 1 : self.LINE + 1] = ["cv 0", "12 cnot 0 1"]
+        with pytest.raises(CircuitFormatError) as exc:
+            parse_circuit("\n".join(lines) + "\n")
+        assert str(exc.value) == f"line {self.LINE}: cv takes 2 argument(s), got 1"
+
+    def test_first_of_two_gate_faults_wins(self, twelve_control_lines):
+        lines = list(twelve_control_lines)
+        lines[self.LINE - 1] = "cnot 0 99"
+        lines[self.LINE + 10] = "cnot 0 x"
+        with pytest.raises(CircuitFormatError, match=f"^line {self.LINE}: gate "):
+            parse_circuit("\n".join(lines) + "\n")
