@@ -29,7 +29,6 @@ import numpy as np
 from . import z2identity
 from .simulator import (
     MAX_STATE_WIDTH,
-    MAX_WIDTH,
     basis_state,
     circuit_unitary,
     index_bits,
@@ -176,8 +175,6 @@ def cmd_check(args: argparse.Namespace) -> int:
         trace = linear_trace(circuit)
         if trace is not None:
             actual, reference = trace_blocks(trace, u)
-        elif circuit.width > MAX_WIDTH:
-            return _usage_error(f"width {circuit.width} exceeds the simulation cap {MAX_WIDTH}")
         else:
             actual, reference = circuit_unitary(circuit), reference_mcu(args.controls, u)
     except ValueError as exc:

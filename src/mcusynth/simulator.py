@@ -23,35 +23,33 @@ reference, whose ``operator_distance`` is that of the full operators; no
 
 ``circuit_unitary`` always builds the dense 2^m x 2^m operator gate by gate,
 and ``run_circuit`` runs every other circuit gate by gate on a dense state
-vector.  That path is deliberately direct, exists to check, not to scale,
-and is the reference the trace is tested against.  ``reference_mcu`` builds
-the multi-controlled operator straight from its definition and never from a
-circuit, so it is an independent oracle for synthesized circuits.
+vector, both through one in-place loop.  That path is deliberately direct,
+exists to check, not to scale, and is the reference the trace is tested
+against.  ``reference_mcu`` builds the multi-controlled operator straight
+from its definition and never from a circuit, so it is an independent
+oracle for synthesized circuits.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .circuit import CNOT_CODE, CV_CODE, GATE_KINDS, Circuit, Gate
+from .circuit import CNOT_CODE, CV_CODE, CVDG_CODE, Circuit, Gate
 from .unitary2 import I2, power, require_unitary
 from .z2identity import parity_sums
 
 # dense cost is gates x 4^width: the synthesized 8- and 9-control H circuits
-# (1,793 and 4,097 gates) take 3.8 s and 37 s through circuit_unitary, and
-# width 11 runs at 61 ms a gate, about 560 s for its 9,217 (2-core Xeon)
+# (1,793 and 4,097 gates) take 0.63 s and 6.2 s through circuit_unitary at a
+# 24 MiB tracemalloc peak, and width 11 runs at 11 ms a gate, about 100 s
+# for its 9,217 at 96 MiB (2-core Xeon)
 MAX_WIDTH = 10
 
-# cap for simulating one state.  A width-w state is 2^w * 16 B; per gate
-# _apply also holds a full copy plus the gathered quarter blocks and their
-# products (2.5 states on top of the input, by tracemalloc), and _gate_rows
-# keeps two int64 index arrays of 2^(w-2) entries for each of up to w(w-1)
-# (control, target) pairs, least recently used evicted first.  At 16 that is
-# 1 MiB per state, 3.5 MiB per gate and at most 60 MiB of indices; every
-# further qubit doubles all three.
+# cap for simulating one state.  A width-w state is 2^w * 16 B, 1 MiB at 16;
+# the dense route holds one copy of it plus two quarter-size scratch buffers
+# (1.5 MiB; 1.8 MiB tracemalloc peak) and runs a random 2,001-gate circuit
+# in 0.39 s.  Every further qubit doubles both
 MAX_STATE_WIDTH = 16
 
 
@@ -170,34 +168,45 @@ def trace_blocks(trace: LinearTrace, u: np.ndarray) -> tuple[np.ndarray, np.ndar
     return actual, reference
 
 
-@lru_cache(maxsize=MAX_STATE_WIDTH * (MAX_STATE_WIDTH - 1))
-def _gate_rows(width: int, control: int, target: int) -> tuple[np.ndarray, np.ndarray]:
-    # rows with control bit set, paired as (target bit 0, target bit 1)
-    idx = np.arange(1 << width)
-    cmask = 1 << (width - 1 - control)
-    tmask = 1 << (width - 1 - target)
-    rows0 = idx[((idx & cmask) != 0) & ((idx & tmask) == 0)]
-    rows0.setflags(write=False)
-    rows1 = rows0 | tmask
-    rows1.setflags(write=False)
-    return rows0, rows1
+def _run_dense(circuit: Circuit, arr: np.ndarray) -> np.ndarray:
+    """Apply the circuit's gates to ``arr`` in place and return it.
 
-
-def _apply(
-    arr: np.ndarray, kind: int, control: int, target: int, v: np.ndarray | None, width: int
-) -> np.ndarray:
-    rows0, rows1 = _gate_rows(width, control, target)
-    out = arr.copy()
-    if kind == CNOT_CODE:
-        out[rows0], out[rows1] = arr[rows1], arr[rows0]
-        return out
-    if v is None:
-        raise ValueError(f"{GATE_KINDS[kind]} gate needs a bound V matrix")
-    m = v if kind == CV_CODE else v.conj().T
-    a0, a1 = arr[rows0], arr[rows1]
-    out[rows0] = m[0, 0] * a0 + m[0, 1] * a1
-    out[rows1] = m[1, 0] * a0 + m[1, 1] * a1
-    return out
+    ``arr`` is a C-contiguous complex state (2^m,) or operator (2^m, k),
+    viewed with one axis of length 2 per qubit.  The entries a gate reads
+    (control bit 1, target bit 0 or 1) are then two basic-indexing views,
+    each a quarter of the array: cnot swaps them and cv/cvdg mix them with
+    v or its adjoint, through two scratch buffers allocated once per call.
+    """
+    v = _v_binding(circuit)
+    mix = {} if v is None else {CV_CODE: v.tolist(), CVDG_CODE: v.conj().T.tolist()}
+    qubits = arr.reshape((2,) * circuit.width + arr.shape[1:])
+    # every gate's quarter has the shape of the array less two qubit axes
+    old, scratch = (np.empty(qubits.shape[2:], dtype=complex) for _ in range(2))
+    for kind, control, target in circuit.rows():
+        # the trailing Ellipsis keeps a 0-d quarter a view, not a scalar
+        index = [slice(None)] * circuit.width + [...]
+        index[control] = 1
+        index[target] = 0
+        low = qubits[tuple(index)]
+        index[target] = 1
+        high = qubits[tuple(index)]
+        np.copyto(old, low)
+        if kind == CNOT_CODE:
+            # copyto from one view of qubits into another would stage the
+            # source in a temporary of its own whenever their bounds overlap
+            np.copyto(scratch, high)
+            np.copyto(low, scratch)
+            np.copyto(high, old)
+            continue
+        # low, high = a low + b high, c low + d high
+        (a, b), (c, d) = mix[kind]
+        low *= a
+        np.multiply(high, b, out=scratch)
+        low += scratch
+        high *= d
+        np.multiply(old, c, out=scratch)
+        high += scratch
+    return arr
 
 
 def apply_gate(state: np.ndarray, gate: Gate, v: np.ndarray | None = None) -> np.ndarray:
@@ -212,17 +221,15 @@ def apply_gate(state: np.ndarray, gate: Gate, v: np.ndarray | None = None) -> np
     width = dim.bit_length() - 1
     if state.ndim != 1 or dim != 1 << width:
         raise ValueError(f"state length must be a power of two, got {state.shape}")
-    if gate.control >= width or gate.target >= width:
-        raise ValueError(f"gate {gate} out of range for width {width}")
-    return _apply(state, GATE_KINDS.index(gate.kind), gate.control, gate.target, v, width)
+    return _run_dense(Circuit(width, [gate], v), state.copy())
 
 
 def run_circuit(circuit: Circuit, state: np.ndarray) -> np.ndarray:
-    """The circuit applied to the given state.
+    """The circuit applied to the given state, as a new array.
 
     A circuit in ``linear_trace``'s class moves the target pair of each
     control index x to y(x) and applies V^e(x) to it; any other circuit is
-    run gate by gate on the dense state.
+    run gate by gate on a copy of the dense state.
     """
     state = np.asarray(state, dtype=complex)
     if state.shape != (1 << circuit.width,):
@@ -234,23 +241,14 @@ def run_circuit(circuit: Circuit, state: np.ndarray) -> np.ndarray:
         out = np.zeros_like(state).reshape(-1, 2)
         out[trace.outputs] = (_v_powers(trace) @ state.reshape(-1, 2, 1))[..., 0]
         return out.reshape(-1)
-    v = _v_binding(circuit)
-    for kind, control, target in circuit.rows():
-        state = _apply(state, kind, control, target, v, circuit.width)
-    return state
+    return _run_dense(circuit, state.copy())
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
     """Full matrix of the circuit: column j is the circuit run on basis j."""
     if circuit.width > MAX_WIDTH:
-        raise ValueError(
-            f"width {circuit.width} exceeds the dense-simulation cap {MAX_WIDTH}"
-        )
-    v = _v_binding(circuit)
-    op = np.eye(1 << circuit.width, dtype=complex)
-    for kind, control, target in circuit.rows():
-        op = _apply(op, kind, control, target, v, circuit.width)
-    return op
+        raise ValueError(f"width {circuit.width} exceeds the simulation cap {MAX_WIDTH}")
+    return _run_dense(circuit, np.eye(1 << circuit.width, dtype=complex))
 
 
 def reference_mcu(n: int, u: np.ndarray) -> np.ndarray:

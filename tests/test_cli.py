@@ -280,6 +280,20 @@ class TestSimulate:
         assert main(["simulate", "--circuit", str(path), "--input", "1" * 40]) == 2
         assert "state-vector cap 16" in capsys.readouterr().err
 
+    def test_dense_route_at_the_state_cap(self, tmp_path, capsys):
+        # the cnot onto the last wire keeps the file off the trace route; the
+        # cv puts H on the middle wire 7 once the flipped wire 1 is set
+        h = 2**-0.5
+        path = tmp_path / "wide.circ"
+        path.write_text(
+            f"qubits 16\nvmatrix {h!r} 0 {h!r} 0 {h!r} 0 {-h!r} 0\n"
+            "cnot 0 15\ncnot 0 1\ncv 1 7\n"
+        )
+        assert main(["simulate", "--circuit", str(path), "--input", "1" + "0" * 15]) == 0
+        assert capsys.readouterr().out == (
+            "|1100000000000001⟩: 0.707106781187\n|1100000100000001⟩: 0.707106781187\n"
+        )
+
     def test_non_bit_input(self, tmp_path):
         path = tmp_path / "cx.circ"
         path.write_text("qubits 2\ncnot 0 1\n")

@@ -6,8 +6,6 @@ from hypothesis import strategies as st
 from mcusynth.circuit import Circuit, cnot, cv, cvdg
 from mcusynth.cli import CHECK_TOLERANCE
 from mcusynth.simulator import (
-    MAX_STATE_WIDTH,
-    _gate_rows,
     apply_gate,
     basis_index,
     basis_state,
@@ -102,16 +100,6 @@ class TestApplyGate:
         apply_gate(s, cnot(0, 1))
         assert np.array_equal(s, before)
 
-    def test_index_cache_is_bounded(self):
-        # every (control, target) pair of widths 2..10 is 330 keys; the
-        # cache keeps at most the w(w-1) = 240 pairs of the widest state
-        for width in range(2, 11):
-            for control in range(width):
-                for target in range(width):
-                    if control != target:
-                        apply_gate(basis_state([0] * width), cnot(control, target))
-        assert _gate_rows.cache_info().currsize <= MAX_STATE_WIDTH * (MAX_STATE_WIDTH - 1)
-
 
 class TestCircuitUnitary:
     def test_single_cnot_matrix(self):
@@ -146,12 +134,55 @@ class TestCircuitUnitary:
         assert operator_distance(op @ op.conj().T, np.eye(8)) < 1e-10
 
     def test_width_cap(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^width 13 exceeds the simulation cap 10$"):
             circuit_unitary(Circuit(13))
 
     def test_missing_binding_rejected(self):
         with pytest.raises(ValueError):
             circuit_unitary(Circuit(2, [cv(0, 1)]))
+
+    def test_returns_a_new_array_each_call(self):
+        v = random_unitary(RNG)
+        c = Circuit(3, [cv(0, 2), cnot(2, 1), cvdg(1, 0)], v)
+        first = circuit_unitary(c)
+        expected = first.copy()
+        first[:] = 0
+        second = circuit_unitary(c)
+        assert not np.shares_memory(first, second)
+        assert np.array_equal(second, expected)
+        assert np.array_equal(c.v_binding, v)
+
+
+def kron_operator(width, gate, v):
+    """The gate's operator from projectors on the control: P0 x I + P1 x G."""
+    g = {"cnot": X, "cv": v, "cvdg": v.conj().T}[gate.kind]
+
+    def term(on_control, on_target):
+        op = np.eye(1)
+        for q in range(width):
+            factor = on_control if q == gate.control else on_target if q == gate.target else I2
+            op = np.kron(op, factor)
+        return op
+
+    return term(np.diag([1, 0]), I2) + term(np.diag([0, 1]), g)
+
+
+@pytest.mark.parametrize("width", [3, 4])
+def test_dense_kernel_matches_kron_construction(width):
+    v = random_unitary(RNG)
+    dim = 1 << width
+    for control in range(width):
+        for target in range(width):
+            if control == target:
+                continue
+            for make in (cnot, cv, cvdg):
+                gate = make(control, target)
+                expected = kron_operator(width, gate, v)
+                op = circuit_unitary(Circuit(width, [gate], v))
+                assert np.max(np.abs(op - expected)) < 1e-15, gate
+                for j in range(dim):
+                    column = apply_gate(np.eye(dim)[j], gate, v)
+                    assert np.max(np.abs(column - expected[:, j])) < 1e-15, (gate, j)
 
 
 class TestRunCircuit:
@@ -168,6 +199,22 @@ class TestRunCircuit:
     def test_missing_binding(self):
         with pytest.raises(ValueError):
             run_circuit(Circuit(2, [cv(0, 1)]), basis_state([1, 1]))
+
+    @pytest.mark.parametrize(
+        "gates, dense",
+        # the cnot onto the target leaves the trace's class
+        [([cv(0, 2), cnot(0, 2), cvdg(1, 0)], True), ([cv(0, 2), cnot(0, 1), cvdg(1, 2)], False)],
+        ids=["dense", "trace"],
+    )
+    def test_does_not_mutate_input(self, gates, dense):
+        c = Circuit(3, gates, random_unitary(RNG))
+        assert (linear_trace(c) is None) == dense
+        state = random_state(3)
+        before = state.copy()
+        out = run_circuit(c, state)
+        assert not np.shares_memory(out, state)
+        assert np.array_equal(state, before)
+        assert np.max(np.abs(out - circuit_unitary(c) @ before)) < 1e-12
 
 
 class TestReferenceMcu:

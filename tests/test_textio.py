@@ -350,3 +350,19 @@ class TestDeepParseErrors:
         lines[self.LINE + 10] = "cnot 0 x"
         with pytest.raises(CircuitFormatError, match=f"^line {self.LINE}: gate "):
             parse_circuit("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize(
+    "qubits, message",
+    [
+        # int() reads the index, int64 cannot hold it: the gate check words it
+        ("3", "gate Gate(kind='cnot', control=0, target=99999999999999999999) out of range for width 3"),
+        # past int64 in a width that is itself past int64: no gate rule applies
+        ("999999999999999999999", "qubit indices must fit in 64 bits"),
+    ],
+    ids=["out_of_range", "past_int64"],
+)
+def test_index_past_int64(qubits, message):
+    with pytest.raises(CircuitFormatError) as exc:
+        parse_circuit(f"qubits {qubits}\ncnot 0 99999999999999999999\n")
+    assert str(exc.value) == f"line 2: {message}"
