@@ -71,9 +71,10 @@ def write_circuit(circuit: Circuit, path: str | Path, header: str | None = None)
 
 
 # str.split whitespace and str.splitlines breaks outside ASCII, mapped onto
-# ASCII so that one byte table classifies every separator
+# ASCII so that one byte table classifies every separator. The breaks map to
+# "\x1e", not "\n", so that "\r" before one stays two line breaks
 _WIDE_WHITESPACE = str.maketrans(
-    dict.fromkeys("\x85\u2028\u2029", "\n")
+    dict.fromkeys("\x85\u2028\u2029", "\x1e")
     | dict.fromkeys("\xa0\u1680\u2000\u2001\u2002\u2003\u2004\u2005\u2006\u2007"
                     "\u2008\u2009\u200a\u202f\u205f\u3000", " ")
 )

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mcusynth import textio
@@ -280,6 +280,9 @@ class TestColumnTextIO:
             max_size=6,
         ),
     )
+    # "\r" before a non-ASCII line break is two line breaks, not one "\r\n"
+    @example("qubits 3\nvmatrix 0 0 1 0 1 0 0 0\ncv 0 2\ncv 1 2\ncnot 0 1\ncvdg 1 2\ncnot 0 1\n", [(0, "0", 0), (0, "\r", 0), (1, "\x85", 0)])
+    @example("qubits 3\nvmatrix 0 0 1 0 1 0 0 0\ncv 0 2\ncv 1 2\ncnot 0 1\ncvdg 1 2\ncnot 0 1\n", [(0, "\r", 0), (1, "\u2028", 0)])
     def test_matches_line_by_line_reference(self, base, edits):
         # each edit deletes up to 3 characters at a position and inserts a piece
         text = base
