@@ -323,12 +323,13 @@ def load_gate_json(path: str | Path) -> np.ndarray:
         raise CircuitFormatError(
             f"{path}: expected {{\"matrix\": [[[re,im],[re,im]],[[re,im],[re,im]]]}}"
         )
+    # JSON true and false decode to bool, which complex() takes as 1 and 0
+    if any(type(x) not in (int, float) for r in rows for e in r for x in e):
+        raise CircuitFormatError(f"{path}: matrix entries must be numbers")
     try:
-        m = np.array(
-            [[complex(e[0], e[1]) for e in row] for row in rows], dtype=complex
-        )
-    except TypeError:
-        raise CircuitFormatError(f"{path}: matrix entries must be numbers") from None
+        m = np.array([[complex(e[0], e[1]) for e in row] for row in rows])
+    except OverflowError:
+        raise CircuitFormatError(f"{path}: matrix entries must fit in a float") from None
     try:
         return require_unitary(m, name=f"matrix from {path}")
     except ValueError as exc:

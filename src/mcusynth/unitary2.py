@@ -28,9 +28,11 @@ NAMED_GATES = {"I": I2, "X": X, "Y": Y, "Z": Z, "H": H, "S": S, "T": T}
 
 
 def is_unitary(m: np.ndarray) -> bool:
-    """True if m is 2x2 with m @ m+ == I and |det m| == 1 within INGEST_ATOL."""
+    """True if m is 2x2 and finite with m @ m+ == I and |det m| == 1 within
+    INGEST_ATOL."""
     m = np.asarray(m, dtype=complex)
-    if m.shape != (2, 2):
+    # a NaN fails no tolerance test below, and det would warn on it
+    if m.shape != (2, 2) or not np.isfinite(m).all():
         return False
     if np.max(np.abs(m @ m.conj().T - I2)) > INGEST_ATOL:
         return False

@@ -18,7 +18,7 @@ from mcusynth.simulator import (
     reference_mcu,
     run_circuit,
 )
-from mcusynth.synthesize import peephole_cancel, synth_mcu
+from mcusynth.synthesize import synth_mcu
 from mcusynth.unitary2 import I2, NAMED_GATES, X, power, random_unitary, unitary_root
 from mcusynth.z2identity import (
     alternating_binomial_sides,
@@ -120,7 +120,12 @@ def test_criterion_6_gate_counts():
     # exponential growth: each extra control more than doubles the circuit
     for n in range(2, 11):
         assert totals[n] > 2 * totals[n - 1]
-    report("6 gate-count formulas (n=1..10)")
+    # the Gray order: the same cv-kind gates, one cnot between neighbours
+    for n in range(1, 17):
+        counts = synth_mcu(n, X, gray=True).counts()
+        assert (counts.cv, counts.cvdg) == (1 << (n - 1), (1 << (n - 1)) - 1), n
+        assert counts.cnot == (1 << n) - 2, n
+    report("6 gate-count formulas (n=1..10, Gray order n=1..16)")
 
 
 def test_criterion_7_symbolic_exponent_trace():
@@ -133,16 +138,17 @@ def test_criterion_7_symbolic_exponent_trace():
 
 
 def test_criterion_8_optimizer_safety():
+    # the optimized circuit is the Gray order; it must be the same operator
     rng = np.random.default_rng(1008)
     gates = [NAMED_GATES["X"], NAMED_GATES["H"], NAMED_GATES["T"], random_unitary(rng)]
     for n in range(1, 6):
         for u in gates:
             circuit = synth_mcu(n, u)
-            slim = peephole_cancel(circuit)
+            slim = synth_mcu(n, u, gray=True)
             assert slim.counts().total <= circuit.counts().total
             d = operator_distance(circuit_unitary(slim), circuit_unitary(circuit))
             assert d < 1e-11, (n, d)
-    report("8 optimizer safety (n=1..5)")
+    report("8 optimizer safety (Gray order, n=1..5)")
 
 
 def test_criterion_9_cli_round_trip(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import cmath
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -86,9 +87,12 @@ class TestSynth:
         out_file = tmp_path / "c.circ"
         args = ["synth", "--controls", "4", "--gate", "H", "--optimize", "--out", str(out_file)]
         assert main(args) == 0
-        printed = capsys.readouterr().out
-        assert "before: " in printed and "after:  " in printed
-        assert len(read_circuit(out_file)) <= 49
+        printed = capsys.readouterr().out.splitlines()
+        assert printed[:2] == [
+            "before: cnot=34 cv=8 cvdg=7 total=49",
+            "after:  cnot=14 cv=8 cvdg=7 total=29",
+        ]
+        assert len(read_circuit(out_file)) == 29
 
     def test_bad_gate_name(self, tmp_path):
         assert main(["synth", "--controls", "2", "--gate", "Q", "--out", str(tmp_path / "x")]) == 2
@@ -197,6 +201,14 @@ class TestCheck:
         assert main(args) == 0
         assert capsys.readouterr().out.splitlines()[-1] == "PASS"
 
+    def test_optimized_passes_at_16_controls(self, tmp_path, capsys):
+        path = tmp_path / "c16.circ"
+        args = ["synth", "--controls", "16", "--gate", "H", "--optimize", "--out", str(path)]
+        assert main(args) == 0
+        assert "after:  cnot=65534 cv=32768 cvdg=32767 total=131069" in capsys.readouterr().out
+        assert main(["check", "--circuit", str(path), "--controls", "16", "--gate", "H"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "PASS"
+
     def test_mutant_past_the_dense_cap_fails(self, tmp_path, capsys):
         # dropping the first gate, cv 0 13, leaves V^-1 on every input with
         # x_0 = 1; V = X^(1/4096) is about 4e-4 away from I
@@ -298,6 +310,45 @@ class TestSimulate:
         path = tmp_path / "cx.circ"
         path.write_text("qubits 2\ncnot 0 1\n")
         assert main(["simulate", "--circuit", str(path), "--input", "1a"]) == 2
+
+
+class TestIngest:
+    """A NaN, a JSON boolean or a number past float range where a matrix
+    entry belongs is refused with exit 2 and one error line on stderr,
+    with no numpy warning before it."""
+
+    def run(self, capsys, args):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(args)
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [
+            ("[[[NaN, 0], [0, 0]], [[0, 0], [1, 0]]]", "matrix from {} is not unitary within 1e-09"),
+            ("[[[true, 0], [0, 0]], [[0, 0], [true, 0]]]", "{}: matrix entries must be numbers"),
+            (f"[[[1{'0' * 400}, 0], [0, 0]], [[0, 0], [1, 0]]]", "{}: matrix entries must fit in a float"),
+        ],
+        ids=["nan", "boolean", "past-float-range"],
+    )
+    def test_gate_json(self, matrix, message, tmp_path, capsys):
+        gate = tmp_path / "gate.json"
+        gate.write_text(f'{{"matrix": {matrix}}}')
+        out = tmp_path / "c.circ"
+        code, err = self.run(capsys, ["synth", "--controls", "2", "--gate", f"@{gate}", "--out", str(out)])
+        assert (code, err) == (2, f"error: {message.format(gate)}\n")
+        assert not out.exists()
+
+    def test_nan_on_vmatrix_line(self, tmp_path, capsys):
+        path = tmp_path / "nan.circ"
+        path.write_text("qubits 2\nvmatrix nan 0 0 0 0 0 1 0\ncv 0 1\n")
+        for args in (
+            ["check", "--circuit", str(path), "--controls", "1", "--gate", "X"],
+            ["simulate", "--circuit", str(path), "--input", "11"],
+        ):
+            code, err = self.run(capsys, args)
+            assert (code, err) == (2, "error: v binding is not unitary within 1e-09\n")
 
 
 def test_usage_error_exits_two():

@@ -13,6 +13,7 @@ from mcusynth.simulator import (
     linear_trace,
     operator_distance,
     reference_mcu,
+    trace_blocks,
 )
 from mcusynth.synthesize import peephole_cancel, synth_mcu
 from mcusynth.unitary2 import H, I2, NAMED_GATES, T, X, power, random_unitary, unitary_root
@@ -190,6 +191,13 @@ class TestExponentTrace:
         for bits in itertools.product((0, 1), repeat=n):
             assert trace.exponents[basis_index(bits)] == parity_sum_direct(bits)
 
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_gray_order_matches_identity_engine(self, n):
+        trace = linear_trace(synth_mcu(n, H, gray=True))
+        assert np.array_equal(trace.outputs, np.arange(1 << n))
+        for bits in itertools.product((0, 1), repeat=n):
+            assert trace.exponents[basis_index(bits)] == parity_sum_direct(bits)
+
     def test_survives_peephole(self):
         trace = linear_trace(peephole_cancel(synth_mcu(4, H)))
         assert np.array_equal(trace.outputs, np.arange(16))
@@ -263,6 +271,39 @@ def stack_walk(gates):
         else:
             kept.append(gate)
     return tuple(kept)
+
+
+def gray_reference(n):
+    """The Gray order written out code by code: code i's cv-kind gate from
+    the top wire of g(i) = i ^ (i >> 1), then the cnot that moves that
+    wire's parity to g(i + 1)."""
+    codes = [i ^ (i >> 1) for i in range(1 << n)]
+    gates = []
+    for i in range(1, 1 << n):
+        top = codes[i].bit_length() - 1
+        gates.append((cv if bin(codes[i]).count("1") % 2 else cvdg)(top, n))
+        if i + 1 < 1 << n:
+            flipped = (codes[i] ^ codes[i + 1]).bit_length() - 1
+            new_top = codes[i + 1].bit_length() - 1
+            gates.append(cnot(new_top - 1 if flipped == new_top else flipped, new_top))
+    return tuple(gates)
+
+
+class TestGrayOrder:
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_matches_gray_reference(self, n):
+        assert synth_mcu(n, H, gray=True).gates == gray_reference(n)
+
+    @pytest.mark.parametrize("n, gates", [(1, 1), (2, 5), (3, 13), (4, 29)])
+    def test_every_gate_is_needed(self, n, gates):
+        # deleting any one gate moves the traced operator away from the
+        # reference, so check refuses every one-gate mutant
+        circuit = synth_mcu(n, T, gray=True)
+        assert len(circuit) == gates
+        for row in range(gates):
+            mutant = Circuit(n + 1, np.delete(circuit.table, row, axis=1), circuit.v_binding)
+            distance = operator_distance(*trace_blocks(linear_trace(mutant), T))
+            assert distance >= 1e-9, (n, row, distance)
 
 
 class TestArrayEmitter:

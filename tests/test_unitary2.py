@@ -1,4 +1,5 @@
 import cmath
+import warnings
 
 import numpy as np
 import pytest
@@ -137,6 +138,13 @@ def test_require_unitary():
         require_unitary(np.eye(3))
     with pytest.raises(ValueError):
         require_unitary(1.0001 * X)
+
+
+def test_is_unitary_refuses_non_finite_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (np.nan, np.inf, complex(0, np.nan)):
+            assert not is_unitary(np.array([[bad, 0], [0, 1]]))
 
 
 def test_random_unitary_is_unitary():
