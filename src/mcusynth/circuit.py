@@ -1,9 +1,9 @@
-"""Circuit intermediate representation: gates, circuits, inversion, counts.
+"""Circuit intermediate representation: gates, circuits, counts.
 
 Gates carry symbolic labels rather than matrices: a circuit has at most one
 controlled-V matrix, bound once at the circuit level (``v_binding``).  That
-keeps inversion and peephole cancellation exact, since cv and cvdg are
-inverses by construction.  Circuits are immutable.
+keeps peephole cancellation exact, since cv and cvdg are inverses by
+construction.  Circuits are immutable.
 
 A circuit is a struct of arrays: ``table`` is one read-only (3, m) int64
 array whose rows ``kind`` (an index into ``GATE_KINDS``), ``control`` and
@@ -35,6 +35,8 @@ GATE_KINDS = (CNOT, CV, CVDG)
 # the kind column holds each gate's index in GATE_KINDS
 CNOT_CODE, CV_CODE, CVDG_CODE = range(len(GATE_KINDS))
 INVERSE_CODE = np.array([CNOT_CODE, CVDG_CODE, CV_CODE])
+# the widest circuit, so that gate keys stay in int64 (Circuit.pair_ids)
+MAX_QUBITS = 2**30
 
 
 def _gate_problem(kind, control: int, target: int, width: int | None = None) -> str | None:
@@ -63,13 +65,6 @@ class Gate(namedtuple("Gate", "kind control target")):
         if problem := _gate_problem(kind, control, target):
             raise ValueError(problem)
         return super().__new__(cls, kind, control, target)
-
-    def inverse(self) -> "Gate":
-        if self.kind == CV:
-            return Gate(CVDG, self.control, self.target)
-        if self.kind == CVDG:
-            return Gate(CV, self.control, self.target)
-        return self
 
 
 def cnot(control: int, target: int) -> Gate:
@@ -158,6 +153,8 @@ class Circuit:
     ):
         if width < 1:
             raise ValueError(f"need width >= 1, got {width}")
+        if width > MAX_QUBITS:
+            raise ValueError(f"need width <= {MAX_QUBITS}, got {width}")
         if isinstance(gates, np.ndarray):
             table = np.array(gates, dtype=np.int64)
         else:
@@ -215,14 +212,10 @@ class Circuit:
         return zip(*self.table.tolist())
 
     def pair_ids(self) -> np.ndarray:
-        """One int64 per gate, equal for two gates iff they share both wires.
-
-        Dense in the qubit indices in use, so no product of two indices is
-        ever formed and the ids cannot overflow.
-        """
-        values, ranks = np.unique(self.table[1:], return_inverse=True)
-        control, target = ranks.reshape(2, -1)
-        return control * len(values) + target
+        """One int64 per gate, equal for two gates iff they share both wires:
+        control * width + target < 2^60 at width <= MAX_QUBITS = 2^30, so a
+        key id * len(GATE_KINDS) + kind stays below 2^62, inside int64."""
+        return self.control * self.width + self.target
 
     @property
     def gates(self) -> GateSequence:
@@ -231,12 +224,6 @@ class Circuit:
     @property
     def needs_v(self) -> bool:
         return bool(np.any(self.kind != CNOT_CODE))
-
-    def inverted(self) -> "Circuit":
-        """Gates reversed, cv and cvdg swapped; composes with self to identity."""
-        table = self.table[:, ::-1].copy()
-        table[0] = INVERSE_CODE[table[0]]
-        return Circuit(self.width, table, self.v_binding)
 
     def counts(self) -> GateCounts:
         cnot, cv, cvdg = np.bincount(self.kind, minlength=len(GATE_KINDS)).tolist()

@@ -36,7 +36,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .circuit import CNOT_CODE, CV_CODE, CVDG_CODE, Circuit, Gate
+from .circuit import CNOT_CODE, CV_CODE, CVDG_CODE, Circuit
 from .unitary2 import I2, power, require_unitary
 from .z2identity import parity_sums
 
@@ -207,21 +207,6 @@ def _run_dense(circuit: Circuit, arr: np.ndarray) -> np.ndarray:
         np.multiply(old, c, out=scratch)
         high += scratch
     return arr
-
-
-def apply_gate(state: np.ndarray, gate: Gate, v: np.ndarray | None = None) -> np.ndarray:
-    """Apply one gate to a state vector, returning a new vector.
-
-    Components with the control bit 0 pass through untouched; for control
-    bit 1, cnot swaps the target-bit pair and cv/cvdg mix it with the 2x2
-    matrix v (or its adjoint).
-    """
-    state = np.asarray(state, dtype=complex)
-    dim = state.shape[0]
-    width = dim.bit_length() - 1
-    if state.ndim != 1 or dim != 1 << width:
-        raise ValueError(f"state length must be a power of two, got {state.shape}")
-    return _run_dense(Circuit(width, [gate], v), state.copy())
 
 
 def run_circuit(circuit: Circuit, state: np.ndarray) -> np.ndarray:

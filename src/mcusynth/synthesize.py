@@ -36,7 +36,7 @@ import itertools
 
 import numpy as np
 
-from .circuit import CNOT_CODE, CV_CODE, CVDG_CODE, GATE_KINDS, INVERSE_CODE, Circuit
+from .circuit import CNOT_CODE, CV_CODE, CVDG_CODE, GATE_KINDS, INVERSE_CODE, Circuit, GateCounts
 from .unitary2 import unitary_root
 
 
@@ -83,6 +83,13 @@ def _gray(n: int) -> np.ndarray:
     table[1, 1::2] = flipped - (flipped == into)
     table[2, 1::2] = into
     return table
+
+
+def canonical_counts(n: int) -> GateCounts:
+    """``synth_mcu(n, u).counts()`` without building the circuit: a k-subset
+    block is one cv (odd k) or cvdg (even k) and 2(k - 1) cnots."""
+    half = 1 << (n - 1)
+    return GateCounts(cnot=2 * (n * half - 2 * half + 1), cv=half, cvdg=half - 1)
 
 
 def synth_mcu(n: int, u: np.ndarray, gray: bool = False) -> Circuit:

@@ -21,9 +21,9 @@ and ``parse_circuit`` tokenizes the whole file as one byte array, handles
 the few non-gate lines (``qubits``, ``vmatrix``) one by one, converts the
 gate arguments column-wise and leaves the gate checks to ``Circuit``.
 Lines, tokens and integers are read exactly as ``str.splitlines``,
-``str.split`` and ``int`` read them (a qubit index must also fit in int64),
-and an error names the line of the first bad gate or header line, whatever
-kind of fault it is.
+``str.split`` and ``int`` read them, and an error names the line of the
+first bad gate or header line, whatever kind of fault it is.  Input past
+its byte cap is refused before it is parsed.
 
 Gate matrices on the command line are either a named gate (I, X, Y, Z, H, S,
 T) or ``@file.json`` pointing at ``{"matrix": [[[re,im],[re,im]],
@@ -32,18 +32,39 @@ T) or ``@file.json`` pointing at ``{"matrix": [[[re,im],[re,im]],
 
 from __future__ import annotations
 
+import io
 import json
+import os
 import re
 from pathlib import Path
 
 import numpy as np
 
-from .circuit import GATE_KINDS, Circuit, GateError, _gate_problem
+from .circuit import GATE_KINDS, MAX_QUBITS, Circuit, GateError, _gate_problem
 from .unitary2 import NAMED_GATES, require_unitary
+
+
+# the 16-control canonical file is 9.6 MB; padded to this cap with cancelling
+# cnot pairs (1.78 M gates), `check` takes 1.5 s at 222 MiB peak RSS (2-core Xeon)
+MAX_CIRCUIT_BYTES = 16 << 20
+MAX_GATE_BYTES = 1 << 16  # a gate file is one 2x2 matrix, a few hundred bytes
 
 
 class CircuitFormatError(ValueError):
     """A circuit file or gate spec that cannot be parsed."""
+
+
+def _read_text(path: str | Path, cap: int, what: str) -> str:
+    # Path.read_text's decoding of at most cap bytes, read as cap + 1.  read(n)
+    # allocates n bytes up front, so the first read takes the stated size
+    with Path(path).open("rb") as f:
+        size = min(os.fstat(f.fileno()).st_size, cap) + 1
+        data = f.read(size)
+        if len(data) == size:  # past its stated size: /dev/zero, a pipe
+            data += f.read(cap + 1 - size)
+    if len(data) > cap:
+        raise CircuitFormatError(f"{path}: {what} exceeds the cap of {cap} bytes")
+    return io.TextIOWrapper(io.BytesIO(data)).read()
 
 
 def format_circuit(circuit: Circuit, header: str | None = None) -> str:
@@ -103,6 +124,8 @@ class _Tokens:
             text = text.translate(_WIDE_WHITESPACE)
         # a comment becomes a space, so that "\r#...\n" stays two line breaks
         raw = _COMMENT.sub(" ", text).encode()
+        if len(raw) > MAX_CIRCUIT_BYTES:
+            raise CircuitFormatError(f"circuit text exceeds the cap of {MAX_CIRCUIT_BYTES} bytes")
         # space padding lets a column read _DIGITS bytes past any token start
         data = np.full(len(raw) + _DIGITS, ord(" "), dtype=np.uint8)
         data[: len(raw)] = np.frombuffer(raw, dtype=np.uint8)
@@ -115,11 +138,10 @@ class _Tokens:
         edges = np.diff((byte_class == 0).view(np.int8), prepend=np.int8(0))
         breaks = byte_class == _BREAK
         del byte_class
-        # positions and line numbers in int32 below 2 GiB: half the memory.
-        # A pass per _CHUNK bytes keeps every int64 temporary that small
-        position = np.int32 if data.shape[0] < 2**31 else np.int64
+        # positions and line numbers in int32, which the cap leaves room
+        # for.  A pass per _CHUNK bytes keeps every int64 temporary that small
         count = np.count_nonzero(edges > 0)
-        self.starts, self.ends, lines = (np.empty(count, dtype=position) for _ in range(3))
+        self.starts, self.ends, lines = (np.empty(count, dtype=np.int32) for _ in range(3))
         started = ended = above = 0  # tokens started and ended, breaks seen
         for lo in range(0, data.shape[0], _CHUNK):
             edge = edges[lo : lo + _CHUNK]
@@ -127,7 +149,7 @@ class _Tokens:
             self.starts[started : started + start.shape[0]] = start + lo
             self.ends[ended : ended + end.shape[0]] = end + lo
             # inclusive counts: a token's first byte is no break
-            breaks_to = np.cumsum(breaks[lo : lo + _CHUNK], dtype=position)
+            breaks_to = np.cumsum(breaks[lo : lo + _CHUNK], dtype=np.int32)
             lines[started : started + start.shape[0]] = breaks_to[start] + above
             started, ended, above = started + start.shape[0], ended + end.shape[0], above + int(breaks_to[-1])
         self.data = data
@@ -261,6 +283,8 @@ def _header_line(keyword: str, args: list[str], width, v):
             raise CircuitFormatError("qubits arguments must be integers") from None
         if width < 1:
             raise CircuitFormatError("need at least 1 qubit")
+        if width > MAX_QUBITS:
+            raise CircuitFormatError(f"need at most {MAX_QUBITS} qubits")
         return width, v
     if width is None:
         raise CircuitFormatError("'qubits' must come first")
@@ -284,17 +308,16 @@ def _header_line(keyword: str, args: list[str], width, v):
 
 
 def _integer_problem(tokens: _Tokens, head: int, keyword: str, width: int) -> str:
-    # why a gate line's two arguments are refused: int() fails, or one of
-    # them lies outside int64, where the gate checks would refuse it too
+    # why int() refuses a gate line's arguments, or past int64 the gate checks
     try:
         control, target = (int(tokens.word(head + i)) for i in (1, 2))
     except ValueError:
         return f"{keyword} arguments must be integers"
-    return _gate_problem(keyword, control, target, width) or "qubit indices must fit in 64 bits"
+    return _gate_problem(keyword, control, target, width)
 
 
 def read_circuit(path: str | Path) -> Circuit:
-    return parse_circuit(Path(path).read_text())
+    return parse_circuit(_read_text(path, MAX_CIRCUIT_BYTES, "circuit file"))
 
 
 def parse_gate_spec(spec: str) -> np.ndarray:
@@ -310,7 +333,7 @@ def parse_gate_spec(spec: str) -> np.ndarray:
 def load_gate_json(path: str | Path) -> np.ndarray:
     """Read an explicit 2x2 matrix from JSON; must be unitary within 1e-9."""
     try:
-        payload = json.loads(Path(path).read_text())
+        payload = json.loads(_read_text(path, MAX_GATE_BYTES, "gate file"))
     except (OSError, json.JSONDecodeError) as exc:
         raise CircuitFormatError(f"cannot read gate file {path}: {exc}") from None
     rows = payload.get("matrix") if isinstance(payload, dict) else None

@@ -42,6 +42,9 @@ EXHAUSTIVE_LIMIT = 20
 # differences of two of them stay inside int64
 MAX_BITS = 62
 
+XOR_LAW_LO, XOR_LAW_HI = -8, 8  # verify_xor_int_laws: every triple in [-8, 8]^3
+BINOMIAL_LO, BINOMIAL_HI = 2, 60  # verify_alternating_binomial: n = 2..60
+
 
 @dataclasses.dataclass(frozen=True)
 class CheckReport:
@@ -223,13 +226,13 @@ def verify_closed_form(n: int) -> CheckReport:
     )
 
 
-def verify_closed_form_sampled(n: int, samples: int, seed: int = 0) -> CheckReport:
-    """Sampled check of recurrent == closed form, for n beyond the direct cap."""
+def verify_closed_form_sampled(n: int, samples: int) -> CheckReport:
+    """Sampled check of recurrent == closed form past the direct cap, seeded with n."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if samples < 1:
         raise ValueError(f"need samples >= 1, got {samples}")
-    table = np.random.default_rng(seed).integers(0, 2, size=(samples, n), dtype=np.int8)
+    table = np.random.default_rng(n).integers(0, 2, size=(samples, n), dtype=np.int8)
     recurrent = parity_sum_recurrent(table)
     closed = parity_sum_closed_form(table)
     return _report(
@@ -263,8 +266,8 @@ def verify_append_recurrence(n: int) -> CheckReport:
     )
 
 
-def verify_xor_int_laws(lo: int = -8, hi: int = 8) -> CheckReport:
-    """Check the algebraic laws of xor_int on every triple in [lo, hi]^3.
+def verify_xor_int_laws() -> CheckReport:
+    """Check the algebraic laws of xor_int on every triple in [XOR_LAW_LO, XOR_LAW_HI]^3.
 
     Laws: commutativity, associativity, the two shift laws
 
@@ -274,10 +277,8 @@ def verify_xor_int_laws(lo: int = -8, hi: int = 8) -> CheckReport:
     plus the unary facts x(+)0 == x, x(+)1 == 1 - x, x(+)x == 2x(1 - x),
     which are checked first.  Triples run x-major, laws in the order above.
     """
-    if lo > hi:
-        raise ValueError(f"empty range [{lo}, {hi}]")
-    name = f"xor-int-laws [{lo},{hi}]"
-    v = np.arange(lo, hi + 1, dtype=np.int64)
+    name = f"xor-int-laws [{XOR_LAW_LO},{XOR_LAW_HI}]"
+    v = np.arange(XOR_LAW_LO, XOR_LAW_HI + 1, dtype=np.int64)
     unary = np.stack(
         (xor_int(v, 0) != v, xor_int(v, 1) != 1 - v, xor_int(v, v) != 2 * v * (1 - v)),
         axis=-1,
@@ -306,7 +307,7 @@ def verify_xor_int_laws(lo: int = -8, hi: int = 8) -> CheckReport:
     return _report(name, "triples", laws.any(axis=-1), witness)
 
 
-def verify_sum_shift_laws(n: int, trials: int, seed: int = 0) -> CheckReport:
+def verify_sum_shift_laws(n: int, trials: int) -> CheckReport:
     """Check the two aggregated shift identities on random bit vectors.
 
     For bits x_1..x_n and a bit z:
@@ -315,13 +316,13 @@ def verify_sum_shift_laws(n: int, trials: int, seed: int = 0) -> CheckReport:
         sum_i (-1)^(i-1) (x_i xor z) == xor_int(sum_i (-1)^(i-1) x_i, z)
                                         - ((1 + (-1)^n) // 2) * z
 
-    Each trial is one seeded random row of n + 1 bits, z the last.
+    Each trial is one random row of n + 1 bits, z the last, seeded with n.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
-    rows = np.random.default_rng(seed).integers(0, 2, size=(trials, n + 1), dtype=np.int8)
+    rows = np.random.default_rng(n).integers(0, 2, size=(trials, n + 1), dtype=np.int8)
     xs, z = rows[:, :n], rows[:, n].astype(np.int64)
     flipped = (xs + z[:, None]) % 2  # x_i xor z, bit by bit
     signs = np.where(np.arange(n) % 2, -1, 1)
@@ -351,15 +352,13 @@ def alternating_binomial_sides(n: int) -> tuple[int, int]:
     return lhs, rhs
 
 
-def verify_alternating_binomial(lo: int = 2, hi: int = 60) -> CheckReport:
-    """Check the alternating binomial identity for every n in [lo, hi]."""
-    if lo < 2 or lo > hi:
-        raise ValueError(f"need 2 <= lo <= hi, got [{lo}, {hi}]")
+def verify_alternating_binomial() -> CheckReport:
+    """Check the alternating binomial identity for n = BINOMIAL_LO..BINOMIAL_HI."""
     # the sides stay Python ints; only the mismatch flags become an array
-    sides = [alternating_binomial_sides(n) for n in range(lo, hi + 1)]
+    sides = [alternating_binomial_sides(n) for n in range(BINOMIAL_LO, BINOMIAL_HI + 1)]
     return _report(
-        f"alternating-binomial n={lo}..{hi}",
+        f"alternating-binomial n={BINOMIAL_LO}..{BINOMIAL_HI}",
         "values",
         np.array([lhs != rhs for lhs, rhs in sides]),
-        lambda k: (lo + k, *sides[k]),
+        lambda k: (BINOMIAL_LO + k, *sides[k]),
     )

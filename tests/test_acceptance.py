@@ -55,9 +55,9 @@ def test_criterion_1_identity_suite():
 
 def test_criterion_2_law_suite():
     start = time.perf_counter()
-    assert verify_xor_int_laws(-8, 8).passed
+    assert verify_xor_int_laws().passed
     for n in range(1, 11):
-        assert verify_sum_shift_laws(n, trials=10_000, seed=n).passed, n
+        assert verify_sum_shift_laws(n, trials=10_000).passed, n
     for n in range(2, 61):
         lhs, rhs = alternating_binomial_sides(n)
         assert lhs == rhs, n

@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
 
-from mcusynth.circuit import CNOT, CV, CVDG, Circuit, Gate, GateError, cnot, cv, cvdg
-from mcusynth.unitary2 import X
+from mcusynth.circuit import CNOT, CV, CVDG, MAX_QUBITS, Circuit, Gate, GateError, cnot, cv, cvdg
+from mcusynth.simulator import circuit_unitary, operator_distance
+from mcusynth.unitary2 import X, random_unitary
+
+RNG = np.random.default_rng(5)
+
+
+def adjoint(circuit):
+    """The dense operator's adjoint, the circuit's inverse."""
+    return circuit_unitary(circuit).conj().T
 
 
 class TestGate:
@@ -24,9 +32,11 @@ class TestGate:
             cv(-1, 0)
 
     def test_inverse(self):
-        assert cnot(0, 1).inverse() == cnot(0, 1)
-        assert cv(0, 1).inverse() == cvdg(0, 1)
-        assert cvdg(0, 1).inverse() == cv(0, 1)
+        # cnot is its own inverse, and cv and cvdg are each other's
+        v = random_unitary(RNG)
+        for a, b in ((cnot, cnot), (cv, cvdg), (cvdg, cv)):
+            product = circuit_unitary(Circuit(2, [a(0, 1), b(0, 1)], v))
+            assert operator_distance(product, np.eye(4)) < 1e-15, (a, b)
 
 
 class TestCircuit:
@@ -41,22 +51,35 @@ class TestCircuit:
         with pytest.raises(ValueError):
             Circuit(0)
 
+    def test_width_bound(self):
+        top = Circuit(MAX_QUBITS, [cnot(MAX_QUBITS - 1, MAX_QUBITS - 2)])
+        assert top.pair_ids().tolist() == [(MAX_QUBITS - 1) * MAX_QUBITS + MAX_QUBITS - 2]
+        with pytest.raises(ValueError, match=f"^need width <= {MAX_QUBITS}, got {MAX_QUBITS + 1}$"):
+            Circuit(MAX_QUBITS + 1)
+
     def test_immutable(self):
         c = Circuit(2)
         with pytest.raises(AttributeError):
             c.width = 3
 
     def test_invert_single_gates(self):
-        assert Circuit(2, [cnot(0, 1)]).inverted().gates == (cnot(0, 1),)
-        assert Circuit(2, [cv(0, 1)]).inverted().gates == (cvdg(0, 1),)
+        v = random_unitary(RNG)
+        for gate, inverse in ((cnot(0, 1), cnot(0, 1)), (cv(0, 1), cvdg(0, 1))):
+            assert np.array_equal(adjoint(Circuit(2, [gate], v)), circuit_unitary(Circuit(2, [inverse], v)))
 
     def test_invert_reverses_order(self):
-        c = Circuit(3, [cnot(0, 1), cv(1, 2)])
-        assert c.inverted().gates == (cvdg(1, 2), cnot(0, 1))
+        v = random_unitary(RNG)
+        forward = Circuit(3, [cnot(0, 1), cv(1, 2)], v)
+        backward = Circuit(3, [cvdg(1, 2), cnot(0, 1)], v)
+        assert operator_distance(adjoint(forward), circuit_unitary(backward)) < 1e-15
 
     def test_invert_involution(self):
-        c = Circuit(3, [cv(0, 2), cv(1, 2), cnot(0, 1), cvdg(1, 2), cnot(0, 1)], X)
-        assert c.inverted().inverted() == c
+        # Lemma 6.1's circuit, then its gates reversed with cv and cvdg
+        # swapped, is the identity
+        gates = [cv(0, 2), cv(1, 2), cnot(0, 1), cvdg(1, 2), cnot(0, 1)]
+        undo = [cnot(0, 1), cv(1, 2), cnot(0, 1), cvdg(1, 2), cvdg(0, 2)]
+        both = circuit_unitary(Circuit(3, gates + undo, random_unitary(RNG)))
+        assert operator_distance(both, np.eye(8)) < 1e-14
 
     def test_counts(self):
         c = Circuit(3, [cv(0, 2), cv(1, 2), cnot(0, 1), cvdg(1, 2), cnot(0, 1)])
@@ -69,11 +92,12 @@ class TestCircuit:
         assert (counts.cnot, counts.cv, counts.cvdg, counts.total) == (0, 0, 0, 0)
 
     def test_invert_swaps_cv_counts(self):
-        c = Circuit(3, [cv(0, 2), cv(1, 2), cnot(0, 1), cvdg(1, 2)])
-        inv = c.inverted().counts()
-        fwd = c.counts()
-        assert inv.total == fwd.total
-        assert (inv.cv, inv.cvdg) == (fwd.cvdg, fwd.cv)
+        # the inverse written out with the cv and cvdg counts swapped
+        v = random_unitary(RNG)
+        c = Circuit(3, [cv(0, 2), cv(1, 2), cnot(0, 1), cvdg(1, 2)], v)
+        inv = Circuit(3, [cv(1, 2), cnot(0, 1), cvdg(1, 2), cvdg(0, 2)], v)
+        assert (inv.counts().cv, inv.counts().cvdg) == (c.counts().cvdg, c.counts().cv)
+        assert operator_distance(circuit_unitary(inv), adjoint(c)) < 1e-14
 
     def test_v_binding_validated(self):
         with pytest.raises(ValueError):

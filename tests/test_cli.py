@@ -1,5 +1,6 @@
 import cmath
 import json
+import os
 import warnings
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from mcusynth import z2identity
 from mcusynth.cli import MAX_SAMPLES, main
 from mcusynth.simulator import MAX_WIDTH
-from mcusynth.textio import read_circuit
+from mcusynth.textio import MAX_CIRCUIT_BYTES, MAX_GATE_BYTES, read_circuit
 from mcusynth.unitary2 import H, NAMED_GATES
 from mcusynth.z2identity import EXHAUSTIVE_LIMIT
 
@@ -349,6 +350,37 @@ class TestIngest:
         ):
             code, err = self.run(capsys, args)
             assert (code, err) == (2, "error: v binding is not unitary within 1e-09\n")
+
+
+class TestReadCaps:
+    """An endless or oversized input file is refused with exit 2 after
+    reading at most its cap plus one byte."""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+    def test_dev_zero_circuit(self, capsys):
+        args = ["check", "--circuit", "/dev/zero", "--controls", "2", "--gate", "X"]
+        assert main(args) == 2
+        assert capsys.readouterr().err == (
+            f"error: /dev/zero: circuit file exceeds the cap of {MAX_CIRCUIT_BYTES} bytes\n"
+        )
+        assert main(["simulate", "--circuit", "/dev/zero", "--input", "00"]) == 2
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+    def test_dev_zero_gate(self, tmp_path, capsys):
+        out = tmp_path / "c.circ"
+        assert main(["synth", "--controls", "2", "--gate", "@/dev/zero", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: /dev/zero: gate file exceeds the cap of {MAX_GATE_BYTES} bytes\n"
+        )
+        assert not out.exists()
+
+    def test_circuit_file_one_byte_past_the_cap(self, tmp_path, capsys):
+        path = tmp_path / "big.circ"
+        path.write_bytes(b"qubits 3\n" + b"#" * (MAX_CIRCUIT_BYTES - 9) + b"\n")
+        assert main(["check", "--circuit", str(path), "--controls", "2", "--gate", "X"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: circuit file exceeds the cap of {MAX_CIRCUIT_BYTES} bytes\n"
+        )
 
 
 def test_usage_error_exits_two():

@@ -1,13 +1,33 @@
-"""README's library example runs as written."""
+"""README's library example and CLI block run as written."""
 
 import re
+import shlex
 from pathlib import Path
+
+from mcusynth.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
+def section_block(heading, language):
+    section = README.read_text(encoding="utf-8").split(f"\n## {heading}\n", 1)[1]
+    block = re.search(rf"```{language}\n(.*?)```", section, re.DOTALL)
+    assert block is not None, f"README's {heading} section has no {language} block"
+    return block.group(1)
+
+
 def test_library_example_runs():
-    section = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
-    block = re.search(r"```python\n(.*?)```", section, re.DOTALL)
-    assert block is not None, "README's Library section has no python block"
-    exec(compile(block.group(1), "README.md (Library)", "exec"), {})
+    exec(compile(section_block("Library", "python"), "README.md (Library)", "exec"), {})
+
+
+def test_cli_example_runs(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    commands = [line for line in section_block("CLI", "sh").splitlines() if line.startswith("mcusynth ")]
+    assert len(commands) == 6
+    for line in commands:
+        argv = shlex.split(line)[1:]
+        assert main(argv) == 0, line
+        out = capsys.readouterr().out
+        if "--optimize" in argv:
+            # the comment above it promises 13 gates
+            assert "total=13\n" in out, out

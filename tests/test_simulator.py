@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from mcusynth.circuit import Circuit, cnot, cv, cvdg
 from mcusynth.cli import CHECK_TOLERANCE
 from mcusynth.simulator import (
-    apply_gate,
     basis_index,
     basis_state,
     circuit_unitary,
@@ -53,51 +52,56 @@ def test_basis_state():
 
 
 class TestApplyGate:
+    """One gate on a state: its dense operator applied, and run_circuit."""
+
+    @staticmethod
+    def apply(state, gate, v=None):
+        return circuit_unitary(Circuit(2, [gate], v)) @ state
+
     def test_cnot_mapping_table(self):
         g = cnot(0, 1)
-        assert np.array_equal(apply_gate(basis_state([0, 0]), g), basis_state([0, 0]))
-        assert np.array_equal(apply_gate(basis_state([0, 1]), g), basis_state([0, 1]))
-        assert np.array_equal(apply_gate(basis_state([1, 0]), g), basis_state([1, 1]))
-        assert np.array_equal(apply_gate(basis_state([1, 1]), g), basis_state([1, 0]))
+        for bits, want in (([0, 0], [0, 0]), ([0, 1], [0, 1]), ([1, 0], [1, 1]), ([1, 1], [1, 0])):
+            assert np.array_equal(self.apply(basis_state(bits), g), basis_state(want))
+            assert np.array_equal(run_circuit(Circuit(2, [g]), basis_state(bits)), basis_state(want))
 
     def test_cv_control_zero_untouched(self):
         v = random_unitary(RNG)
         state = np.kron(basis_state([0]), random_state(1))
-        assert np.array_equal(apply_gate(state, cv(0, 1), v), state)
+        assert np.array_equal(self.apply(state, cv(0, 1), v), state)
 
     def test_cv_control_one_applies_v(self):
         v = random_unitary(RNG)
         psi = random_state(1)
         state = np.kron(basis_state([1]), psi)
         expected = np.kron(basis_state([1]), v @ psi)
-        assert np.max(np.abs(apply_gate(state, cv(0, 1), v) - expected)) < 1e-15
+        assert np.max(np.abs(self.apply(state, cv(0, 1), v) - expected)) < 1e-15
 
     def test_cvdg_applies_adjoint(self):
         v = random_unitary(RNG)
         psi = random_state(1)
         state = np.kron(basis_state([1]), psi)
         expected = np.kron(basis_state([1]), v.conj().T @ psi)
-        assert np.max(np.abs(apply_gate(state, cvdg(0, 1), v) - expected)) < 1e-15
+        assert np.max(np.abs(self.apply(state, cvdg(0, 1), v) - expected)) < 1e-15
 
     def test_missing_v_raises(self):
-        with pytest.raises(ValueError):
-            apply_gate(basis_state([1, 1]), cv(0, 1))
+        with pytest.raises(ValueError, match="^circuit contains cv/cvdg gates but no V binding$"):
+            run_circuit(Circuit(2, [cv(0, 1)]), basis_state([1, 1]))
 
     def test_out_of_range_gate(self):
-        with pytest.raises(ValueError):
-            apply_gate(basis_state([0, 0]), cnot(0, 3))
+        with pytest.raises(ValueError, match="out of range for width 2$"):
+            Circuit(2, [cnot(0, 3)])
 
     def test_norm_preserved(self):
+        # run_circuit traces the first two and runs cvdg(0, 2) densely
         v = random_unitary(RNG)
         for gate in (cnot(2, 0), cv(1, 3), cvdg(0, 2)):
-            s = random_state(4)
-            out = apply_gate(s, gate, v)
+            out = run_circuit(Circuit(4, [gate], v), random_state(4))
             assert abs(np.linalg.norm(out) - 1.0) < 1e-12
 
     def test_does_not_mutate_input(self):
         s = basis_state([1, 0])
         before = s.copy()
-        apply_gate(s, cnot(0, 1))
+        run_circuit(Circuit(2, [cnot(1, 0)]), s)
         assert np.array_equal(s, before)
 
 
@@ -111,20 +115,24 @@ class TestCircuitUnitary:
             assert np.array_equal(circuit_unitary(Circuit(m)), np.eye(1 << m))
 
     def test_matches_gate_application_per_column(self):
+        # cnot(1, 0) and cvdg(1, 0) leave the trace's class, cv(0, 1) does not
         v = random_unitary(RNG)
         for gate in (cnot(1, 0), cv(0, 1), cvdg(1, 0)):
-            op = circuit_unitary(Circuit(2, [gate], v))
+            c = Circuit(2, [gate], v)
+            op = circuit_unitary(c)
             for j in range(4):
                 e = np.zeros(4, dtype=complex)
                 e[j] = 1.0
-                assert np.max(np.abs(op @ e - apply_gate(e, gate, v))) < 1e-12
+                assert np.max(np.abs(op @ e - run_circuit(c, e))) < 1e-12
 
     def test_compose_with_inverse_is_identity(self):
         v = random_unitary(RNG)
         c = Circuit(3, [cv(0, 2), cnot(0, 1), cvdg(1, 2), cnot(1, 2)], v)
-        both = Circuit(3, c.gates + c.inverted().gates, v)
+        # the gates reversed, cv and cvdg swapped
+        inverse = Circuit(3, [cnot(1, 2), cv(1, 2), cnot(0, 1), cvdg(0, 2)], v)
+        both = Circuit(3, c.gates + inverse.gates, v)
         assert operator_distance(circuit_unitary(both), np.eye(8)) < 1e-10
-        product = circuit_unitary(c.inverted()) @ circuit_unitary(c)
+        product = circuit_unitary(inverse) @ circuit_unitary(c)
         assert operator_distance(product, np.eye(8)) < 1e-10
 
     def test_produces_unitary(self):
@@ -178,10 +186,11 @@ def test_dense_kernel_matches_kron_construction(width):
             for make in (cnot, cv, cvdg):
                 gate = make(control, target)
                 expected = kron_operator(width, gate, v)
-                op = circuit_unitary(Circuit(width, [gate], v))
+                c = Circuit(width, [gate], v)
+                op = circuit_unitary(c)
                 assert np.max(np.abs(op - expected)) < 1e-15, gate
                 for j in range(dim):
-                    column = apply_gate(np.eye(dim)[j], gate, v)
+                    column = run_circuit(c, np.eye(dim)[j])
                     assert np.max(np.abs(column - expected[:, j])) < 1e-15, (gate, j)
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcusynth.circuit import CNOT, GATE_KINDS, Circuit, Gate, cnot, cv, cvdg
+from mcusynth.circuit import CNOT, CV, CVDG, GATE_KINDS, MAX_QUBITS, Circuit, Gate, cnot, cv, cvdg
 from mcusynth.simulator import (
     basis_index,
     circuit_unitary,
@@ -15,7 +15,7 @@ from mcusynth.simulator import (
     reference_mcu,
     trace_blocks,
 )
-from mcusynth.synthesize import peephole_cancel, synth_mcu
+from mcusynth.synthesize import canonical_counts, peephole_cancel, synth_mcu
 from mcusynth.unitary2 import H, I2, NAMED_GATES, T, X, power, random_unitary, unitary_root
 from mcusynth.z2identity import parity_sum_direct, signed_parity_terms
 
@@ -153,6 +153,10 @@ class TestGeneralSynthesis:
         assert counts.cv + counts.cvdg == (1 << n) - 1
         assert counts.cnot == cnot_count_formula(n)
 
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_canonical_counts_closed_form(self, n):
+        assert canonical_counts(n) == synth_mcu(n, H).counts()
+
     @pytest.mark.parametrize("n", range(1, 5))
     def test_matches_reference_random(self, n):
         for _ in range(3):
@@ -264,9 +268,10 @@ def block_reference(n):
 
 def stack_walk(gates):
     # the peephole pass spelled out over Gate objects
+    inverse = {CNOT: CNOT, CV: CVDG, CVDG: CV}
     kept = []
     for gate in gates:
-        if kept and kept[-1] == gate.inverse():
+        if kept and kept[-1] == Gate(inverse[gate.kind], gate.control, gate.target):
             kept.pop()
         else:
             kept.append(gate)
@@ -333,3 +338,21 @@ class TestArrayEmitter:
         slim = peephole_cancel(Circuit(4, gates, X))
         assert slim.gates == stack_walk(gates)
         assert np.array_equal(slim.v_binding, X)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from(GATE_KINDS), st.integers(0, 3), st.integers(0, 3)).filter(
+                lambda g: g[1] != g[2]
+            ),
+            max_size=40,
+        )
+    )
+    def test_peephole_at_the_top_of_the_key_range(self, rows):
+        # qubits 0..3 stand for the widest circuit's top indices, where
+        # control * width + target is largest
+        top = (MAX_QUBITS - 1, MAX_QUBITS - 2, 0, 1)
+        gates = [Gate(kind, top[c], top[t]) for kind, c, t in rows]
+        slim = peephole_cancel(Circuit(MAX_QUBITS, gates))
+        assert slim.width == MAX_QUBITS
+        assert slim.gates == stack_walk(gates)

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mcusynth import textio
-from mcusynth.circuit import GATE_KINDS, Circuit, Gate, cnot, cv
+from mcusynth.circuit import GATE_KINDS, MAX_QUBITS, Circuit, Gate, cnot, cv
 from mcusynth.synthesize import synth_mcu
 from mcusynth.textio import (
     CircuitFormatError,
@@ -51,6 +52,8 @@ def reference_parse(text):
                 width = ints(args, 1, lineno, "qubits")[0]
                 if width < 1:
                     fail(f"line {lineno}: need at least 1 qubit")
+                if width > MAX_QUBITS:
+                    fail(f"line {lineno}: need at most {MAX_QUBITS} qubits")
             elif width is None:
                 fail(f"line {lineno}: 'qubits' must come first")
             elif keyword == "vmatrix":
@@ -359,13 +362,93 @@ class TestDeepParseErrors:
     "qubits, message",
     [
         # int() reads the index, int64 cannot hold it: the gate check words it
-        ("3", "gate Gate(kind='cnot', control=0, target=99999999999999999999) out of range for width 3"),
-        # past int64 in a width that is itself past int64: no gate rule applies
-        ("999999999999999999999", "qubit indices must fit in 64 bits"),
+        ("3", "line 2: gate Gate(kind='cnot', control=0, target=99999999999999999999) out of range for width 3"),
+        # a width past int64 is past the qubit bound, so no gate is read
+        ("999999999999999999999", f"line 1: need at most {MAX_QUBITS} qubits"),
     ],
     ids=["out_of_range", "past_int64"],
 )
 def test_index_past_int64(qubits, message):
+    text = f"qubits {qubits}\ncnot 0 99999999999999999999\n"
     with pytest.raises(CircuitFormatError) as exc:
-        parse_circuit(f"qubits {qubits}\ncnot 0 99999999999999999999\n")
-    assert str(exc.value) == f"line 2: {message}"
+        parse_circuit(text)
+    assert str(exc.value) == message
+    assert reference_parse(text) == ("error", message)
+
+
+class TestQubitBound:
+    """Gate keys are control * width + target in int64, so widths stop at
+    MAX_QUBITS; the top of that range reads and writes like any other."""
+
+    TOP = (MAX_QUBITS - 1, MAX_QUBITS - 2, 0, 1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from(GATE_KINDS), st.sampled_from(TOP), st.sampled_from(TOP)).filter(
+                lambda g: g[1] != g[2]
+            ),
+            max_size=30,
+        )
+    )
+    def test_round_trip_at_the_top_of_the_key_range(self, rows):
+        circuit = Circuit(MAX_QUBITS, [Gate(*row) for row in rows], X)
+        text = format_circuit(circuit)
+        gate_lines = text.splitlines()[2:]
+        assert gate_lines == [f"{kind} {control} {target}" for kind, control, target in rows]
+        assert parse_circuit(text) == circuit
+
+    def test_widest_circuit_parses(self):
+        text = f"qubits {MAX_QUBITS}\ncnot {MAX_QUBITS - 1} {MAX_QUBITS - 2}\n"
+        assert parse_circuit(text) == Circuit(MAX_QUBITS, [Gate("cnot", MAX_QUBITS - 1, MAX_QUBITS - 2)])
+
+    def test_wider_is_refused_with_its_line(self):
+        text = "# header\nqubits 1073741825\ncnot 0 1\n"
+        message = "line 2: need at most 1073741824 qubits"
+        with pytest.raises(CircuitFormatError) as exc:
+            parse_circuit(text)
+        assert str(exc.value) == message
+        assert reference_parse(text) == ("error", message)
+
+
+class TestReadCaps:
+    """Files are read up to a byte cap plus one, so an endless or huge file
+    is refused before it fills memory."""
+
+    def test_circuit_file_at_the_cap_is_read(self, tmp_path):
+        path = tmp_path / "c.circ"
+        head = b"qubits 1\n"
+        path.write_bytes(head + b"#" * (textio.MAX_CIRCUIT_BYTES - len(head) - 1) + b"\n")
+        assert read_circuit(path) == Circuit(1)
+
+    def test_circuit_text_past_the_cap_is_refused(self):
+        text = "qubits 1\n" + " " * textio.MAX_CIRCUIT_BYTES
+        with pytest.raises(CircuitFormatError, match="^circuit text exceeds the cap of 16777216 bytes$"):
+            parse_circuit(text)
+
+    def test_gate_file_cap(self, tmp_path):
+        path = tmp_path / "g.json"
+        body = json.dumps({"matrix": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]}).encode()
+        path.write_bytes(body + b" " * (textio.MAX_GATE_BYTES - len(body)))
+        assert np.array_equal(load_gate_json(path), X)
+        path.write_bytes(body + b" " * (textio.MAX_GATE_BYTES + 1 - len(body)))
+        with pytest.raises(CircuitFormatError) as exc:
+            load_gate_json(path)
+        assert str(exc.value) == f"{path}: gate file exceeds the cap of {textio.MAX_GATE_BYTES} bytes"
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+    def test_pipe_is_read_past_its_stated_size(self):
+        # a pipe states size 0, so its text comes from the second read
+        read, write = os.pipe()
+        os.write(write, b"qubits 2\ncnot 0 1\n")
+        os.close(write)
+        try:
+            assert read_circuit(f"/dev/fd/{read}") == Circuit(2, [cnot(0, 1)])
+        finally:
+            os.close(read)
+
+    def test_decoded_as_read_text(self, tmp_path):
+        # universal newlines, as Path.read_text reads them
+        path = tmp_path / "c.circ"
+        path.write_bytes(b"qubits 2\r\ncnot 0 1\rcnot 1 0\n")
+        assert read_circuit(path) == parse_circuit(path.read_text())
