@@ -93,7 +93,7 @@ class GateCounts:
 class GateSequence(Sequence):
     """A circuit's gates as a read-only sequence of ``Gate``, each built when
     it is reached, so ``len`` costs nothing.  Equal to the tuple of the same
-    gates, and ``+`` gives that tuple plus the other operand's gates."""
+    gates."""
 
     __slots__ = ("_table",)
 
@@ -118,9 +118,6 @@ class GateSequence(Sequence):
         if isinstance(other, GateSequence):
             return np.array_equal(self._table, other._table)
         return isinstance(other, tuple) and tuple(self) == other
-
-    def __add__(self, other) -> tuple[Gate, ...]:
-        return tuple(self) + tuple(other)
 
     def __repr__(self) -> str:
         return repr(tuple(self))

@@ -64,7 +64,12 @@ def _read_text(path: str | Path, cap: int, what: str) -> str:
             data += f.read(cap + 1 - size)
     if len(data) > cap:
         raise CircuitFormatError(f"{path}: {what} exceeds the cap of {cap} bytes")
-    return io.TextIOWrapper(io.BytesIO(data)).read()
+    try:
+        return io.TextIOWrapper(io.BytesIO(data)).read()
+    except UnicodeDecodeError as exc:
+        raise CircuitFormatError(
+            f"{path}: {what} does not decode as {exc.encoding} at byte {exc.start} ({exc.reason})"
+        ) from None
 
 
 def format_circuit(circuit: Circuit, header: str | None = None) -> str:

@@ -1,11 +1,17 @@
+import argparse
 import cmath
+import io
 import json
 import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mcusynth
 from mcusynth import z2identity
 from mcusynth.cli import MAX_SAMPLES, main
 from mcusynth.simulator import MAX_WIDTH
@@ -381,6 +387,106 @@ class TestReadCaps:
         assert capsys.readouterr().err == (
             f"error: {path}: circuit file exceeds the cap of {MAX_CIRCUIT_BYTES} bytes\n"
         )
+
+
+@pytest.mark.skipif(
+    io.TextIOWrapper(io.BytesIO()).encoding.lower() not in ("utf-8", "utf8"),
+    reason="the messages name the UTF-8 codec",
+)
+class TestUndecodable:
+    """A circuit or gate file whose bytes do not decode is refused with
+    exit 2 and one error line naming the file and the first bad byte."""
+
+    def test_circuit_file(self, tmp_path, capsys):
+        path = tmp_path / "bad.circ"
+        path.write_bytes(b"qubits 2\ncnot 0 1 # \xff\n")
+        message = f"error: {path}: circuit file does not decode as utf-8 at byte 20 (invalid start byte)\n"
+        for args in (
+            ["check", "--circuit", str(path), "--controls", "1", "--gate", "X"],
+            ["simulate", "--circuit", str(path), "--input", "00"],
+        ):
+            assert main(args) == 2
+            assert capsys.readouterr() == ("", message)
+
+    def test_gate_file(self, tmp_path, capsys):
+        gate = tmp_path / "gate.json"
+        gate.write_bytes(b'{"matrix": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]} \xff')
+        out = tmp_path / "c.circ"
+        assert main(["synth", "--controls", "2", "--gate", f"@{gate}", "--out", str(out)]) == 2
+        assert capsys.readouterr() == (
+            "",
+            f"error: {gate}: gate file does not decode as utf-8 at byte 49 (invalid start byte)\n",
+        )
+        assert not out.exists()
+
+
+def run_in_process(argv, capsys):
+    """(exit code, stdout, stderr) of one ``main`` call in this process."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def run_fresh(argv, cwd):
+    """(exit code, stdout, stderr) of the same command in a new interpreter."""
+    src = str(Path(mcusynth.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "mcusynth.cli", *argv], cwd=cwd, env=env, capture_output=True, text=True
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+class TestSharedParser:
+    """``main`` parses with one parser built at import.  A call leaves
+    nothing behind for the next: each call's exit code and output equal
+    those of a fresh process."""
+
+    SAMPLES = ["verify-identity", "--n", "3", "--recurrent-only"]
+    SYNTH = ["synth", "--controls", "3", "--gate", "H", "--out", "c.circ"]
+    VALID = ["verify-identity", "--n", "2"]
+
+    @pytest.mark.parametrize(
+        "first, first_code, first_shows, second, second_shows",
+        [
+            (["check", "--controls", "12"], 2, "required: --circuit, --gate", VALID, "all checks passed"),
+            (["synth", "--help"], 0, "usage: mcusynth synth", VALID, "all checks passed"),
+            (SAMPLES + ["--samples", "7"], 0, "n=3: PASS (7 samples)", SAMPLES, "n=3: PASS (1000 samples)"),
+            (SYNTH + ["--optimize"], 0, "before:", SYNTH, "total=17"),
+        ],
+        ids=["usage-error", "help", "samples-default", "optimize-then-plain"],
+    )
+    def test_second_call_matches_a_fresh_process(
+        self, first, first_code, first_shows, second, second_shows, tmp_path, monkeypatch, capsys
+    ):
+        # argparse wraps --help and usage lines at the terminal width
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.chdir(tmp_path)
+        results = []
+        for argv in (first, second):
+            result = run_in_process(argv, capsys)
+            assert result == run_fresh(argv, tmp_path), argv
+            results.append(result)
+        (code, out, err), (code2, out2, _) = results
+        assert code == first_code and first_shows in out + err
+        assert code2 == 0 and second_shows in out2 and "before:" not in out2
+
+    def test_main_builds_no_parser(self, monkeypatch, capsys):
+        built = []
+        real = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        for _ in range(3):
+            assert main(self.VALID) == 0
+        assert built == []
+        assert capsys.readouterr().out.count("all checks passed") == 3
 
 
 def test_usage_error_exits_two():

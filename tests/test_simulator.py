@@ -130,7 +130,7 @@ class TestCircuitUnitary:
         c = Circuit(3, [cv(0, 2), cnot(0, 1), cvdg(1, 2), cnot(1, 2)], v)
         # the gates reversed, cv and cvdg swapped
         inverse = Circuit(3, [cnot(1, 2), cv(1, 2), cnot(0, 1), cvdg(0, 2)], v)
-        both = Circuit(3, c.gates + inverse.gates, v)
+        both = Circuit(3, tuple(c.gates) + tuple(inverse.gates), v)
         assert operator_distance(circuit_unitary(both), np.eye(8)) < 1e-10
         product = circuit_unitary(inverse) @ circuit_unitary(c)
         assert operator_distance(product, np.eye(8)) < 1e-10
