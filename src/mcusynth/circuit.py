@@ -5,13 +5,14 @@ controlled-V matrix, bound once at the circuit level (``v_binding``).  That
 keeps peephole cancellation exact, since cv and cvdg are inverses by
 construction.  Circuits are immutable.
 
-A circuit is a struct of arrays: ``table`` is one read-only (3, m) int64
-array whose rows ``kind`` (an index into ``GATE_KINDS``), ``control`` and
-``target`` hold the m gates in application order.  The synthesizer, the
+A gate is one row (kind, control, target) of ints, kind an index into
+``GATE_KINDS``; ``cnot``, ``cv`` and ``cvdg`` build such rows.  A circuit
+is built from an (m, 3) array-like of rows and stores them as a struct of
+arrays: ``table`` is one read-only (3, m) int64 array whose rows ``kind``,
+``control`` and ``target`` hold the m gates in application order, and
+``gates`` is its (m, 3) transpose, the rows again.  The synthesizer, the
 peephole pass, the text format and both simulators read and write those
 columns; the constructor validates every gate in one vectorized pass.
-``Gate`` is the element type for hand-built circuits and for ``gates``,
-a sequence view that builds each one only when it is reached.
 
 Qubit index convention: qubit 0 is the leftmost tensor factor, i.e. the most
 significant bit of a basis index.
@@ -19,19 +20,14 @@ significant bit of a basis index.
 
 from __future__ import annotations
 
-from collections import namedtuple
-from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
 from .unitary2 import require_unitary
 
-CNOT = "cnot"
-CV = "cv"
-CVDG = "cvdg"
-GATE_KINDS = (CNOT, CV, CVDG)
+GATE_KINDS = ("cnot", "cv", "cvdg")
 # the kind column holds each gate's index in GATE_KINDS
 CNOT_CODE, CV_CODE, CVDG_CODE = range(len(GATE_KINDS))
 INVERSE_CODE = np.array([CNOT_CODE, CVDG_CODE, CV_CODE])
@@ -39,44 +35,32 @@ INVERSE_CODE = np.array([CNOT_CODE, CVDG_CODE, CV_CODE])
 MAX_QUBITS = 2**30
 
 
-def _gate_problem(kind, control: int, target: int, width: int | None = None) -> str | None:
-    """Why (kind, control, target) is no gate on ``width`` qubits, or None.
-
-    The one rule set for gates: ``Gate`` applies it without a width, and
-    ``Circuit._check_gate`` words its first bad row with it.
-    """
-    if kind not in GATE_KINDS:
-        return f"unknown gate kind {kind!r}"
+def _gate_problem(code: int, control: int, target: int, width: int) -> str | None:
+    """Why the row (code, control, target) is no gate on ``width`` qubits,
+    or None: the one rule set, which ``Circuit._check_gate`` words its
+    first bad row with."""
+    if not 0 <= code < len(GATE_KINDS):
+        return f"unknown gate kind {code}"
     if control < 0 or target < 0:
         return "qubit indices must be nonnegative"
     if control == target:
         return f"control and target coincide on qubit {control}"
-    if width is not None and (control >= width or target >= width):
-        return f"gate {Gate(kind, control, target)} out of range for width {width}"
+    if control >= width or target >= width:
+        gate = f"Gate(kind={GATE_KINDS[code]!r}, control={control}, target={target})"
+        return f"gate {gate} out of range for width {width}"
     return None
 
 
-class Gate(namedtuple("Gate", "kind control target")):
-    """One circuit element: cnot, or a controlled V / V-adjoint."""
-
-    __slots__ = ()
-
-    def __new__(cls, kind: str, control: int, target: int):
-        if problem := _gate_problem(kind, control, target):
-            raise ValueError(problem)
-        return super().__new__(cls, kind, control, target)
+def cnot(control: int, target: int) -> tuple[int, int, int]:
+    return (CNOT_CODE, control, target)
 
 
-def cnot(control: int, target: int) -> Gate:
-    return Gate(CNOT, control, target)
+def cv(control: int, target: int) -> tuple[int, int, int]:
+    return (CV_CODE, control, target)
 
 
-def cv(control: int, target: int) -> Gate:
-    return Gate(CV, control, target)
-
-
-def cvdg(control: int, target: int) -> Gate:
-    return Gate(CVDG, control, target)
+def cvdg(control: int, target: int) -> tuple[int, int, int]:
+    return (CVDG_CODE, control, target)
 
 
 @dataclass(frozen=True)
@@ -90,39 +74,6 @@ class GateCounts:
         return self.cnot + self.cv + self.cvdg
 
 
-class GateSequence(Sequence):
-    """A circuit's gates as a read-only sequence of ``Gate``, each built when
-    it is reached, so ``len`` costs nothing.  Equal to the tuple of the same
-    gates."""
-
-    __slots__ = ("_table",)
-
-    def __init__(self, table: np.ndarray):
-        self._table = table
-
-    def __len__(self) -> int:
-        return self._table.shape[1]
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(self)[index]
-        kind, control, target = self._table[:, index].tolist()
-        return Gate._make((GATE_KINDS[kind], control, target))
-
-    def __iter__(self) -> Iterator[Gate]:
-        # rows of a checked table skip the per-gate check: _make is tuple.__new__
-        names = map(GATE_KINDS.__getitem__, self._table[0].tolist())
-        return map(Gate._make, zip(names, *self._table[1:].tolist()))
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, GateSequence):
-            return np.array_equal(self._table, other._table)
-        return isinstance(other, tuple) and tuple(self) == other
-
-    def __repr__(self) -> str:
-        return repr(tuple(self))
-
-
 class GateError(ValueError):
     """A gate that does not fit its circuit; ``row`` is its position."""
 
@@ -134,31 +85,26 @@ class GateError(ValueError):
 class Circuit:
     """Qubit count plus an ordered gate table, with an optional V binding.
 
-    ``gates`` is either a (3, m) integer array, rows kind / control /
-    target, or an iterable of ``Gate``; both become the same table and go
-    through the same check.  Gate order is application order (leftmost gate
-    acts first).
+    ``gates`` is an (m, 3) array-like of (kind, control, target) rows, ``()``
+    for no gates; it is copied once into ``table`` and checked there.  A
+    (3, m) table passed in its place is refused by the shape check unless
+    m = 3, where the two cannot be told apart.  Gate order is application
+    order (leftmost gate acts first).
     """
 
     __slots__ = ("width", "table", "v_binding")
 
-    def __init__(
-        self,
-        width: int,
-        gates: np.ndarray | Iterable[Gate] = (),
-        v_binding: np.ndarray | None = None,
-    ):
+    def __init__(self, width: int, gates=(), v_binding: np.ndarray | None = None):
         if width < 1:
             raise ValueError(f"need width >= 1, got {width}")
         if width > MAX_QUBITS:
             raise ValueError(f"need width <= {MAX_QUBITS}, got {width}")
-        if isinstance(gates, np.ndarray):
-            table = np.array(gates, dtype=np.int64)
-        else:
-            rows = [(GATE_KINDS.index(g.kind), g.control, g.target) for g in gates]
-            table = np.array(rows, dtype=np.int64).reshape(-1, 3).T.copy()
-        if table.ndim != 2 or table.shape[0] != 3:
-            raise ValueError(f"gate table must have shape (3, m), got {table.shape}")
+        rows = np.asarray(gates, dtype=np.int64)
+        if rows.shape == (0,):
+            rows = rows.reshape(0, 3)
+        if rows.ndim != 2 or rows.shape[1] != 3:
+            raise ValueError(f"gate rows must have shape (m, 3), got {rows.shape}")
+        table = rows.T.copy()
         self._check_gate(width, table)
         table.setflags(write=False)
         object.__setattr__(self, "width", width)
@@ -188,9 +134,7 @@ class Circuit:
         )
         if bad.any():
             row = int(bad.argmax())
-            code, c, t = (int(x) for x in table[:, row])
-            name = GATE_KINDS[code] if 0 <= code < len(GATE_KINDS) else code
-            raise GateError(row, _gate_problem(name, c, t, width))
+            raise GateError(row, _gate_problem(*table[:, row].tolist(), width))
 
     @property
     def kind(self) -> np.ndarray:
@@ -215,8 +159,9 @@ class Circuit:
         return self.control * self.width + self.target
 
     @property
-    def gates(self) -> GateSequence:
-        return GateSequence(self.table)
+    def gates(self) -> np.ndarray:
+        """The (m, 3) rows, a read-only view of ``table``."""
+        return self.table.T
 
     @property
     def needs_v(self) -> bool:
@@ -228,9 +173,6 @@ class Circuit:
 
     def __len__(self) -> int:
         return self.table.shape[1]
-
-    def __iter__(self) -> Iterator[Gate]:
-        return iter(self.gates)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Circuit):
@@ -244,6 +186,6 @@ class Circuit:
         return np.array_equal(self.v_binding, other.v_binding)
 
     def __repr__(self) -> str:
-        body = ", ".join(f"{g.kind}({g.control},{g.target})" for g in self.gates)
+        body = ", ".join(f"{GATE_KINDS[k]}({c},{t})" for k, c, t in self.rows())
         bound = ", v bound" if self.v_binding is not None else ""
         return f"Circuit(width={self.width}, [{body}]{bound})"

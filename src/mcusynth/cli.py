@@ -147,17 +147,17 @@ def cmd_synth(args: argparse.Namespace) -> int:
         return _usage_error(str(exc))
 
     circuit = synth_mcu(args.controls, u, gray=args.optimize)
-    if args.optimize:
-        print(f"before: {_counts_line(canonical_counts(args.controls))}")
-        print(f"after:  {_counts_line(circuit.counts())}")
-    else:
-        print(_counts_line(circuit.counts()))
-
+    # written before anything is printed, so a failed write prints only its error
     header = f"controls={args.controls} gate={args.gate}"
     try:
         write_circuit(circuit, args.out, header=header)
     except OSError as exc:
         return _usage_error(f"cannot write {args.out}: {exc}")
+    if args.optimize:
+        print(f"before: {_counts_line(canonical_counts(args.controls))}")
+        print(f"after:  {_counts_line(circuit.counts())}")
+    else:
+        print(_counts_line(circuit.counts()))
     print(f"wrote {args.out}")
     return 0
 

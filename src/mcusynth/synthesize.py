@@ -107,7 +107,7 @@ def synth_mcu(n: int, u: np.ndarray, gray: bool = False) -> Circuit:
     else:
         blocks = [_blocks(n, k).reshape(3, -1) for k in range(1, n + 1)]
         table = np.concatenate(blocks, axis=1)
-    return Circuit(n + 1, table, v)
+    return Circuit(n + 1, table.T, v)
 
 
 def peephole_cancel(circuit: Circuit) -> Circuit:
@@ -127,4 +127,4 @@ def peephole_cancel(circuit: Circuit) -> Circuit:
             kept.pop()
         else:
             kept.append(row)
-    return Circuit(circuit.width, circuit.table[:, kept], circuit.v_binding)
+    return Circuit(circuit.width, circuit.gates[kept], circuit.v_binding)

@@ -12,8 +12,9 @@ Circuit file format ('#' starts a comment, blank lines ignored):
 
 ``qubits`` must come first.  ``vmatrix`` is optional and gives the bound V
 matrix as eight floats, row-major (re, im) pairs, written with full repr
-precision so files round-trip bit-exactly.  Gate lines are one of
-``cnot c t``, ``cv c t``, ``cvdg c t``, one gate per line.
+precision so files round-trip bit-exactly; it must be unitary within 1e-9.
+Gate lines are one of ``cnot c t``, ``cv c t``, ``cvdg c t``, one gate per
+line.
 
 Both directions work on the circuit's int columns, not per gate:
 ``format_circuit`` renders each distinct gate once and gathers the lines,
@@ -219,12 +220,10 @@ def parse_circuit(text: str) -> Circuit:
     # the gate checks are Circuit's; a bad gate above the first error wins
     try:
         if error is None:
-            return Circuit(width, table, v)
+            return Circuit(width, table.T, v)
         Circuit._check_gate(width, table)
     except GateError as exc:
         raise CircuitFormatError(f"line {gate_lines[exc.row]}: {exc}") from None
-    except ValueError as exc:
-        raise CircuitFormatError(str(exc)) from None
     raise CircuitFormatError(f"line {error[0]}: {error[1]}")
 
 
@@ -309,7 +308,10 @@ def _header_line(keyword: str, args: list[str], width, v):
             [complex(values[4], values[5]), complex(values[6], values[7])],
         ]
     )
-    return width, v
+    try:
+        return width, require_unitary(v, name="v binding")
+    except ValueError as exc:
+        raise CircuitFormatError(str(exc)) from None
 
 
 def _integer_problem(tokens: _Tokens, head: int, keyword: str, width: int) -> str:
@@ -318,7 +320,7 @@ def _integer_problem(tokens: _Tokens, head: int, keyword: str, width: int) -> st
         control, target = (int(tokens.word(head + i)) for i in (1, 2))
     except ValueError:
         return f"{keyword} arguments must be integers"
-    return _gate_problem(keyword, control, target, width)
+    return _gate_problem(GATE_KINDS.index(keyword), control, target, width)
 
 
 def read_circuit(path: str | Path) -> Circuit:

@@ -92,16 +92,10 @@ def _bit_table(bits) -> np.ndarray:
     return table
 
 
-def xor_mod2(x: int, y: int) -> int:
-    """Xor of two bits: x + y mod 2."""
-    x, y = _bit_table((x, y)).tolist()
-    return (x + y) % 2
-
-
 def xor_int(x, y):
     """Integer extension of xor: x + y - 2*x*y.
 
-    Agrees with :func:`xor_mod2` whenever both arguments are bits, but is
+    Agrees with xor, x + y mod 2, whenever both arguments are bits, but is
     defined for all integers (Python ints never overflow), and elementwise
     on arrays.
     """

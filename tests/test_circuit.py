@@ -1,8 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mcusynth.circuit import CNOT, CV, CVDG, MAX_QUBITS, Circuit, Gate, GateError, cnot, cv, cvdg
+from mcusynth.circuit import (
+    CNOT_CODE,
+    CV_CODE,
+    CVDG_CODE,
+    MAX_QUBITS,
+    Circuit,
+    GateError,
+    _gate_problem,
+    cnot,
+    cv,
+    cvdg,
+)
 from mcusynth.simulator import circuit_unitary, operator_distance
+from mcusynth.textio import format_circuit, parse_circuit
 from mcusynth.unitary2 import X, random_unitary
 
 RNG = np.random.default_rng(5)
@@ -14,22 +28,24 @@ def adjoint(circuit):
 
 
 class TestGate:
+    """A gate is a (kind code, control, target) row; the circuit checks it."""
+
     def test_constructors(self):
-        assert cnot(0, 1) == Gate(CNOT, 0, 1)
-        assert cv(1, 2) == Gate(CV, 1, 2)
-        assert cvdg(1, 2) == Gate(CVDG, 1, 2)
+        assert cnot(0, 1) == (CNOT_CODE, 0, 1)
+        assert cv(1, 2) == (CV_CODE, 1, 2)
+        assert cvdg(1, 2) == (CVDG_CODE, 1, 2)
 
     def test_rejects_self_loop(self):
-        with pytest.raises(ValueError):
-            cnot(1, 1)
+        with pytest.raises(GateError, match="^control and target coincide on qubit 1$"):
+            Circuit(2, [cnot(1, 1)])
 
     def test_rejects_bad_kind(self):
-        with pytest.raises(ValueError):
-            Gate("ccx", 0, 1)
+        with pytest.raises(GateError, match="^unknown gate kind 3$"):
+            Circuit(2, [(3, 0, 1)])
 
     def test_rejects_negative_index(self):
-        with pytest.raises(ValueError):
-            cv(-1, 0)
+        with pytest.raises(GateError, match="^qubit indices must be nonnegative$"):
+            Circuit(2, [cv(-1, 0)])
 
     def test_inverse(self):
         # cnot is its own inverse, and cv and cvdg are each other's
@@ -42,9 +58,10 @@ class TestGate:
 class TestCircuit:
     def test_append_bounds(self):
         c = Circuit(2, [cnot(0, 1)])
-        with pytest.raises(ValueError):
-            Circuit(c.width, tuple(c.gates) + (cnot(0, 2),))
-        with pytest.raises(ValueError):
+        with pytest.raises(GateError) as exc:
+            Circuit(c.width, np.vstack((c.gates, [cnot(0, 2)])))
+        assert exc.value.row == 1
+        with pytest.raises(GateError):
             Circuit(2, [cv(0, 5)])
 
     def test_rejects_zero_width(self):
@@ -128,25 +145,27 @@ class TestCircuit:
 
 
 class TestGateTable:
-    """The circuit's own form: a (3, m) int table, kind codes index GATE_KINDS."""
+    """The circuit's own form: a (3, m) int table of the rows it is built
+    from, kind codes index GATE_KINDS."""
 
     GATES = [cv(0, 2), cv(1, 2), cnot(0, 1), cvdg(1, 2), cnot(0, 1)]
     TABLE = np.array([[1, 1, 0, 2, 0], [0, 1, 0, 1, 0], [2, 2, 1, 2, 1]])
 
     def test_table_and_gates_build_the_same_circuit(self):
-        a, b = Circuit(3, self.TABLE, X), Circuit(3, self.GATES, X)
+        a, b = Circuit(3, self.TABLE.T, X), Circuit(3, self.GATES, X)
         assert a == b
         assert np.array_equal(a.table, self.TABLE)
+        assert a.table.flags.c_contiguous
         assert [a.kind.tolist(), a.control.tolist(), a.target.tolist()] == self.TABLE.tolist()
-        assert list(a.rows()) == [tuple(col) for col in self.TABLE.T.tolist()]
+        assert list(a.rows()) == self.GATES
 
     def test_table_is_a_private_read_only_copy(self):
-        mine = self.TABLE.copy()
-        c = Circuit(3, mine)
-        mine[1, 0] = 2  # caller's array stays writable, the circuit unchanged
-        assert c.control[0] == 0
-        with pytest.raises(ValueError):
-            c.table[1, 0] = 2
+        for mine in (self.TABLE.T.copy(), self.TABLE.copy().T):
+            c = Circuit(3, mine)
+            mine[0, 1] = 2  # caller's array stays writable, the circuit unchanged
+            assert c.control[0] == 0
+            with pytest.raises(ValueError):
+                c.table[1, 0] = 2
 
     @pytest.mark.parametrize(
         "column, message",
@@ -158,23 +177,73 @@ class TestGateTable:
         ],
     )
     def test_first_bad_row_is_named(self, column, message):
-        table = self.TABLE.copy()
-        table[:, 3] = column
-        table[:, 4] = (0, 0, 7)  # a later fault does not win
+        rows = self.TABLE.T.copy()
+        rows[3] = column
+        rows[4] = (0, 0, 7)  # a later fault does not win
         with pytest.raises(GateError) as exc:
-            Circuit(3, table)
+            Circuit(3, rows)
         assert (exc.value.row, str(exc.value)) == (3, message)
 
     def test_rejects_bad_shape(self):
-        with pytest.raises(ValueError, match="shape"):
-            Circuit(3, self.TABLE[:2])
+        # a (3, m) table where rows belong is refused unless m = 3
+        for table in (self.TABLE, self.TABLE[:, :2], self.TABLE.T[:, :2], [1, 0, 2], [[[1, 0, 2]]]):
+            with pytest.raises(ValueError, match="shape"):
+                Circuit(3, table)
 
     def test_gates_view(self):
         c = Circuit(3, self.GATES, X)
         assert len(c.gates) == len(c) == 5
-        assert c.gates[2] == cnot(0, 1) and c.gates[-1] == cnot(0, 1)
-        assert c.gates[1:3] == (cv(1, 2), cnot(0, 1))
-        assert c.gates == tuple(self.GATES) and c.gates != self.GATES
-        assert c.gates == Circuit(3, self.TABLE).gates
-        assert list(c) == self.GATES
-        assert cvdg(1, 2) in c.gates
+        assert c.gates.shape == (5, 3)
+        assert np.shares_memory(c.gates, c.table)
+        assert c.gates.tolist() == [list(row) for row in self.GATES]
+        assert tuple(c.gates[2].tolist()) == cnot(0, 1) == tuple(c.gates[-1].tolist())
+        assert c.gates[1:3].tolist() == [list(cv(1, 2)), list(cnot(0, 1))]
+        assert Circuit(3, c.gates, c.v_binding) == c
+        assert np.array_equal(c.gates, Circuit(3, self.TABLE.T).gates)
+        with pytest.raises(ValueError):
+            c.gates[0, 0] = 0
+
+    def test_repr_names_each_gate(self):
+        c = Circuit(3, self.GATES, X)
+        assert repr(c) == "Circuit(width=3, [cv(0,2), cv(1,2), cnot(0,1), cvdg(1,2), cnot(0,1)], v bound)"
+        assert repr(Circuit(1)) == "Circuit(width=1, [])"
+
+
+@st.composite
+def row_lists(draw):
+    """(width, rows): gates on the width's wires, with up to two rows of
+    small ints put in anywhere, which may be no gate at all: a kind outside
+    0..2, a negative index, control = target, or an index past the width."""
+    width = draw(st.integers(1, 6))
+    pairs = [(c, t) for c in range(width) for t in range(width) if c != t]
+    rows = []
+    if pairs:
+        rows = draw(st.lists(st.builds(lambda k, p: (k, *p), st.integers(0, 2), st.sampled_from(pairs))))
+    wild = st.tuples(st.integers(-1, 3), st.integers(-1, 6), st.integers(-1, 6))
+    for row in draw(st.lists(wild, max_size=2)):
+        rows.insert(draw(st.integers(0, len(rows))), row)
+    return width, rows
+
+
+class TestOneConstructor:
+    """Circuit(width, rows) either refuses the first row a plain scan with
+    _gate_problem flags, or builds a circuit that reads back as its rows."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(row_lists(), st.booleans())
+    def test_refuses_the_first_bad_row_or_round_trips(self, case, bound):
+        width, rows = case
+        v = random_unitary(np.random.default_rng(len(rows))) if bound else None
+        problems = [_gate_problem(*row, width) for row in rows]
+        flagged = [(i, p) for i, p in enumerate(problems) if p is not None]
+        try:
+            c = Circuit(width, rows, v)
+        except GateError as exc:
+            assert flagged, rows
+            assert (exc.row, str(exc)) == flagged[0]
+            return
+        assert not flagged, rows
+        assert list(c.rows()) == rows
+        assert not c.gates.flags.writeable
+        assert Circuit(width, c.gates, c.v_binding) == c
+        assert parse_circuit(format_circuit(c)) == c

@@ -115,9 +115,16 @@ class TestSynth:
             assert "at most 16" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
-    def test_unwritable_path(self, tmp_path):
+    def test_unwritable_path(self, tmp_path, capsys):
+        # the file is written before the counts are printed, so a failed
+        # write prints only its error
         target = tmp_path / "missing-dir" / "c.circ"
-        assert main(["synth", "--controls", "1", "--gate", "X", "--out", str(target)]) == 2
+        for optimize in ([], ["--optimize"]):
+            assert main(["synth", "--controls", "2", "--gate", "X", "--out", str(target)] + optimize) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.count("\n") == 1
+            assert captured.err.startswith(f"error: cannot write {target}: ")
 
     def test_explicit_matrix_gate(self, tmp_path, capsys):
         gate_file = tmp_path / "h.json"
@@ -355,7 +362,18 @@ class TestIngest:
             ["simulate", "--circuit", str(path), "--input", "11"],
         ):
             code, err = self.run(capsys, args)
-            assert (code, err) == (2, "error: v binding is not unitary within 1e-09\n")
+            assert (code, err) == (2, "error: line 2: v binding is not unitary within 1e-09\n")
+
+    def test_non_unitary_vmatrix_before_a_bad_gate(self, tmp_path, capsys):
+        # the vmatrix line comes first, so its fault is the one reported
+        path = tmp_path / "two-faults.circ"
+        path.write_text("qubits 2\nvmatrix 1 0 0 0 0 0 2 0\ncv 0 1\ncnot 0 5\n")
+        for args in (
+            ["check", "--circuit", str(path), "--controls", "1", "--gate", "X"],
+            ["simulate", "--circuit", str(path), "--input", "11"],
+        ):
+            code, err = self.run(capsys, args)
+            assert (code, err) == (2, "error: line 2: v binding is not unitary within 1e-09\n")
 
 
 class TestReadCaps:

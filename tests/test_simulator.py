@@ -130,7 +130,7 @@ class TestCircuitUnitary:
         c = Circuit(3, [cv(0, 2), cnot(0, 1), cvdg(1, 2), cnot(1, 2)], v)
         # the gates reversed, cv and cvdg swapped
         inverse = Circuit(3, [cnot(1, 2), cv(1, 2), cnot(0, 1), cvdg(0, 2)], v)
-        both = Circuit(3, tuple(c.gates) + tuple(inverse.gates), v)
+        both = Circuit(3, np.vstack((c.gates, inverse.gates)), v)
         assert operator_distance(circuit_unitary(both), np.eye(8)) < 1e-10
         product = circuit_unitary(inverse) @ circuit_unitary(c)
         assert operator_distance(product, np.eye(8)) < 1e-10
@@ -163,12 +163,13 @@ class TestCircuitUnitary:
 
 def kron_operator(width, gate, v):
     """The gate's operator from projectors on the control: P0 x I + P1 x G."""
-    g = {"cnot": X, "cv": v, "cvdg": v.conj().T}[gate.kind]
+    kind, control, target = gate
+    g = (X, v, v.conj().T)[kind]
 
     def term(on_control, on_target):
         op = np.eye(1)
         for q in range(width):
-            factor = on_control if q == gate.control else on_target if q == gate.target else I2
+            factor = on_control if q == control else on_target if q == target else I2
             op = np.kron(op, factor)
         return op
 
@@ -311,8 +312,7 @@ def linear_circuits(draw):
         if form == "peephole":
             circuit = peephole_cancel(circuit)
         elif form == "mutant":
-            gates = list(circuit.gates)
-            del gates[draw(st.integers(0, len(gates) - 1))]
+            gates = np.delete(circuit.gates, draw(st.integers(0, len(circuit) - 1)), axis=0)
             circuit = Circuit(width, gates, circuit.v_binding)
         return circuit, u
     pairs = [(c, t) for c in range(n) for t in range(n) if c != t]

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mcusynth import textio
-from mcusynth.circuit import GATE_KINDS, MAX_QUBITS, Circuit, Gate, cnot, cv
+from mcusynth.circuit import GATE_KINDS, MAX_QUBITS, Circuit, GateError, _gate_problem, cnot, cv
 from mcusynth.synthesize import synth_mcu
 from mcusynth.textio import (
     CircuitFormatError,
@@ -18,14 +18,14 @@ from mcusynth.textio import (
     read_circuit,
     write_circuit,
 )
-from mcusynth.unitary2 import H, NAMED_GATES, T, X, random_unitary
+from mcusynth.unitary2 import H, NAMED_GATES, T, X, random_unitary, require_unitary
 
 RNG = np.random.default_rng(99)
 
 
 def reference_parse(text):
-    """The file format read line by line, one Gate at a time: the outcome
-    as ("ok", width, gates, v) or ("error", message)."""
+    """The file format read line by line, one gate row at a time: the
+    outcome as ("ok", width, rows, v) or ("error", message)."""
 
     def fail(message):
         raise CircuitFormatError(message)
@@ -66,23 +66,25 @@ def reference_parse(text):
                 except ValueError:
                     fail(f"line {lineno}: bad number in vmatrix")
                 v = (np.array(re_im[0::2]) + 1j * np.array(re_im[1::2])).reshape(2, 2)
-            elif keyword in GATE_KINDS:
-                control, target = ints(args, 2, lineno, keyword)
                 try:
-                    gate = Gate(keyword, control, target)
+                    require_unitary(v, name="v binding")
                 except ValueError as exc:
                     fail(f"line {lineno}: {exc}")
-                if control >= width or target >= width:
-                    fail(f"line {lineno}: gate {gate} out of range for width {width}")
+            elif keyword in GATE_KINDS:
+                control, target = ints(args, 2, lineno, keyword)
+                gate = (GATE_KINDS.index(keyword), control, target)
+                try:
+                    Circuit(width, [gate])
+                except GateError as exc:
+                    fail(f"line {lineno}: {exc}")
+                except OverflowError:
+                    # an index past int64 is past any width: the gate rules word it
+                    fail(f"line {lineno}: {_gate_problem(*gate, width)}")
                 gates.append(gate)
             else:
                 fail(f"line {lineno}: unknown keyword {keyword!r}")
         if width is None:
             fail("missing 'qubits' line")
-        try:
-            Circuit(width, gates, v)
-        except ValueError as exc:
-            fail(str(exc))
     except CircuitFormatError as exc:
         return ("error", str(exc))
     return ("ok", width, tuple(gates), v)
@@ -94,7 +96,7 @@ def outcome(text):
         c = parse_circuit(text)
     except CircuitFormatError as exc:
         return ("error", str(exc))
-    return ("ok", c.width, tuple(c.gates), c.v_binding)
+    return ("ok", c.width, tuple(c.rows()), c.v_binding)
 
 
 def same_outcome(a, b):
@@ -133,7 +135,7 @@ class TestParse:
         """
         c = parse_circuit(text)
         assert c.width == 2
-        assert c.gates == (cnot(0, 1),)
+        assert list(c.rows()) == [cnot(0, 1)]
 
     def test_vmatrix(self):
         text = "qubits 2\nvmatrix 0 0 1 0 1 0 0 0\ncv 0 1\n"
@@ -171,6 +173,24 @@ class TestParse:
     def test_error_carries_line_number(self):
         with pytest.raises(CircuitFormatError, match="line 3"):
             parse_circuit("qubits 2\ncnot 0 1\nbogus 1 2\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # the vmatrix line is the first fault: a gate below it does not win
+            ("qubits 2\nvmatrix 1 0 0 0 0 0 2 0\ncv 0 1\ncnot 0 5\n", "line 2: v binding is not unitary within 1e-09"),
+            ("qubits 2\nvmatrix 1 0 0 0 0 0 2 0\ncv 0 1\n", "line 2: v binding is not unitary within 1e-09"),
+            ("qubits 2\nvmatrix nan 0 0 0 0 0 1 0\n", "line 2: v binding is not unitary within 1e-09"),
+            # a gate fault above it does
+            ("qubits 2\ncnot 0 5\nvmatrix 1 0 0 0 0 0 2 0\n",
+             "line 2: gate Gate(kind='cnot', control=0, target=5) out of range for width 2"),
+        ],
+    )
+    def test_non_unitary_vmatrix_names_its_line(self, text, message):
+        with pytest.raises(CircuitFormatError) as exc:
+            parse_circuit(text)
+        assert str(exc.value) == message
+        assert reference_parse(text) == ("error", message)
 
 
 class TestGateSpec:
@@ -238,8 +258,8 @@ def hand_built_circuits(draw):
     pairs = [(c, t) for c in range(width) for t in range(width) if c != t]
     gates = []
     if pairs:
-        rows = draw(st.lists(st.tuples(st.sampled_from(GATE_KINDS), st.sampled_from(pairs))))
-        gates = [Gate(kind, c, t) for kind, (c, t) in rows]
+        rows = draw(st.lists(st.tuples(st.integers(0, 2), st.sampled_from(pairs))))
+        gates = [(kind, c, t) for kind, (c, t) in rows]
     v = None
     if draw(st.booleans()):
         v = random_unitary(np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
@@ -385,22 +405,22 @@ class TestQubitBound:
     @settings(max_examples=100, deadline=None)
     @given(
         st.lists(
-            st.tuples(st.sampled_from(GATE_KINDS), st.sampled_from(TOP), st.sampled_from(TOP)).filter(
+            st.tuples(st.integers(0, 2), st.sampled_from(TOP), st.sampled_from(TOP)).filter(
                 lambda g: g[1] != g[2]
             ),
             max_size=30,
         )
     )
     def test_round_trip_at_the_top_of_the_key_range(self, rows):
-        circuit = Circuit(MAX_QUBITS, [Gate(*row) for row in rows], X)
+        circuit = Circuit(MAX_QUBITS, rows, X)
         text = format_circuit(circuit)
         gate_lines = text.splitlines()[2:]
-        assert gate_lines == [f"{kind} {control} {target}" for kind, control, target in rows]
+        assert gate_lines == [f"{GATE_KINDS[kind]} {control} {target}" for kind, control, target in rows]
         assert parse_circuit(text) == circuit
 
     def test_widest_circuit_parses(self):
         text = f"qubits {MAX_QUBITS}\ncnot {MAX_QUBITS - 1} {MAX_QUBITS - 2}\n"
-        assert parse_circuit(text) == Circuit(MAX_QUBITS, [Gate("cnot", MAX_QUBITS - 1, MAX_QUBITS - 2)])
+        assert parse_circuit(text) == Circuit(MAX_QUBITS, [cnot(MAX_QUBITS - 1, MAX_QUBITS - 2)])
 
     def test_wider_is_refused_with_its_line(self):
         text = "# header\nqubits 1073741825\ncnot 0 1\n"

@@ -25,7 +25,6 @@ from mcusynth.z2identity import (
     verify_sum_shift_laws,
     verify_xor_int_laws,
     xor_int,
-    xor_mod2,
 )
 
 bits_vectors = st.lists(st.sampled_from([0, 1]), min_size=1, max_size=12)
@@ -44,16 +43,10 @@ def naive_parity_sum(bits):
 
 class TestXor:
     def test_table(self):
-        assert xor_mod2(0, 0) == 0
-        assert xor_mod2(0, 1) == 1
-        assert xor_mod2(1, 0) == 1
-        assert xor_mod2(1, 1) == 0
-
-    def test_rejects_non_bits(self):
-        with pytest.raises(ValueError):
-            xor_mod2(2, 0)
-        with pytest.raises(ValueError):
-            xor_mod2(0, -1)
+        assert xor_int(0, 0) == 0
+        assert xor_int(0, 1) == 1
+        assert xor_int(1, 0) == 1
+        assert xor_int(1, 1) == 0
 
     def test_int_extension_values(self):
         assert xor_int(1, 1) == 0
@@ -63,7 +56,7 @@ class TestXor:
 
     def test_int_extension_matches_bits(self):
         for x, y in itertools.product((0, 1), repeat=2):
-            assert xor_int(x, y) == xor_mod2(x, y)
+            assert xor_int(x, y) == x ^ y
 
     @given(st.integers(), st.integers())
     def test_commutative(self, x, y):
@@ -342,14 +335,14 @@ class TestVerifiers:
     def test_sum_shift_hand_case_plain(self):
         # xs = (1,1,1), z = 1: left side 0, right side (3 (+) 1) + 2 = 0
         xs, z, n = (1, 1, 1), 1, 3
-        left = sum(xor_mod2(x, z) for x in xs)
+        left = sum((x + z) % 2 for x in xs)
         right = xor_int(sum(xs), z) + (n - 1) * z
         assert left == right == 0
 
     def test_sum_shift_hand_case_alternating(self):
         # xs = (1,0), z = 1: left side -1, right side (1 (+) 1) - 1 = -1
         xs, z, n = (1, 0), 1, 2
-        left = xor_mod2(xs[0], z) - xor_mod2(xs[1], z)
+        left = (xs[0] + z) % 2 - (xs[1] + z) % 2
         right = xor_int(xs[0] - xs[1], z) - ((1 + (-1) ** n) // 2) * z
         assert left == right == -1
 
