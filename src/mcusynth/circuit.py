@@ -1,9 +1,10 @@
 """Circuit intermediate representation: gates, circuits, counts.
 
 Gates carry symbolic labels rather than matrices: a circuit has at most one
-controlled-V matrix, bound once at the circuit level (``v_binding``).  That
-keeps peephole cancellation exact, since cv and cvdg are inverses by
-construction.  Circuits are immutable.
+controlled-V matrix, bound once at the circuit level (``v_binding``), and it
+has one whenever it has a cv or cvdg gate.  That keeps peephole cancellation
+exact, since cv and cvdg are inverses by construction.  Circuits are
+immutable, and their arrays are views that cannot be made writable again.
 
 A gate is one row (kind, control, target) of ints, kind an index into
 ``GATE_KINDS``; ``cnot``, ``cv`` and ``cvdg`` build such rows.  A circuit
@@ -86,10 +87,11 @@ class Circuit:
     """Qubit count plus an ordered gate table, with an optional V binding.
 
     ``gates`` is an (m, 3) array-like of (kind, control, target) rows, ``()``
-    for no gates; it is copied once into ``table`` and checked there.  A
-    (3, m) table passed in its place is refused by the shape check unless
-    m = 3, where the two cannot be told apart.  Gate order is application
-    order (leftmost gate acts first).
+    for no gates; it is copied once into ``table`` and checked there, and
+    without ``v_binding`` its first cv-kind row is refused after the gate
+    checks.  A (3, m) table passed in its place is refused by the shape
+    check unless m = 3, where the two cannot be told apart.  Gate order is
+    application order (leftmost gate acts first).
     """
 
     __slots__ = ("width", "table", "v_binding")
@@ -106,13 +108,18 @@ class Circuit:
             raise ValueError(f"gate rows must have shape (m, 3), got {rows.shape}")
         table = rows.T.copy()
         self._check_gate(width, table)
+        # frozen behind views: numpy keeps a view of a read-only base read-only
         table.setflags(write=False)
         object.__setattr__(self, "width", width)
-        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "table", table.view())
         if v_binding is not None:
             # private copy so freezing never touches the caller's array
             v_binding = require_unitary(v_binding, name="v binding").copy()
             v_binding.setflags(write=False)
+            v_binding = v_binding.view()
+        elif (unbound := table[0] != CNOT_CODE).any():
+            row = int(unbound.argmax())
+            raise GateError(row, f"{GATE_KINDS[table[0, row]]} gate without a v binding")
         object.__setattr__(self, "v_binding", v_binding)
 
     def __setattr__(self, name, value):
@@ -163,10 +170,6 @@ class Circuit:
         """The (m, 3) rows, a read-only view of ``table``."""
         return self.table.T
 
-    @property
-    def needs_v(self) -> bool:
-        return bool(np.any(self.kind != CNOT_CODE))
-
     def counts(self) -> GateCounts:
         cnot, cv, cvdg = np.bincount(self.kind, minlength=len(GATE_KINDS)).tolist()
         return GateCounts(cnot=cnot, cv=cv, cvdg=cvdg)
@@ -179,10 +182,8 @@ class Circuit:
             return NotImplemented
         if self.width != other.width or not np.array_equal(self.table, other.table):
             return False
-        if (self.v_binding is None) != (other.v_binding is None):
-            return False
-        if self.v_binding is None:
-            return True
+        if self.v_binding is None or other.v_binding is None:
+            return self.v_binding is other.v_binding
         return np.array_equal(self.v_binding, other.v_binding)
 
     def __repr__(self) -> str:

@@ -34,6 +34,7 @@ import numpy as np
 from . import z2identity
 from .simulator import (
     MAX_STATE_WIDTH,
+    MAX_WIDTH,
     basis_state,
     circuit_unitary,
     index_bits,
@@ -87,12 +88,15 @@ def _fmt_amplitude(z: complex) -> str:
 def cmd_verify_identity(args: argparse.Namespace) -> int:
     n = args.n
     if args.recurrent_only:
+        samples = 1000 if args.samples is None else args.samples
         if not 1 <= n <= RECURRENT_LIMIT:
             return _usage_error(f"--recurrent-only supports 1 <= n <= {RECURRENT_LIMIT}")
-        if args.samples < 1:
+        if samples < 1:
             return _usage_error("--samples must be at least 1")
-        if args.samples > MAX_SAMPLES:
+        if samples > MAX_SAMPLES:
             return _usage_error(f"--samples must be at most {MAX_SAMPLES}")
+    elif args.samples is not None:
+        return _usage_error("--samples needs --recurrent-only")
     elif not 1 <= n <= z2identity.EXHAUSTIVE_LIMIT:
         return _usage_error(
             f"full mode supports 1 <= n <= {z2identity.EXHAUSTIVE_LIMIT}"
@@ -102,7 +106,7 @@ def cmd_verify_identity(args: argparse.Namespace) -> int:
     reports = []
     if args.recurrent_only:
         for k in range(1, n + 1):
-            reports.append(z2identity.verify_closed_form_sampled(k, args.samples))
+            reports.append(z2identity.verify_closed_form_sampled(k, samples))
     else:
         # width k's table and sums serve both verifiers at k, and its sums the
         # recurrence at k + 1, so each is built once; printed closed-form first
@@ -175,14 +179,13 @@ def cmd_check(args: argparse.Namespace) -> int:
         return _usage_error(
             f"circuit width {circuit.width} does not match controls+1 = {args.controls + 1}"
         )
-    try:
-        trace = linear_trace(circuit)
-        if trace is not None:
-            actual, reference = trace_blocks(trace, u)
-        else:
-            actual, reference = circuit_unitary(circuit), reference_mcu(args.controls, u)
-    except ValueError as exc:
-        return _usage_error(str(exc))
+    trace = linear_trace(circuit)
+    if trace is not None:
+        actual, reference = trace_blocks(trace, u)
+    elif circuit.width > MAX_WIDTH:
+        return _usage_error(f"width {circuit.width} exceeds the simulation cap {MAX_WIDTH}")
+    else:
+        actual, reference = circuit_unitary(circuit), reference_mcu(args.controls, u)
 
     distance = operator_distance(actual, reference)
     # a round-off residual prints as 0.0, so the output does not move with it
@@ -212,11 +215,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             f"input has {len(args.input)} bits, circuit width is {circuit.width}"
         )
 
-    state = basis_state([int(ch) for ch in args.input])
-    try:
-        final = run_circuit(circuit, state)
-    except ValueError as exc:
-        return _usage_error(str(exc))
+    final = run_circuit(circuit, basis_state([int(ch) for ch in args.input]))
 
     for index in np.flatnonzero(np.abs(final) > AMPLITUDE_FLOOR).tolist():
         label = "".join(str(b) for b in index_bits(index, circuit.width))
@@ -242,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="skip direct enumeration; sample the recurrent form instead",
     )
-    p.add_argument("--samples", type=int, default=1000, help="samples per n in recurrent mode")
+    p.add_argument("--samples", type=int, help="samples per n in recurrent mode")
     p.set_defaults(func=cmd_verify_identity)
 
     p = sub.add_parser("synth", help="synthesize an n-controlled gate to a circuit file")

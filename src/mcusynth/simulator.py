@@ -76,13 +76,6 @@ def basis_state(bits: Sequence[int]) -> np.ndarray:
     return state
 
 
-def _v_binding(circuit: Circuit) -> np.ndarray | None:
-    """The circuit's V binding, which cv/cvdg gates require."""
-    if circuit.needs_v and circuit.v_binding is None:
-        raise ValueError("circuit contains cv/cvdg gates but no V binding")
-    return circuit.v_binding
-
-
 class LinearTrace(NamedTuple):
     """What a linear circuit does to each control input.
 
@@ -120,7 +113,6 @@ def linear_trace(circuit: Circuit) -> LinearTrace | None:
         ~cnots & (circuit.target != n)
     ):
         return None
-    v = _v_binding(circuit)
     masks = [1 << (n - 1 - i) for i in range(n)]
     applied = []  # the mask each cv-kind gate reads, in gate order
     for kind, control, target in circuit.rows():
@@ -136,7 +128,7 @@ def linear_trace(circuit: Circuit) -> LinearTrace | None:
         outputs = np.concatenate((outputs, outputs ^ column))
     c = np.zeros(1 << n, dtype=np.int64)
     np.add.at(c, np.array(applied, dtype=np.int64), np.where(circuit.kind[~cnots] == CV_CODE, 1, -1))
-    return LinearTrace(outputs, parity_sums(c), I2 if v is None else v)
+    return LinearTrace(outputs, parity_sums(c), I2 if circuit.v_binding is None else circuit.v_binding)
 
 
 def _v_powers(trace: LinearTrace) -> np.ndarray:
@@ -177,7 +169,7 @@ def _run_dense(circuit: Circuit, arr: np.ndarray) -> np.ndarray:
     each a quarter of the array: cnot swaps them and cv/cvdg mix them with
     v or its adjoint, through two scratch buffers allocated once per call.
     """
-    v = _v_binding(circuit)
+    v = circuit.v_binding
     mix = {} if v is None else {CV_CODE: v.tolist(), CVDG_CODE: v.conj().T.tolist()}
     qubits = arr.reshape((2,) * circuit.width + arr.shape[1:])
     # every gate's quarter has the shape of the array less two qubit axes

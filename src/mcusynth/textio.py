@@ -10,11 +10,12 @@ Circuit file format ('#' starts a comment, blank lines ignored):
     cvdg 1 2
     cnot 0 1
 
-``qubits`` must come first.  ``vmatrix`` is optional and gives the bound V
-matrix as eight floats, row-major (re, im) pairs, written with full repr
-precision so files round-trip bit-exactly; it must be unitary within 1e-9.
-Gate lines are one of ``cnot c t``, ``cv c t``, ``cvdg c t``, one gate per
-line.
+``qubits`` must come first.  ``vmatrix`` gives the bound V matrix as eight
+floats, row-major (re, im) pairs, written with full repr precision so files
+round-trip bit-exactly; it must be unitary within 1e-9.  Gate lines are one
+of ``cnot c t``, ``cv c t``, ``cvdg c t``, one gate per line.  A file with a
+cv or cvdg gate needs a ``vmatrix``; a missing one is reported last, at the
+first cv-kind gate.
 
 Both directions work on the circuit's int columns, not per gate:
 ``format_circuit`` renders each distinct gate once and gathers the lines,

@@ -25,26 +25,23 @@ S = np.array([[1, 0], [0, 1j]], dtype=complex)
 T = np.array([[1, 0], [0, cmath.exp(1j * cmath.pi / 4)]], dtype=complex)
 
 NAMED_GATES = {"I": I2, "X": X, "Y": Y, "Z": Z, "H": H, "S": S, "T": T}
-
-
-def is_unitary(m: np.ndarray) -> bool:
-    """True if m is 2x2 and finite with m @ m+ == I and |det m| == 1 within
-    INGEST_ATOL."""
-    m = np.asarray(m, dtype=complex)
-    # a NaN fails no tolerance test below, and det would warn on it
-    if m.shape != (2, 2) or not np.isfinite(m).all():
-        return False
-    if np.max(np.abs(m @ m.conj().T - I2)) > INGEST_ATOL:
-        return False
-    return abs(abs(np.linalg.det(m)) - 1.0) <= INGEST_ATOL
+# shared by every caller in the process, so a write to one would reach them all
+for _gate in NAMED_GATES.values():
+    _gate.setflags(write=False)
 
 
 def require_unitary(m: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Return m as a complex128 array, raising ValueError if not unitary."""
+    """Return m as a complex128 array, raising ValueError unless it is 2x2
+    and finite with m @ m+ == I and |det m| == 1 within INGEST_ATOL."""
     m = np.asarray(m, dtype=complex)
     if m.shape != (2, 2):
         raise ValueError(f"{name} must be 2x2, got shape {m.shape}")
-    if not is_unitary(m):
+    # a NaN fails no tolerance test, and det would warn on it
+    if (
+        not np.isfinite(m).all()
+        or np.max(np.abs(m @ m.conj().T - I2)) > INGEST_ATOL
+        or abs(abs(np.linalg.det(m)) - 1.0) > INGEST_ATOL
+    ):
         raise ValueError(f"{name} is not unitary within {INGEST_ATOL}")
     return m
 

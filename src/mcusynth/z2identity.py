@@ -68,7 +68,7 @@ def signed_parity_terms(n: int) -> list[tuple[int, tuple[int, ...]]]:
 
     Canonical order is subset size ascending, lexicographic within a size.
     Odd-sized subsets enter the parity sum with +1, even-sized with -1.
-    ``parity_sum_direct`` and the circuit synthesizer both rely on it.
+    ``parity_sum_direct`` relies on it.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")

@@ -7,6 +7,7 @@ from mcusynth.circuit import (
     CNOT_CODE,
     CV_CODE,
     CVDG_CODE,
+    GATE_KINDS,
     MAX_QUBITS,
     Circuit,
     GateError,
@@ -99,7 +100,7 @@ class TestCircuit:
         assert operator_distance(both, np.eye(8)) < 1e-14
 
     def test_counts(self):
-        c = Circuit(3, [cv(0, 2), cv(1, 2), cnot(0, 1), cvdg(1, 2), cnot(0, 1)])
+        c = Circuit(3, [cv(0, 2), cv(1, 2), cnot(0, 1), cvdg(1, 2), cnot(0, 1)], X)
         counts = c.counts()
         assert (counts.cnot, counts.cv, counts.cvdg) == (2, 2, 1)
         assert counts.total == 5
@@ -121,10 +122,21 @@ class TestCircuit:
             Circuit(2, [], np.array([[1, 0], [0, 2]]))
         c = Circuit(2, [cv(0, 1)], X)
         assert np.array_equal(c.v_binding, X)
-        unbound = Circuit(2, [cv(0, 1)])
-        assert unbound.needs_v
-        assert unbound.v_binding is None
-        assert not Circuit(2, [cnot(0, 1)]).needs_v
+        assert Circuit(2, [cnot(0, 1)]).v_binding is None
+
+    @pytest.mark.parametrize(
+        "rows, row, message",
+        [
+            ([cv(0, 1)], 0, "cv gate without a v binding"),
+            ([cnot(0, 1), cvdg(1, 0), cv(0, 1)], 1, "cvdg gate without a v binding"),
+            # a bad gate anywhere wins over the missing binding
+            ([cv(0, 1), cnot(0, 5)], 1, "gate Gate(kind='cnot', control=0, target=5) out of range for width 2"),
+        ],
+    )
+    def test_cv_kind_gate_needs_a_binding(self, rows, row, message):
+        with pytest.raises(GateError) as exc:
+            Circuit(2, rows)
+        assert (exc.value.row, str(exc.value)) == (row, message)
 
     def test_binding_does_not_freeze_callers_array(self):
         mine = X.copy()
@@ -133,6 +145,8 @@ class TestCircuit:
         assert c.v_binding[0, 0] == 0  # ... and the circuit keeps its own copy
         with pytest.raises(ValueError):
             c.v_binding[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            c.v_binding.setflags(write=True)
 
     def test_equality(self):
         a = Circuit(2, [cnot(0, 1)])
@@ -161,11 +175,14 @@ class TestGateTable:
 
     def test_table_is_a_private_read_only_copy(self):
         for mine in (self.TABLE.T.copy(), self.TABLE.copy().T):
-            c = Circuit(3, mine)
+            c = Circuit(3, mine, X)
             mine[0, 1] = 2  # caller's array stays writable, the circuit unchanged
             assert c.control[0] == 0
             with pytest.raises(ValueError):
                 c.table[1, 0] = 2
+            # and stays read-only: the flag cannot be set again
+            with pytest.raises(ValueError):
+                c.table.setflags(write=True)
 
     @pytest.mark.parametrize(
         "column, message",
@@ -199,9 +216,11 @@ class TestGateTable:
         assert tuple(c.gates[2].tolist()) == cnot(0, 1) == tuple(c.gates[-1].tolist())
         assert c.gates[1:3].tolist() == [list(cv(1, 2)), list(cnot(0, 1))]
         assert Circuit(3, c.gates, c.v_binding) == c
-        assert np.array_equal(c.gates, Circuit(3, self.TABLE.T).gates)
+        assert np.array_equal(c.gates, Circuit(3, self.TABLE.T, X).gates)
         with pytest.raises(ValueError):
             c.gates[0, 0] = 0
+        with pytest.raises(ValueError):
+            c.gates.setflags(write=True)
 
     def test_repr_names_each_gate(self):
         c = Circuit(3, self.GATES, X)
@@ -226,8 +245,9 @@ def row_lists(draw):
 
 
 class TestOneConstructor:
-    """Circuit(width, rows) either refuses the first row a plain scan with
-    _gate_problem flags, or builds a circuit that reads back as its rows."""
+    """Circuit(width, rows, v) either refuses the first row a plain scan with
+    _gate_problem flags, or without v the first cv-kind row, or builds a
+    frozen circuit that reads back as its rows."""
 
     @settings(max_examples=300, deadline=None)
     @given(row_lists(), st.booleans())
@@ -236,6 +256,9 @@ class TestOneConstructor:
         v = random_unitary(np.random.default_rng(len(rows))) if bound else None
         problems = [_gate_problem(*row, width) for row in rows]
         flagged = [(i, p) for i, p in enumerate(problems) if p is not None]
+        if not flagged and v is None:
+            unbound = [(i, GATE_KINDS[k]) for i, (k, _, _) in enumerate(rows) if k != CNOT_CODE]
+            flagged = [(i, f"{kind} gate without a v binding") for i, kind in unbound]
         try:
             c = Circuit(width, rows, v)
         except GateError as exc:
@@ -244,6 +267,8 @@ class TestOneConstructor:
             return
         assert not flagged, rows
         assert list(c.rows()) == rows
-        assert not c.gates.flags.writeable
+        for frozen in (c.table, c.gates) + (() if v is None else (c.v_binding,)):
+            with pytest.raises(ValueError):
+                frozen.setflags(write=True)
         assert Circuit(width, c.gates, c.v_binding) == c
         assert parse_circuit(format_circuit(c)) == c

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import mcusynth
-from mcusynth import z2identity
+from mcusynth import cli, z2identity
 from mcusynth.cli import MAX_SAMPLES, main
 from mcusynth.simulator import MAX_WIDTH
 from mcusynth.textio import MAX_CIRCUIT_BYTES, MAX_GATE_BYTES, read_circuit
@@ -58,6 +58,11 @@ class TestVerifyIdentity:
 
     def test_recurrent_only_out_of_range(self):
         assert main(["verify-identity", "--n", "25", "--recurrent-only"]) == 2
+
+    def test_samples_needs_recurrent_only(self, capsys):
+        # full mode takes no samples, so the flag would be silently ignored
+        assert main(["verify-identity", "--n", "3", "--samples", "5"]) == 2
+        assert capsys.readouterr() == ("", "error: --samples needs --recurrent-only\n")
 
     def test_zero_samples(self):
         assert main(["verify-identity", "--n", "5", "--recurrent-only", "--samples", "0"]) == 2
@@ -196,17 +201,34 @@ class TestCheck:
         missing = tmp_path / "none.circ"
         assert main(["check", "--circuit", str(missing), "--controls", "2", "--gate", "X"]) == 2
 
-    def test_missing_binding(self, tmp_path):
+    def test_missing_binding(self, tmp_path, capsys):
+        # a parse error at the first cv-kind gate, for check and simulate alike
         path = tmp_path / "nobind.circ"
-        path.write_text("qubits 2\ncv 0 1\n")
-        assert main(["check", "--circuit", str(path), "--controls", "1", "--gate", "X"]) == 2
+        path.write_text("qubits 2\ncnot 0 1\ncvdg 0 1\n")
+        for args in (
+            ["check", "--circuit", str(path), "--controls", "1", "--gate", "X"],
+            ["simulate", "--circuit", str(path), "--input", "11"],
+        ):
+            assert main(args) == 2
+            assert capsys.readouterr() == ("", "error: line 3: cvdg gate without a v binding\n")
 
     def test_missing_binding_past_the_dense_cap(self, tmp_path, capsys):
         # width 14 is only reachable through the linear trace
         path = tmp_path / "nobind.circ"
         path.write_text("qubits 14\ncv 0 13\n")
         assert main(["check", "--circuit", str(path), "--controls", "13", "--gate", "X"]) == 2
-        assert "no V binding" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: line 2: cv gate without a v binding\n"
+
+    def test_oracle_errors_are_not_usage_errors(self, tmp_path, monkeypatch):
+        # a fault inside an oracle is a bug, not exit 2
+        path = self.synth(tmp_path, 2, "X")
+
+        def broken(circuit):
+            raise ValueError("oracle bug")
+
+        monkeypatch.setattr(cli, "linear_trace", broken)
+        with pytest.raises(ValueError, match="^oracle bug$"):
+            main(["check", "--circuit", str(path), "--controls", "2", "--gate", "X"])
 
     @pytest.mark.parametrize("controls", [13, 16])
     def test_passes_past_the_dense_cap(self, controls, tmp_path, capsys):
@@ -255,7 +277,7 @@ class TestCheck:
         path.write_text(f"qubits {width}\ncnot 0 {width - 1}\n")
         args = ["check", "--circuit", str(path), "--controls", str(width - 1), "--gate", "X"]
         assert main(args) == 2
-        assert f"width {width} exceeds the simulation cap {MAX_WIDTH}" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: width {width} exceeds the simulation cap {MAX_WIDTH}\n"
 
     @pytest.mark.parametrize("gate", sorted(NAMED_GATES))
     def test_all_named_gates_round_trip(self, gate, tmp_path):

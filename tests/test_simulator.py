@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcusynth.circuit import Circuit, cnot, cv, cvdg
+from mcusynth.circuit import GATE_KINDS, Circuit, GateError, cnot, cv, cvdg
 from mcusynth.cli import CHECK_TOLERANCE
 from mcusynth.simulator import (
     basis_index,
@@ -84,8 +84,9 @@ class TestApplyGate:
         assert np.max(np.abs(self.apply(state, cvdg(0, 1), v) - expected)) < 1e-15
 
     def test_missing_v_raises(self):
-        with pytest.raises(ValueError, match="^circuit contains cv/cvdg gates but no V binding$"):
-            run_circuit(Circuit(2, [cv(0, 1)]), basis_state([1, 1]))
+        # refused when built, so no simulator meets a cv gate without v
+        with pytest.raises(GateError, match="^cv gate without a v binding$"):
+            Circuit(2, [cv(0, 1)])
 
     def test_out_of_range_gate(self):
         with pytest.raises(ValueError, match="out of range for width 2$"):
@@ -146,8 +147,9 @@ class TestCircuitUnitary:
             circuit_unitary(Circuit(13))
 
     def test_missing_binding_rejected(self):
-        with pytest.raises(ValueError):
-            circuit_unitary(Circuit(2, [cv(0, 1)]))
+        # a circuit outside the trace's class, bound for the dense route
+        with pytest.raises(GateError, match="^cvdg gate without a v binding$"):
+            Circuit(2, [cnot(1, 0), cvdg(1, 0)])
 
     def test_returns_a_new_array_each_call(self):
         v = random_unitary(RNG)
@@ -207,8 +209,9 @@ class TestRunCircuit:
             run_circuit(Circuit(2), basis_state([0, 0, 0]))
 
     def test_missing_binding(self):
-        with pytest.raises(ValueError):
-            run_circuit(Circuit(2, [cv(0, 1)]), basis_state([1, 1]))
+        with pytest.raises(GateError) as exc:
+            Circuit(3, [cnot(0, 1), cnot(0, 2), cv(1, 2)])
+        assert (exc.value.row, str(exc.value)) == (2, "cv gate without a v binding")
 
     @pytest.mark.parametrize(
         "gates, dense",
@@ -271,20 +274,13 @@ class TestOperatorDistance:
             operator_distance(np.eye(2), np.eye(4))
 
 
-@pytest.mark.parametrize(
-    "entry, circuit",
-    [
-        (linear_trace, Circuit(2, [cv(0, 1)])),
-        # the cnot onto the target keeps run_circuit off the trace route
-        (lambda c: run_circuit(c, basis_state([1, 1, 1])), Circuit(3, [cv(0, 2), cnot(0, 2)])),
-        (circuit_unitary, Circuit(2, [cv(0, 1)])),
-    ],
-    ids=["linear_trace", "run_circuit_dense", "circuit_unitary"],
-)
-def test_missing_binding_message(entry, circuit):
-    with pytest.raises(ValueError) as info:
-        entry(circuit)
-    assert str(info.value) == "circuit contains cv/cvdg gates but no V binding"
+def test_missing_binding_message():
+    # unbound circuits of each route's shape are not built: in the trace's
+    # class, off it (the cnot onto the target), and with cancelling cv gates
+    for width, rows in ((2, [cv(0, 1)]), (3, [cv(0, 2), cnot(0, 2)]), (2, [cvdg(0, 1), cv(0, 1)])):
+        with pytest.raises(GateError) as info:
+            Circuit(width, rows)
+        assert (info.value.row, str(info.value)) == (0, f"{GATE_KINDS[rows[0][0]]} gate without a v binding")
 
 
 def test_root_circuit_reproduces_controlled_gate():
@@ -355,6 +351,6 @@ class TestLinearTrace:
         assert operator_distance(*trace_blocks(trace, I2)) == 1.0
 
     def test_missing_binding_rejected(self):
-        # even when the cv-kind gates cancel, as on the dense path
-        with pytest.raises(ValueError, match="no V binding"):
-            linear_trace(Circuit(3, [cv(0, 2), cvdg(0, 2)]))
+        # even when the cv-kind gates cancel
+        with pytest.raises(GateError, match="^cv gate without a v binding$"):
+            Circuit(3, [cv(0, 2), cvdg(0, 2)])

@@ -217,7 +217,7 @@ class TestExponentTrace:
         assert linear_trace(Circuit(3, [cnot(2, 0)])) is None
 
     def test_rejects_cv_off_target_wire(self):
-        assert linear_trace(Circuit(3, [cv(0, 1)])) is None
+        assert linear_trace(Circuit(3, [cv(0, 1)], X)) is None
 
 
 class TestPeephole:
@@ -356,6 +356,6 @@ class TestArrayEmitter:
         # control * width + target is largest
         top = (MAX_QUBITS - 1, MAX_QUBITS - 2, 0, 1)
         gates = [(kind, top[c], top[t]) for kind, c, t in rows]
-        slim = peephole_cancel(Circuit(MAX_QUBITS, gates))
+        slim = peephole_cancel(Circuit(MAX_QUBITS, gates, X))
         assert slim.width == MAX_QUBITS
         assert gate_rows(slim) == stack_walk(gates)

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mcusynth import textio
-from mcusynth.circuit import GATE_KINDS, MAX_QUBITS, Circuit, GateError, _gate_problem, cnot, cv
+from mcusynth.circuit import CNOT_CODE, GATE_KINDS, MAX_QUBITS, Circuit, _gate_problem, cnot, cv
 from mcusynth.synthesize import synth_mcu
 from mcusynth.textio import (
     CircuitFormatError,
@@ -25,7 +25,9 @@ RNG = np.random.default_rng(99)
 
 def reference_parse(text):
     """The file format read line by line, one gate row at a time: the
-    outcome as ("ok", width, rows, v) or ("error", message)."""
+    outcome as ("ok", width, rows, v) or ("error", message).  The row rules
+    are checked per line; a missing vmatrix only once the file is read,
+    at the first cv-kind gate."""
 
     def fail(message):
         raise CircuitFormatError(message)
@@ -40,7 +42,7 @@ def reference_parse(text):
 
     try:
         width = v = None
-        gates = []
+        gates, gate_lines = [], []
         for lineno, raw in enumerate(text.splitlines(), start=1):
             fields = raw.split("#", 1)[0].split()
             if not fields:
@@ -73,18 +75,18 @@ def reference_parse(text):
             elif keyword in GATE_KINDS:
                 control, target = ints(args, 2, lineno, keyword)
                 gate = (GATE_KINDS.index(keyword), control, target)
-                try:
-                    Circuit(width, [gate])
-                except GateError as exc:
-                    fail(f"line {lineno}: {exc}")
-                except OverflowError:
-                    # an index past int64 is past any width: the gate rules word it
-                    fail(f"line {lineno}: {_gate_problem(*gate, width)}")
+                # in Python ints, so an index past int64 is worded too
+                if problem := _gate_problem(*gate, width):
+                    fail(f"line {lineno}: {problem}")
                 gates.append(gate)
+                gate_lines.append(lineno)
             else:
                 fail(f"line {lineno}: unknown keyword {keyword!r}")
         if width is None:
             fail("missing 'qubits' line")
+        unbound = [(n, kind) for n, (kind, _, _) in zip(gate_lines, gates) if kind != CNOT_CODE]
+        if v is None and unbound:
+            fail(f"line {unbound[0][0]}: {GATE_KINDS[unbound[0][1]]} gate without a v binding")
     except CircuitFormatError as exc:
         return ("error", str(exc))
     return ("ok", width, tuple(gates), v)
@@ -192,11 +194,41 @@ class TestParse:
         assert str(exc.value) == message
         assert reference_parse(text) == ("error", message)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("qubits 2\ncv 0 1\n", "line 2: cv gate without a v binding"),
+            ("qubits 3\ncnot 0 1\ncvdg 1 2\ncv 0 2\n", "line 3: cvdg gate without a v binding"),
+            # every other fault, above or below, wins over the missing vmatrix
+            ("qubits 2\ncv 0 1\ncnot 0 5\n",
+             "line 3: gate Gate(kind='cnot', control=0, target=5) out of range for width 2"),
+            ("qubits 2\ncv 0 1\ncnot 0\n", "line 3: cnot takes 2 argument(s), got 1"),
+            ("qubits 2\ncv 0 1\nbogus\n", "line 3: unknown keyword 'bogus'"),
+        ],
+    )
+    def test_missing_vmatrix_is_reported_last(self, text, message):
+        with pytest.raises(CircuitFormatError) as exc:
+            parse_circuit(text)
+        assert str(exc.value) == message
+        assert reference_parse(text) == ("error", message)
+
+    def test_vmatrix_below_the_gates_binds_them(self):
+        text = "qubits 2\ncv 0 1\nvmatrix 0 0 1 0 1 0 0 0\n"
+        assert same_outcome(outcome(text), ("ok", 2, (cv(0, 1),), X))
+        assert same_outcome(reference_parse(text), outcome(text))
+
 
 class TestGateSpec:
     @pytest.mark.parametrize("name", sorted(NAMED_GATES))
     def test_named(self, name):
         assert np.array_equal(parse_gate_spec(name), NAMED_GATES[name])
+
+    def test_named_gates_are_read_only(self):
+        # shared by every caller: one write would change every later --gate X
+        with pytest.raises(ValueError):
+            NAMED_GATES["X"][0, 0] = 7
+        assert np.array_equal(parse_gate_spec("X"), [[0, 1], [1, 0]])
+        assert parse_gate_spec("X").flags.writeable
 
     def test_unknown_name(self):
         with pytest.raises(CircuitFormatError):
@@ -261,7 +293,8 @@ def hand_built_circuits(draw):
         rows = draw(st.lists(st.tuples(st.integers(0, 2), st.sampled_from(pairs))))
         gates = [(kind, c, t) for kind, (c, t) in rows]
     v = None
-    if draw(st.booleans()):
+    # a cv-kind gate needs a binding; a circuit of cnots may have one
+    if draw(st.booleans()) or any(kind != CNOT_CODE for kind, _, _ in gates):
         v = random_unitary(np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
     return Circuit(width, gates, v)
 

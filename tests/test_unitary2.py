@@ -13,7 +13,6 @@ from mcusynth.unitary2 import (
     X,
     Y,
     Z,
-    is_unitary,
     power,
     random_unitary,
     require_unitary,
@@ -35,7 +34,7 @@ def unitarity_err(m):
 
 def test_named_gates_are_unitary():
     for name, gate in NAMED_GATES.items():
-        assert is_unitary(gate), name
+        assert require_unitary(gate) is gate, name
         assert unitarity_err(gate) < 1e-15, name
 
 
@@ -134,17 +133,18 @@ class TestUnitaryRoot:
 def test_require_unitary():
     got = require_unitary([[0, 1], [1, 0]])
     assert got.dtype == complex
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^matrix must be 2x2, got shape \(3, 3\)$"):
         require_unitary(np.eye(3))
-    with pytest.raises(ValueError):
-        require_unitary(1.0001 * X)
+    with pytest.raises(ValueError, match="^v binding is not unitary within 1e-09$"):
+        require_unitary(1.0001 * X, name="v binding")
 
 
 def test_is_unitary_refuses_non_finite_without_a_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for bad in (np.nan, np.inf, complex(0, np.nan)):
-            assert not is_unitary(np.array([[bad, 0], [0, 1]]))
+            with pytest.raises(ValueError, match="not unitary"):
+                require_unitary(np.array([[bad, 0], [0, 1]]))
 
 
 def test_random_unitary_is_unitary():
