@@ -274,13 +274,23 @@ class TestOperatorDistance:
             operator_distance(np.eye(2), np.eye(4))
 
 
-def test_missing_binding_message():
-    # unbound circuits of each route's shape are not built: in the trace's
-    # class, off it (the cnot onto the target), and with cancelling cv gates
-    for width, rows in ((2, [cv(0, 1)]), (3, [cv(0, 2), cnot(0, 2)]), (2, [cvdg(0, 1), cv(0, 1)])):
-        with pytest.raises(GateError) as info:
-            Circuit(width, rows)
-        assert (info.value.row, str(info.value)) == (0, f"{GATE_KINDS[rows[0][0]]} gate without a v binding")
+@pytest.mark.parametrize(
+    "entry, width, rows",
+    [
+        (linear_trace, 2, [cv(0, 1)]),
+        # the cnot onto the target keeps run_circuit off the trace route
+        (lambda c: run_circuit(c, basis_state([1, 1, 1])), 3, [cv(0, 2), cnot(0, 2)]),
+        # cancelling cv gates are refused all the same
+        (circuit_unitary, 2, [cvdg(0, 1), cv(0, 1)]),
+    ],
+    ids=["linear_trace", "run_circuit_dense", "circuit_unitary"],
+)
+def test_missing_binding_message(entry, width, rows):
+    # an unbound circuit of each route's shape never reaches the route:
+    # building it is refused at its first cv-kind row
+    with pytest.raises(GateError) as info:
+        entry(Circuit(width, rows))
+    assert (info.value.row, str(info.value)) == (0, f"{GATE_KINDS[rows[0][0]]} gate without a v binding")
 
 
 def test_root_circuit_reproduces_controlled_gate():
