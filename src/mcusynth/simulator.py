@@ -46,10 +46,11 @@ from .z2identity import parity_sums
 # for its 9,217 at 96 MiB (2-core Xeon)
 MAX_WIDTH = 10
 
-# cap for simulating one state.  A width-w state is 2^w * 16 B, 1 MiB at 16;
-# the dense route holds one copy of it plus two quarter-size scratch buffers
-# (1.5 MiB; 1.8 MiB tracemalloc peak) and runs a random 2,001-gate circuit
-# in 0.39 s.  Every further qubit doubles both
+# cap for simulating one state densely; ``simulate`` runs a circuit of
+# linear_trace's class at every width synth emits.  A width-w state is
+# 2^w * 16 B, 1 MiB at 16; the dense route holds one copy of it plus two
+# quarter-size scratch buffers (1.5 MiB; 1.8 MiB tracemalloc peak) and runs
+# a random 2,001-gate circuit in 0.39 s.  Every further qubit doubles both
 MAX_STATE_WIDTH = 16
 
 
@@ -91,6 +92,18 @@ class LinearTrace(NamedTuple):
     v: np.ndarray
 
 
+def traceable(circuit: Circuit) -> bool:
+    """Whether ``linear_trace`` takes the circuit: every cnot among the first
+    width - 1 wires and every cv-kind gate onto the last wire.  Decided from
+    the gate columns alone, before anything of size 2^width is allocated."""
+    n = circuit.width - 1
+    cnots = circuit.kind == CNOT_CODE
+    return not (
+        np.any(cnots & ((circuit.control == n) | (circuit.target == n)))
+        or np.any(~cnots & (circuit.target != n))
+    )
+
+
 def linear_trace(circuit: Circuit) -> LinearTrace | None:
     """Trace a cnot + controlled-V circuit exactly, for every control input.
 
@@ -103,16 +116,14 @@ def linear_trace(circuit: Circuit) -> LinearTrace | None:
         e(x) = sum_S c[S] * parity(S & x),
 
     exactly and for all x at once by ``z2identity.parity_sums``, O(n 2^n)
-    for n controls.  Returns None when a gate leaves that class: a cnot that
-    touches the last wire, or a cv-kind gate aimed at any other wire.
+    for n controls.  Returns None when a gate leaves that class (see
+    ``traceable``): a cnot that touches the last wire, or a cv-kind gate
+    aimed at any other wire.
     """
+    if not traceable(circuit):
+        return None
     n = circuit.width - 1
     cnots = circuit.kind == CNOT_CODE
-    # decided before anything of size 2^n is allocated
-    if np.any(cnots & ((circuit.control == n) | (circuit.target == n))) or np.any(
-        ~cnots & (circuit.target != n)
-    ):
-        return None
     masks = [1 << (n - 1 - i) for i in range(n)]
     applied = []  # the mask each cv-kind gate reads, in gate order
     for kind, control, target in circuit.rows():

@@ -23,6 +23,18 @@ circuit's int columns:
   with a single cnot (Barenco et al. 1995, Lemma 7.1): 2^n - 1 cv-kind
   gates and 2^n - 2 cnots, 2^(n+1) - 3 gates in all.
 
+No circuit of this shape needs fewer cv-kind gates when V has infinite
+order, as for a generic u.  Such a circuit (cnots among the controls,
+cv-kind gates from a control onto the target, one V) applies V^e(x) on
+control input x, with e(x) = sum_S c[S] * parity(S & x) and c[S] the number
+of cv minus cvdg gates applied while their control wire held the parity of
+S (``simulator.linear_trace``).  The functions parity(S & x), S nonempty,
+are linearly independent, since the Walsh-Hadamard transform in
+``z2identity.parity_sums`` is invertible.  So e(x) = 2^(n-1) x_1 ... x_n
+forces c[S] = +1 for odd |S| and -1 for even |S|, on every nonempty S.  Each
+cv or cvdg moves one c[S] by one, so the circuit has at least 2^n - 1
+cv-kind gates, and both orders use exactly that many.
+
 ``peephole_cancel`` removes adjacent inverse pairs as a separate pass; on the
 canonical order it keeps fewer gates than the canonical circuit but more than
 the Gray one.  Gate totals grow exponentially in n either way.  Checking a

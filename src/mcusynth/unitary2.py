@@ -4,6 +4,8 @@ Matrices are plain ``numpy`` arrays of shape (2, 2), dtype complex128.
 ``unitary_root`` is the one nontrivial operation: it returns the principal
 2^k-th root of a unitary in closed form from the axis-angle decomposition
 u = e^(i mu) (cos d I + i sin d n.sigma), never from an iterative solver.
+``NAMED_GATES`` is the one table of named gates; it and the identity ``I2``
+are read-only views of frozen arrays.
 """
 
 from __future__ import annotations
@@ -16,18 +18,21 @@ import numpy as np
 # gate specs) or be derived from one, and decimal serialization loses bits
 INGEST_ATOL = 1e-9
 
-I2 = np.eye(2, dtype=complex)
-X = np.array([[0, 1], [1, 0]], dtype=complex)
-Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-Z = np.array([[1, 0], [0, -1]], dtype=complex)
-H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-S = np.array([[1, 0], [0, 1j]], dtype=complex)
-T = np.array([[1, 0], [0, cmath.exp(1j * cmath.pi / 4)]], dtype=complex)
-
-NAMED_GATES = {"I": I2, "X": X, "Y": Y, "Z": Z, "H": H, "S": S, "T": T}
-# shared by every caller in the process, so a write to one would reach them all
+# shared by every caller in the process, so each is a read-only view of a
+# frozen array, whose write flag cannot be set again
+NAMED_GATES = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+    "H": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
+    "S": np.array([[1, 0], [0, 1j]], dtype=complex),
+    "T": np.array([[1, 0], [0, cmath.exp(1j * cmath.pi / 4)]], dtype=complex),
+}
 for _gate in NAMED_GATES.values():
     _gate.setflags(write=False)
+NAMED_GATES = {name: gate.view() for name, gate in NAMED_GATES.items()}
+I2 = NAMED_GATES["I"]
 
 
 def require_unitary(m: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -52,11 +57,10 @@ def power(a: np.ndarray, e: int) -> np.ndarray:
     if e < 0:
         return power(a.conj().T, -e)
     result = I2.copy()
-    base = a
     while e:
         if e & 1:
-            result = result @ base
-        base = base @ base
+            result = result @ a
+        a = a @ a
         e >>= 1
     return result
 
@@ -113,10 +117,3 @@ def unitary_root(u: np.ndarray, k: int) -> np.ndarray:
     ratio = np.sin(abs(d) / scale) / sin_d if sin_d else 0.0
     return cmath.exp(1j * mu / scale) * (np.cos(d / scale) * I2 + 1j * ratio * axis)
 
-
-def random_unitary(rng: np.random.Generator) -> np.ndarray:
-    """Haar-style random 2x2 unitary: complex Gaussian matrix + QR."""
-    z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))

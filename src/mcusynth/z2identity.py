@@ -18,7 +18,8 @@ int64 arrays, so bit vectors are capped at ``MAX_BITS``.  Every verifier has
 one shape: build its input table once (all assignments in
 ``itertools.product`` order, or seeded random rows), evaluate each form over
 the whole table, and report the first row where two forms disagree, so its
-output is deterministic.
+output is deterministic.  The one cache holds the direct sums of the last
+two widths, as read-only views of frozen arrays.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ MAX_BITS = 62
 
 XOR_LAW_LO, XOR_LAW_HI = -8, 8  # verify_xor_int_laws: every triple in [-8, 8]^3
 BINOMIAL_LO, BINOMIAL_HI = 2, 60  # verify_alternating_binomial: n = 2..60
+SUM_SHIFT_TRIALS = 500  # verify_sum_shift_laws: seeded rows per width
 
 
 @dataclasses.dataclass(frozen=True)
@@ -135,9 +137,9 @@ def parity_sums(coeffs: np.ndarray) -> np.ndarray:
     return (c.sum() - a) // 2
 
 
-# these two caches hold the last widths asked for: verify-identity runs
-# verify_closed_form(k) and then verify_append_recurrence(k), which reuse
-# width k's table and the sums of widths k - 1 and k.  Results are read-only
+# the one cache: verify-identity runs verify_closed_form(k) and then
+# verify_append_recurrence(k), which reuse the sums of widths k - 1 and k.
+# Results are read-only views of frozen arrays
 @functools.lru_cache(maxsize=2)
 def _direct_sums(n: int) -> np.ndarray:
     # parity_sum_direct of every width-n assignment, in product order: the
@@ -150,17 +152,15 @@ def _direct_sums(n: int) -> np.ndarray:
     signs[0] = 0
     sums = parity_sums(signs)
     sums.setflags(write=False)
-    return sums
+    return sums.view()
 
 
-@functools.lru_cache(maxsize=1)
 def _assignments(n: int) -> np.ndarray:
     # all 2^n width-n bit vectors as int8 rows, in itertools.product order
     x = np.arange(1 << n)
     table = np.empty((1 << n, n), dtype=np.int8)
     for i in range(n):
         table[:, i] = (x >> (n - 1 - i)) & 1
-    table.setflags(write=False)
     return table
 
 
@@ -247,16 +247,15 @@ def verify_append_recurrence(n: int) -> CheckReport:
     """
     if not 2 <= n <= EXHAUSTIVE_LIMIT:
         raise ValueError(f"need 2 <= n <= {EXHAUSTIVE_LIMIT}, got {n}")
-    table = _assignments(n)
-    # the prefix of assignment x is assignment x // 2 of width n - 1
-    base, b = np.repeat(_direct_sums(n - 1), 2), table[:, -1]
+    # assignment x is assignment x // 2 of width n - 1 with the bit x % 2 appended
+    base, b = np.repeat(_direct_sums(n - 1), 2), np.arange(1 << n) % 2
     sums = _direct_sums(n)
     want = base + b - xor_int(base, b)
     return _report(
         f"recurrence n={n}",
         "cases",
         sums != want,
-        lambda k: (table[k, :-1], b[k], sums[k], want[k]),
+        lambda k: (_assignments(n - 1)[k // 2], b[k], sums[k], want[k]),
     )
 
 
@@ -301,8 +300,8 @@ def verify_xor_int_laws() -> CheckReport:
     return _report(name, "triples", laws.any(axis=-1), witness)
 
 
-def verify_sum_shift_laws(n: int, trials: int) -> CheckReport:
-    """Check the two aggregated shift identities on random bit vectors.
+def verify_sum_shift_laws(n: int) -> CheckReport:
+    """Check the two aggregated shift identities on SUM_SHIFT_TRIALS random bit vectors.
 
     For bits x_1..x_n and a bit z:
 
@@ -314,9 +313,7 @@ def verify_sum_shift_laws(n: int, trials: int) -> CheckReport:
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if trials < 1:
-        raise ValueError(f"need trials >= 1, got {trials}")
-    rows = np.random.default_rng(n).integers(0, 2, size=(trials, n + 1), dtype=np.int8)
+    rows = np.random.default_rng(n).integers(0, 2, size=(SUM_SHIFT_TRIALS, n + 1), dtype=np.int8)
     xs, z = rows[:, :n], rows[:, n].astype(np.int64)
     flipped = (xs + z[:, None]) % 2  # x_i xor z, bit by bit
     signs = np.where(np.arange(n) % 2, -1, 1)

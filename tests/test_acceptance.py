@@ -19,7 +19,7 @@ from mcusynth.simulator import (
     run_circuit,
 )
 from mcusynth.synthesize import synth_mcu
-from mcusynth.unitary2 import I2, NAMED_GATES, X, power, random_unitary, unitary_root
+from mcusynth.unitary2 import I2, NAMED_GATES, power, unitary_root
 from mcusynth.z2identity import (
     alternating_binomial_sides,
     parity_sum_direct,
@@ -27,7 +27,12 @@ from mcusynth.z2identity import (
     verify_closed_form,
     verify_sum_shift_laws,
     verify_xor_int_laws,
+    xor_int,
 )
+
+from conftest import random_unitary
+
+X = NAMED_GATES["X"]
 
 
 def report(name, elapsed=None):
@@ -57,11 +62,19 @@ def test_criterion_2_law_suite():
     start = time.perf_counter()
     assert verify_xor_int_laws().passed
     for n in range(1, 11):
-        assert verify_sum_shift_laws(n, trials=10_000).passed, n
+        # both shift identities on every (x, z) in {0,1}^(n+1), each side from xor_int
+        signs = [(-1) ** i for i in range(n)]
+        for *xs, z in itertools.product((0, 1), repeat=n + 1):
+            flipped = [xor_int(x, z) for x in xs]
+            assert sum(flipped) == xor_int(sum(xs), z) + (n - 1) * z, (xs, z)
+            left = sum(s * f for s, f in zip(signs, flipped))
+            right = xor_int(sum(s * x for s, x in zip(signs, xs)), z) - ((1 + (-1) ** n) // 2) * z
+            assert left == right, (xs, z)
+        assert verify_sum_shift_laws(n).passed, n
     for n in range(2, 61):
         lhs, rhs = alternating_binomial_sides(n)
         assert lhs == rhs, n
-    report("2 integer-law suite (exact)", time.perf_counter() - start)
+    report("2 integer-law suite (exact; shift laws on every (x, z), n <= 10)", time.perf_counter() - start)
 
 
 def test_criterion_3_root_oracle():

@@ -18,7 +18,11 @@ from mcusynth.circuit import (
 )
 from mcusynth.simulator import circuit_unitary, operator_distance
 from mcusynth.textio import format_circuit, parse_circuit
-from mcusynth.unitary2 import X, random_unitary
+from mcusynth.unitary2 import NAMED_GATES
+
+from conftest import random_unitary
+
+X = NAMED_GATES["X"]
 
 RNG = np.random.default_rng(5)
 

@@ -16,8 +16,10 @@ from mcusynth import cli, z2identity
 from mcusynth.cli import MAX_SAMPLES, main
 from mcusynth.simulator import MAX_WIDTH
 from mcusynth.textio import MAX_CIRCUIT_BYTES, MAX_GATE_BYTES, read_circuit
-from mcusynth.unitary2 import H, NAMED_GATES
+from mcusynth.unitary2 import NAMED_GATES
 from mcusynth.z2identity import EXHAUSTIVE_LIMIT
+
+H = NAMED_GATES["H"]
 
 
 class TestVerifyIdentity:
@@ -327,6 +329,32 @@ class TestSimulate:
         path.write_text("qubits 40\ncnot 0 39\n")
         assert main(["simulate", "--circuit", str(path), "--input", "1" * 40]) == 2
         assert "state-vector cap 16" in capsys.readouterr().err
+
+    def test_trace_route_runs_every_synthesized_width(self, tmp_path, capsys):
+        # 16 controls is 17 qubits, one past the dense state-vector cap
+        path = tmp_path / "c16.circ"
+        assert main(["synth", "--controls", "16", "--gate", "H", "--optimize", "--out", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["simulate", "--circuit", str(path), "--input", "1" * 16 + "0"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        labels = [line.split(": ")[0] for line in lines]
+        assert labels == [f"|{'1' * 16}{b}⟩" for b in "01"]
+        column = [complex(line.split(": ")[1]) for line in lines]
+        assert np.max(np.abs(np.array(column) - H[:, 0])) < 1e-9
+
+    @pytest.mark.parametrize(
+        "text",
+        ["qubits 17\ncnot 0 16\n", "qubits 18\ncnot 0 1\n", "qubits 40\ncnot 0 1\n"],
+        ids=["off-class-17", "in-class-18", "in-class-40"],
+    )
+    def test_other_widths_keep_the_state_cap(self, text, tmp_path, capsys, monkeypatch):
+        # refused before anything of size 2^width is run or allocated
+        monkeypatch.setattr(cli, "run_circuit", None)
+        path = tmp_path / "wide.circ"
+        path.write_text(text)
+        width = int(text.split()[1])
+        assert main(["simulate", "--circuit", str(path), "--input", "1" * width]) == 2
+        assert capsys.readouterr().err == f"error: width {width} exceeds the state-vector cap 16\n"
 
     def test_dense_route_at_the_state_cap(self, tmp_path, capsys):
         # the cnot onto the last wire keeps the file off the trace route; the

@@ -17,7 +17,11 @@ from mcusynth.simulator import (
     trace_blocks,
 )
 from mcusynth.synthesize import peephole_cancel, synth_mcu
-from mcusynth.unitary2 import H, I2, T, X, random_unitary, unitary_root
+from mcusynth.unitary2 import I2, NAMED_GATES, unitary_root
+
+from conftest import random_unitary
+
+H, T, X = (NAMED_GATES[name] for name in "HTX")
 
 RNG = np.random.default_rng(77)
 

@@ -16,8 +16,12 @@ from mcusynth.simulator import (
     trace_blocks,
 )
 from mcusynth.synthesize import canonical_counts, peephole_cancel, synth_mcu
-from mcusynth.unitary2 import H, I2, NAMED_GATES, T, X, power, random_unitary, unitary_root
+from mcusynth.unitary2 import I2, NAMED_GATES, power, unitary_root
 from mcusynth.z2identity import parity_sum_direct, signed_parity_terms
+
+from conftest import random_unitary
+
+H, T, X = (NAMED_GATES[name] for name in "HTX")
 
 RNG = np.random.default_rng(4242)
 
@@ -313,6 +317,68 @@ class TestGrayOrder:
             mutant = Circuit(n + 1, np.delete(circuit.gates, row, axis=0), circuit.v_binding)
             distance = operator_distance(*trace_blocks(linear_trace(mutant), T))
             assert distance >= 1e-9, (n, row, distance)
+
+
+def min_cnot_walk(n):
+    """The fewest cnots among n wires that put every nonempty parity mask on
+    some wire and end with each wire back on its own bit, by iterative
+    deepening.  A cnot (c, t) sets mask[t] ^= mask[c], so it shows at most
+    one new mask, and one that puts a wire back on its bit shows none: the
+    masks not yet shown plus the wires off their own bit bound the rest."""
+    home = tuple(1 << i for i in range(n))
+    every = (1 << (1 << n)) - 2  # bit m set for every nonempty mask m
+    moves = [(c, t) for c in range(n) for t in range(n) if c != t]
+
+    def walk(masks, shown, budget, failed):
+        if shown == every and masks == home:
+            return True
+        missing = bin(every & ~shown).count("1")
+        if missing + sum(m != h for m, h in zip(masks, home)) > budget:
+            return False
+        if failed.get((masks, shown), -1) >= budget:
+            return False
+        failed[masks, shown] = budget
+        for c, t in moves:
+            step = list(masks)
+            step[t] ^= masks[c]
+            if walk(tuple(step), shown | (1 << step[t]), budget - 1, failed):
+                return True
+        return False
+
+    budget = 0
+    while not walk(home, sum(1 << h for h in home), budget, {}):
+        budget += 1
+    return budget
+
+
+class TestLowerBounds:
+    """Within linear_trace's class the Gray order has the fewest gates of
+    each kind (the argument is in synthesize's docstring)."""
+
+    @pytest.mark.parametrize("gray", [False, True], ids=["canonical", "gray"])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_cv_kind_gates_meet_the_bound(self, n, gray):
+        # invert e = (sum c - W c) / 2, W the Walsh-Hadamard matrix with
+        # W W = 2^n; c[empty] = 0 fixes sum c = 2 sum e / 2^n
+        circuit = synth_mcu(n, X, gray=gray)
+        e = linear_trace(circuit).exponents
+        x = np.arange(1 << n)
+        parity = np.zeros((1 << n, 1 << n), dtype=np.int64)
+        for b in range(n):
+            parity ^= ((x[:, None] & x) >> b) & 1
+        total, rest = divmod(2 * int(e.sum()), 1 << n)
+        coeffs, rest2 = np.divmod((1 - 2 * parity) @ (total - 2 * e), 1 << n)
+        assert rest == 0 and not rest2.any()
+        want = np.zeros(1 << n, dtype=np.int64)
+        for sign, subset in signed_parity_terms(n):
+            want[sum(1 << (n - 1 - i) for i in subset)] = sign
+        assert coeffs.tolist() == want.tolist()
+        cv_kind = np.count_nonzero(circuit.kind != CNOT_CODE)
+        assert cv_kind == np.abs(coeffs).sum() == (1 << n) - 1
+
+    @pytest.mark.parametrize("n, fewest", [(1, 0), (2, 2), (3, 6), (4, 14)])
+    def test_gray_order_has_the_fewest_cnots(self, n, fewest):
+        assert min_cnot_walk(n) == fewest == synth_mcu(n, X, gray=True).counts().cnot
 
 
 class TestArrayEmitter:

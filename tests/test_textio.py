@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mcusynth import textio
-from mcusynth.circuit import CNOT_CODE, GATE_KINDS, MAX_QUBITS, Circuit, _gate_problem, cnot, cv
+from mcusynth.circuit import CNOT_CODE, GATE_KINDS, MAX_QUBITS, Circuit, cnot, cv
 from mcusynth.synthesize import synth_mcu
 from mcusynth.textio import (
     CircuitFormatError,
@@ -18,7 +18,11 @@ from mcusynth.textio import (
     read_circuit,
     write_circuit,
 )
-from mcusynth.unitary2 import H, NAMED_GATES, T, X, random_unitary, require_unitary
+from mcusynth.unitary2 import NAMED_GATES, require_unitary
+
+from conftest import random_unitary
+
+H, T, X = (NAMED_GATES[name] for name in "HTX")
 
 RNG = np.random.default_rng(99)
 
@@ -74,11 +78,16 @@ def reference_parse(text):
                     fail(f"line {lineno}: {exc}")
             elif keyword in GATE_KINDS:
                 control, target = ints(args, 2, lineno, keyword)
-                gate = (GATE_KINDS.index(keyword), control, target)
-                # in Python ints, so an index past int64 is worded too
-                if problem := _gate_problem(*gate, width):
-                    fail(f"line {lineno}: {problem}")
-                gates.append(gate)
+                # in Python ints, so an index past int64 is worded too; the
+                # keyword names a kind, so no kind code can be unknown here
+                if control < 0 or target < 0:
+                    fail(f"line {lineno}: qubit indices must be nonnegative")
+                if control == target:
+                    fail(f"line {lineno}: control and target coincide on qubit {control}")
+                if control >= width or target >= width:
+                    gate = f"Gate(kind={keyword!r}, control={control}, target={target})"
+                    fail(f"line {lineno}: gate {gate} out of range for width {width}")
+                gates.append((GATE_KINDS.index(keyword), control, target))
                 gate_lines.append(lineno)
             else:
                 fail(f"line {lineno}: unknown keyword {keyword!r}")

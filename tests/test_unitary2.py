@@ -4,20 +4,15 @@ import warnings
 import numpy as np
 import pytest
 
-from mcusynth.unitary2 import (
-    H,
-    I2,
-    NAMED_GATES,
-    S,
-    T,
-    X,
-    Y,
-    Z,
-    power,
-    random_unitary,
-    require_unitary,
-    unitary_root,
-)
+from mcusynth import z2identity
+from mcusynth.circuit import Circuit, cnot
+from mcusynth.simulator import linear_trace
+from mcusynth.textio import parse_gate_spec
+from mcusynth.unitary2 import I2, NAMED_GATES, power, require_unitary, unitary_root
+
+from conftest import random_unitary
+
+X, Y, Z, H, S, T = (NAMED_GATES[name] for name in "XYZHST")
 
 RNG = np.random.default_rng(20240811)
 
@@ -145,6 +140,26 @@ def test_is_unitary_refuses_non_finite_without_a_warning():
         for bad in (np.nan, np.inf, complex(0, np.nan)):
             with pytest.raises(ValueError, match="not unitary"):
                 require_unitary(np.array([[bad, 0], [0, 1]]))
+
+
+# every array these modules hand to more than one caller
+SHARED = {
+    **{f"NAMED_GATES[{name}]": lambda name=name: NAMED_GATES[name] for name in NAMED_GATES},
+    "I2": lambda: I2,
+    "cnot-only trace v": lambda: linear_trace(Circuit(3, [cnot(0, 1)])).v,
+    "_direct_sums(3)": lambda: z2identity._direct_sums(3),
+}
+
+
+@pytest.mark.parametrize("name", list(SHARED))
+def test_shared_arrays_cannot_be_made_writable(name):
+    shared = SHARED[name]()
+    with pytest.raises(ValueError):
+        shared.setflags(write=True)
+    with pytest.raises(ValueError):
+        shared[(0,) * shared.ndim] = 2
+    assert np.array_equal(parse_gate_spec("X"), [[0, 1], [1, 0]])
+    assert z2identity.verify_closed_form(3).passed
 
 
 def test_random_unitary_is_unitary():

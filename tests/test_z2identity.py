@@ -320,7 +320,7 @@ class TestVerifiers:
 
     def test_sum_shift_laws_pass(self):
         for n in (1, 2, 3, 7):
-            assert verify_sum_shift_laws(n, trials=300).passed
+            assert verify_sum_shift_laws(n).summary() == f"sum-shift-laws n={n}: PASS (500 samples)"
 
     def test_sampled_rows_are_seeded_with_n(self, monkeypatch):
         # verify-identity's sampled report lines are fixed by n and --samples
