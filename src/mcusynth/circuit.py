@@ -86,31 +86,35 @@ class GateError(ValueError):
 class Circuit:
     """Qubit count plus an ordered gate table, with an optional V binding.
 
-    ``gates`` is an (m, 3) array-like of (kind, control, target) rows, ``()``
-    for no gates; it is copied once into ``table`` and checked there, and
-    without ``v_binding`` its first cv-kind row is refused after the gate
-    checks.  A (3, m) table passed in its place is refused by the shape
-    check unless m = 3, where the two cannot be told apart.  Gate order is
-    application order (leftmost gate acts first).
+    ``width`` is an int and ``gates`` an (m, 3) array-like of integer
+    (kind, control, target) rows within int64, ``()`` for no gates; other
+    input raises ValueError.  The rows are copied once into ``table`` and
+    checked there; without ``v_binding`` the first cv-kind row is refused
+    after the gate checks, and a (3, m) table is refused unless m = 3, where
+    the two shapes cannot be told apart.  Gates apply left to right.
     """
 
     __slots__ = ("width", "table", "v_binding")
 
     def __init__(self, width: int, gates=(), v_binding: np.ndarray | None = None):
-        if width < 1:
-            raise ValueError(f"need width >= 1, got {width}")
+        if not isinstance(width, (int, np.integer)) or width < 1:
+            raise ValueError(f"need an integer width >= 1, got {width!r}")
         if width > MAX_QUBITS:
             raise ValueError(f"need width <= {MAX_QUBITS}, got {width}")
-        rows = np.asarray(gates, dtype=np.int64)
+        rows = np.asarray(gates)
         if rows.shape == (0,):
             rows = rows.reshape(0, 3)
         if rows.ndim != 2 or rows.shape[1] != 3:
             raise ValueError(f"gate rows must have shape (m, 3), got {rows.shape}")
-        table = rows.T.copy()
+        # int64 holds the values of every integer dtype but the top half of uint64's
+        exact = np.can_cast(rows.dtype, np.int64) or rows.dtype == np.uint64 and not (rows >> 63).any()
+        if rows.size and not exact:
+            raise ValueError(f"gate rows must be integers within int64, got {rows.dtype}")
+        table = rows.T.astype(np.int64, order="C")
         self._check_gate(width, table)
         # frozen behind views: numpy keeps a view of a read-only base read-only
         table.setflags(write=False)
-        object.__setattr__(self, "width", width)
+        object.__setattr__(self, "width", int(width))
         object.__setattr__(self, "table", table.view())
         if v_binding is not None:
             # private copy so freezing never touches the caller's array

@@ -9,12 +9,12 @@ Subcommands:
 
 ``check`` and ``simulate`` take their route from the circuit's gates.  A
 circuit of the synthesizer's shape (cnots among the controls, cv/cvdg onto
-the target) goes through the exact linear trace, so ``check`` takes every
-width ``synth`` can emit; any other circuit goes through the dense
-simulator and its width cap.  ``simulate`` runs such a circuit up to
-``MAX_CONTROLS`` + 1 qubits, every width ``synth`` can emit, and any other
-circuit up to the dense state-vector cap.  Widths past a cap are refused
-with exit 2 before any array of 2^width entries is allocated.
+the target) goes through the exact linear trace, which takes every width
+``synth`` can emit; any other circuit goes through the dense simulator and
+the caps ``simulator`` holds for it: ``MAX_WIDTH`` on memory and
+``MAX_DENSE_WORK`` on time.  ``simulate`` takes up to ``MAX_CONTROLS`` + 1
+qubits on either route.  Input past a cap is refused with exit 2 before
+anything of size 2^width is allocated or run.
 
 Exit codes are a stable contract: 0 success / all checks pass, 1 a
 verification failed, 2 usage or parse error.
@@ -34,11 +34,9 @@ import numpy as np
 
 from . import z2identity
 from .simulator import (
-    MAX_STATE_WIDTH,
+    MAX_DENSE_WORK,
     MAX_WIDTH,
-    basis_state,
     circuit_unitary,
-    index_bits,
     linear_trace,
     operator_distance,
     reference_mcu,
@@ -187,6 +185,10 @@ def cmd_check(args: argparse.Namespace) -> int:
         actual, reference = trace_blocks(trace, u)
     elif circuit.width > MAX_WIDTH:
         return _usage_error(f"width {circuit.width} exceeds the simulation cap {MAX_WIDTH}")
+    elif len(circuit) << 2 * circuit.width > MAX_DENSE_WORK:
+        return _usage_error(
+            f"{len(circuit)} gates x 4^{circuit.width} exceed the dense work cap {MAX_DENSE_WORK}"
+        )
     else:
         actual, reference = circuit_unitary(circuit), reference_mcu(args.controls, u)
 
@@ -207,27 +209,29 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     except (CircuitFormatError, OSError) as exc:
         return _usage_error(str(exc))
 
-    # the trace route is one pass over the gates plus arrays of 2^(width - 1)
-    # entries, so it takes every width synth emits; traceable reads only the
-    # gate columns, and the dense route keeps the state-vector cap
-    if circuit.width > MAX_STATE_WIDTH and not (
-        circuit.width <= MAX_CONTROLS + 1 and traceable(circuit)
-    ):
-        return _usage_error(
-            f"width {circuit.width} exceeds the state-vector cap {MAX_STATE_WIDTH}"
-        )
+    # a dense state of MAX_CONTROLS + 1 qubits is 2 MiB plus 1 MiB of scratch,
+    # and the trace route takes every width synth emits
+    if circuit.width > MAX_CONTROLS + 1:
+        return _usage_error(f"width {circuit.width} exceeds the state-vector cap {MAX_CONTROLS + 1}")
     if any(ch not in "01" for ch in args.input) or not args.input:
         return _usage_error(f"--input must be a nonempty bitstring, got {args.input!r}")
     if len(args.input) != circuit.width:
         return _usage_error(
             f"input has {len(args.input)} bits, circuit width is {circuit.width}"
         )
+    # traceable reads only the gate columns, and runs only past the work cap
+    if len(circuit) << circuit.width > MAX_DENSE_WORK and not traceable(circuit):
+        return _usage_error(
+            f"{len(circuit)} gates x 2^{circuit.width} exceed the dense work cap {MAX_DENSE_WORK}"
+        )
 
-    final = run_circuit(circuit, basis_state([int(ch) for ch in args.input]))
+    # qubit 0 is the most significant bit of a basis index
+    state = np.zeros(1 << circuit.width, dtype=complex)
+    state[int(args.input, 2)] = 1
+    final = run_circuit(circuit, state)
 
     for index in np.flatnonzero(np.abs(final) > AMPLITUDE_FLOOR).tolist():
-        label = "".join(str(b) for b in index_bits(index, circuit.width))
-        print(f"|{label}⟩: {_fmt_amplitude(final[index])}")
+        print(f"|{index:0{circuit.width}b}⟩: {_fmt_amplitude(final[index])}")
     return 0
 
 

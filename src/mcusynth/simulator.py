@@ -1,4 +1,4 @@
-"""Verification oracles: an exact linear trace and a dense simulator.
+"""Verification oracles, and the dense route's caps.
 
 Basis index convention, fixed globally: qubit 0 is the most significant bit,
 so a basis label (x_0, ..., x_{m-1}) maps to the index
@@ -32,7 +32,7 @@ oracle for synthesized circuits.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,41 +40,14 @@ from .circuit import CNOT_CODE, CV_CODE, CVDG_CODE, Circuit
 from .unitary2 import I2, power, require_unitary
 from .z2identity import parity_sums
 
-# dense cost is gates x 4^width: the synthesized 8- and 9-control H circuits
-# (1,793 and 4,097 gates) take 0.63 s and 6.2 s through circuit_unitary at a
-# 24 MiB tracemalloc peak, and width 11 runs at 11 ms a gate, about 100 s
-# for its 9,217 at 96 MiB (2-core Xeon)
+# the dense operator is 4^width * 16 B: `check` peaks at 86 MiB RSS at width
+# 10 and at 254 MiB at width 11 (one gate, fresh process)
 MAX_WIDTH = 10
-
-# cap for simulating one state densely; ``simulate`` runs a circuit of
-# linear_trace's class at every width synth emits.  A width-w state is
-# 2^w * 16 B, 1 MiB at 16; the dense route holds one copy of it plus two
-# quarter-size scratch buffers (1.5 MiB; 1.8 MiB tracemalloc peak) and runs
-# a random 2,001-gate circuit in 0.39 s.  Every further qubit doubles both
-MAX_STATE_WIDTH = 16
-
-
-def basis_index(bits: Sequence[int]) -> int:
-    """Basis index of |bits>, qubit 0 most significant."""
-    index = 0
-    for b in bits:
-        if b not in (0, 1):
-            raise ValueError(f"expected a bit, got {b!r}")
-        index = (index << 1) | b
-    return index
-
-
-def index_bits(index: int, width: int) -> tuple[int, ...]:
-    """Inverse of basis_index."""
-    return tuple((index >> (width - 1 - i)) & 1 for i in range(width))
-
-
-def basis_state(bits: Sequence[int]) -> np.ndarray:
-    """The computational basis state |bits>."""
-    bits = tuple(bits)
-    state = np.zeros(1 << len(bits), dtype=complex)
-    state[basis_index(bits)] = 1.0
-    return state
+# the dense loop does gates x 2^width amplitude updates per column, gates x
+# 4^width for the operator.  The largest dense case the docs promise is the
+# 9-control H circuit with one cnot aimed at the target wire, 4,097 gates at
+# width 10; `check` runs it in 8.1 s (2-core sandbox)
+MAX_DENSE_WORK = 4097 << 20
 
 
 class LinearTrace(NamedTuple):

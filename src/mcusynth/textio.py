@@ -47,7 +47,7 @@ from .unitary2 import NAMED_GATES, require_unitary
 
 
 # the 16-control canonical file is 9.6 MB; padded to this cap with cancelling
-# cnot pairs (1.78 M gates), `check` takes 1.5 s at 222 MiB peak RSS (2-core Xeon)
+# cnot pairs (1.78 M gates), `check` takes 1.2-1.4 s at 223 MiB peak RSS (2-core sandbox)
 MAX_CIRCUIT_BYTES = 16 << 20
 MAX_GATE_BYTES = 1 << 16  # a gate file is one 2x2 matrix, a few hundred bytes
 
@@ -237,9 +237,9 @@ def _read(text: str):
     heads, fields, lineno = tokens.heads, tokens.fields, tokens.lineno
     if heads.shape[0] == 0:
         raise CircuitFormatError("missing 'qubits' line")
-    kind = tokens.lookup(heads, GATE_KINDS)
-    if kind[0] >= 0:
+    if tokens.word(heads[0]) != "qubits":
         raise CircuitFormatError(f"line {lineno[0]}: 'qubits' must come first")
+    kind = tokens.lookup(heads, GATE_KINDS)
 
     # the few other lines one by one; the first of them is the qubits line
     width = v = error = None
@@ -291,8 +291,6 @@ def _header_line(keyword: str, args: list[str], width, v):
         if width > MAX_QUBITS:
             raise CircuitFormatError(f"need at most {MAX_QUBITS} qubits")
         return width, v
-    if width is None:
-        raise CircuitFormatError("'qubits' must come first")
     if keyword != "vmatrix":
         raise CircuitFormatError(f"unknown keyword {keyword!r}")
     if v is not None:

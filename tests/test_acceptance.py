@@ -11,7 +11,6 @@ import numpy as np
 
 from mcusynth.cli import main
 from mcusynth.simulator import (
-    basis_index,
     circuit_unitary,
     linear_trace,
     operator_distance,
@@ -30,7 +29,7 @@ from mcusynth.z2identity import (
     xor_int,
 )
 
-from conftest import random_unitary
+from conftest import basis_index, random_unitary
 
 X = NAMED_GATES["X"]
 

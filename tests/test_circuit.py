@@ -211,6 +211,36 @@ class TestGateTable:
             with pytest.raises(ValueError, match="shape"):
                 Circuit(3, table)
 
+    @pytest.mark.parametrize(
+        "width, rows",
+        [
+            (3, [(0, 0.9, 2)]),  # was cnot(0, 2): the cast truncated 0.9
+            (2.0, [cnot(0, 1)]),  # was a circuit written as "qubits 2.0"
+            (2, [(0, 2**64, 1)]),  # was an OverflowError
+            (2, [(0, 2**63, 1)]),
+            (2, np.array([[0, 2**63, 1]], dtype=np.uint64)),
+            (2, [("0", "0", "1")]),
+        ],
+        ids=["float-row", "float-width", "past-uint64", "past-int64", "uint64-top-half", "strings"],
+    )
+    def test_refuses_non_integer_input(self, width, rows):
+        with pytest.raises(ValueError, match="integer") as exc:
+            Circuit(width, rows)
+        assert not isinstance(exc.value, GateError)
+
+    def test_takes_integers_of_any_dtype(self):
+        want = Circuit(2, [cnot(0, 1)])
+        for rows in (
+            np.array([[0, 0, 1]], dtype=np.uint64),
+            np.array([[0, 0, 1]], dtype=np.int32),
+            np.array([[0, 0, 1]], dtype=np.uint8),
+            [(np.int64(0), 0, 1)],
+        ):
+            assert Circuit(np.int64(2), rows) == want
+        for empty in ((), [], np.empty((0, 3)), np.empty((0, 3), dtype=np.uint64)):
+            assert Circuit(2, empty) == Circuit(2)
+        assert type(Circuit(np.int64(2)).width) is int
+
     def test_gates_view(self):
         c = Circuit(3, self.GATES, X)
         assert len(c.gates) == len(c) == 5

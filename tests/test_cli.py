@@ -281,6 +281,19 @@ class TestCheck:
         assert main(args) == 2
         assert capsys.readouterr().err == f"error: width {width} exceeds the simulation cap {MAX_WIDTH}\n"
 
+    def test_out_of_class_file_at_the_work_cap(self, tmp_path, capsys, monkeypatch):
+        # 4,097 gates x 4^10 is the cap, the size of the 9-control H circuit
+        # with one cnot aimed at the target wire; one gate more is refused
+        # before anything runs
+        ran = []
+        monkeypatch.setattr(cli, "circuit_unitary", lambda c: ran.append(len(c)) or np.eye(1 << c.width))
+        path = tmp_path / "offclass.circ"
+        for gates, code in ((4097, 1), (4098, 2)):
+            path.write_text("qubits 10\n" + "cnot 0 9\n" * gates)
+            assert main(["check", "--circuit", str(path), "--controls", "9", "--gate", "X"]) == code
+        assert ran == [4097]
+        assert capsys.readouterr().err == "error: 4098 gates x 4^10 exceed the dense work cap 4296015872\n"
+
     @pytest.mark.parametrize("gate", sorted(NAMED_GATES))
     def test_all_named_gates_round_trip(self, gate, tmp_path):
         for controls in range(1, 6):
@@ -328,10 +341,11 @@ class TestSimulate:
         path = tmp_path / "wide.circ"
         path.write_text("qubits 40\ncnot 0 39\n")
         assert main(["simulate", "--circuit", str(path), "--input", "1" * 40]) == 2
-        assert "state-vector cap 16" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: width 40 exceeds the state-vector cap 17\n"
 
     def test_trace_route_runs_every_synthesized_width(self, tmp_path, capsys):
-        # 16 controls is 17 qubits, one past the dense state-vector cap
+        # 16 controls is 17 qubits; 131,069 gates x 2^17 is past the dense
+        # work cap, and the file runs on the trace route
         path = tmp_path / "c16.circ"
         assert main(["synth", "--controls", "16", "--gate", "H", "--optimize", "--out", str(path)]) == 0
         capsys.readouterr()
@@ -344,17 +358,29 @@ class TestSimulate:
 
     @pytest.mark.parametrize(
         "text",
-        ["qubits 17\ncnot 0 16\n", "qubits 18\ncnot 0 1\n", "qubits 40\ncnot 0 1\n"],
-        ids=["off-class-17", "in-class-18", "in-class-40"],
+        [
+            "qubits 18\ncnot 0 17\n",
+            "qubits 18\ncnot 0 1\n",
+            "qubits 40\ncnot 0 39\n",
+            "qubits 40\ncnot 0 1\n",
+        ],
+        ids=["off-class-18", "in-class-18", "off-class-40", "in-class-40"],
     )
     def test_other_widths_keep_the_state_cap(self, text, tmp_path, capsys, monkeypatch):
-        # refused before anything of size 2^width is run or allocated
+        # one cap on both routes, refused before anything of size 2^width is
+        # run or allocated
         monkeypatch.setattr(cli, "run_circuit", None)
         path = tmp_path / "wide.circ"
         path.write_text(text)
         width = int(text.split()[1])
         assert main(["simulate", "--circuit", str(path), "--input", "1" * width]) == 2
-        assert capsys.readouterr().err == f"error: width {width} exceeds the state-vector cap 16\n"
+        assert capsys.readouterr().err == f"error: width {width} exceeds the state-vector cap 17\n"
+
+    def test_out_of_class_width_17_runs(self, tmp_path, capsys):
+        path = tmp_path / "offclass.circ"
+        path.write_text("qubits 17\ncnot 0 16\n")
+        assert main(["simulate", "--circuit", str(path), "--input", "1" + "0" * 16]) == 0
+        assert capsys.readouterr().out == f"|1{'0' * 15}1⟩: 1.0\n"
 
     def test_dense_route_at_the_state_cap(self, tmp_path, capsys):
         # the cnot onto the last wire keeps the file off the trace route; the
@@ -362,13 +388,35 @@ class TestSimulate:
         h = 2**-0.5
         path = tmp_path / "wide.circ"
         path.write_text(
-            f"qubits 16\nvmatrix {h!r} 0 {h!r} 0 {h!r} 0 {-h!r} 0\n"
-            "cnot 0 15\ncnot 0 1\ncv 1 7\n"
+            f"qubits 17\nvmatrix {h!r} 0 {h!r} 0 {h!r} 0 {-h!r} 0\n"
+            "cnot 0 16\ncnot 0 1\ncv 1 7\n"
         )
-        assert main(["simulate", "--circuit", str(path), "--input", "1" + "0" * 15]) == 0
+        assert main(["simulate", "--circuit", str(path), "--input", "1" + "0" * 16]) == 0
         assert capsys.readouterr().out == (
-            "|1100000000000001⟩: 0.707106781187\n|1100000100000001⟩: 0.707106781187\n"
+            "|11000000000000001⟩: 0.707106781187\n|11000001000000001⟩: 0.707106781187\n"
         )
+
+    def test_out_of_class_file_at_the_work_cap(self, tmp_path, capsys, monkeypatch):
+        # 32,776 gates x 2^17 is the cap; one gate more is refused before
+        # anything runs
+        ran = []
+        monkeypatch.setattr(cli, "run_circuit", lambda c, state: ran.append(len(c)) or state)
+        path = tmp_path / "offclass.circ"
+        for gates, code in ((32776, 0), (32777, 2)):
+            path.write_text("qubits 17\n" + "cnot 0 16\n" * gates)
+            assert main(["simulate", "--circuit", str(path), "--input", "1" * 17]) == code
+        assert ran == [32776]
+        assert capsys.readouterr() == (
+            f"|{'1' * 17}⟩: 1.0\n",
+            "error: 32777 gates x 2^17 exceed the dense work cap 4296015872\n",
+        )
+
+    def test_trace_route_skips_the_class_test_under_the_work_cap(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "traceable", None)
+        path = tmp_path / "cx.circ"
+        path.write_text("qubits 3\ncnot 0 1\n")
+        assert main(["simulate", "--circuit", str(path), "--input", "100"]) == 0
+        assert capsys.readouterr().out == "|110⟩: 1.0\n"
 
     def test_non_bit_input(self, tmp_path):
         path = tmp_path / "cx.circ"

@@ -6,10 +6,7 @@ from hypothesis import strategies as st
 from mcusynth.circuit import GATE_KINDS, Circuit, GateError, cnot, cv, cvdg
 from mcusynth.cli import CHECK_TOLERANCE
 from mcusynth.simulator import (
-    basis_index,
-    basis_state,
     circuit_unitary,
-    index_bits,
     linear_trace,
     operator_distance,
     reference_mcu,
@@ -19,7 +16,7 @@ from mcusynth.simulator import (
 from mcusynth.synthesize import peephole_cancel, synth_mcu
 from mcusynth.unitary2 import I2, NAMED_GATES, unitary_root
 
-from conftest import random_unitary
+from conftest import basis_state, random_unitary
 
 H, T, X = (NAMED_GATES[name] for name in "HTX")
 
@@ -39,20 +36,6 @@ CNOT_MATRIX = np.array(
 def random_state(width):
     v = RNG.normal(size=1 << width) + 1j * RNG.normal(size=1 << width)
     return v / np.linalg.norm(v)
-
-
-def test_basis_index_msb_first():
-    assert basis_index([1, 0]) == 2
-    assert basis_index([0, 1]) == 1
-    assert basis_index([1, 1, 0]) == 6
-    assert index_bits(6, 3) == (1, 1, 0)
-    for i in range(16):
-        assert basis_index(index_bits(i, 4)) == i
-
-
-def test_basis_state():
-    s = basis_state([1, 0])
-    assert s[2] == 1.0 and np.count_nonzero(s) == 1
 
 
 class TestApplyGate:
@@ -352,7 +335,7 @@ class TestLinearTrace:
         # are the reference
         if circuit.width <= 6:
             for index in range(1 << circuit.width):
-                state = basis_state(index_bits(index, circuit.width))
+                state = np.eye(1 << circuit.width)[index]
                 assert np.max(np.abs(run_circuit(circuit, state) - dense_op[:, index])) < 1e-12
         state = random_state(circuit.width)
         assert np.max(np.abs(run_circuit(circuit, state) - dense_op @ state)) < 1e-12

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from mcusynth.circuit import CNOT_CODE, CV_CODE, CVDG_CODE, MAX_QUBITS, Circuit, cnot, cv, cvdg
 from mcusynth.simulator import (
-    basis_index,
     circuit_unitary,
     linear_trace,
     operator_distance,
@@ -19,7 +18,7 @@ from mcusynth.synthesize import canonical_counts, peephole_cancel, synth_mcu
 from mcusynth.unitary2 import I2, NAMED_GATES, power, unitary_root
 from mcusynth.z2identity import parity_sum_direct, signed_parity_terms
 
-from conftest import random_unitary
+from conftest import basis_index, random_unitary
 
 H, T, X = (NAMED_GATES[name] for name in "HTX")
 
