@@ -4,7 +4,10 @@ Gates carry symbolic labels rather than matrices: a circuit has at most one
 controlled-V matrix, bound once at the circuit level (``v_binding``), and it
 has one whenever it has a cv or cvdg gate.  That keeps peephole cancellation
 exact, since cv and cvdg are inverses by construction.  Circuits are
-immutable, and their arrays are views that cannot be made writable again.
+immutable, and their arrays are read-only: ``v_binding`` is backed by
+immutable bytes, and ``table`` is a view of a frozen array (a bytes copy
+would double its cost on a 16 MiB file), so only its ``base`` can be made
+writable again.
 
 A gate is one row (kind, control, target) of ints, kind an index into
 ``GATE_KINDS``; ``cnot``, ``cv`` and ``cvdg`` build such rows.  A circuit
@@ -117,10 +120,10 @@ class Circuit:
         object.__setattr__(self, "width", int(width))
         object.__setattr__(self, "table", table.view())
         if v_binding is not None:
-            # private copy so freezing never touches the caller's array
-            v_binding = require_unitary(v_binding, name="v binding").copy()
-            v_binding.setflags(write=False)
-            v_binding = v_binding.view()
+            # a private copy over immutable bytes, so freezing never touches
+            # the caller's array and no base of it can be made writable
+            v_binding = require_unitary(v_binding, name="v binding")
+            v_binding = np.frombuffer(v_binding.tobytes(), dtype=complex).reshape(2, 2)
         elif (unbound := table[0] != CNOT_CODE).any():
             row = int(unbound.argmax())
             raise GateError(row, f"{GATE_KINDS[table[0, row]]} gate without a v binding")

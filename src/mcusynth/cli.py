@@ -50,8 +50,10 @@ from .synthesize import canonical_counts, peephole_cancel, synth_mcu
 from .textio import CircuitFormatError, parse_gate_spec, read_circuit, write_circuit
 
 RECURRENT_LIMIT = 24
-# the sampled verifier holds all its rows at once; at this cap
-# `verify-identity --n 24 --recurrent-only` takes 8.9 s and peaks at 119 MiB
+# the sampled verifier holds one width's rows, their sums and the closed
+# form's temporaries at once; at this cap `verify-identity --n 24
+# --recurrent-only` takes 3.3-3.6 s and peaks at 112 MiB RSS in a fresh
+# interpreter (2-core Xeon).  CI fails that run above 150 MiB
 MAX_SAMPLES = 1_000_000
 # synth_mcu emits 2^n - 1 + 2*(n*2^(n-1) - 2^n + 1) gates: 983,041 at n=16,
 # a 9.6 MB file; `synth` takes about 0.4 s and `check` 0.6 s at 140 MiB
@@ -105,8 +107,7 @@ def cmd_verify_identity(args: argparse.Namespace) -> int:
 
     reports = []
     if args.recurrent_only:
-        for k in range(1, n + 1):
-            reports.append(z2identity.verify_closed_form_sampled(k, samples))
+        reports += z2identity.verify_closed_form_sampled_widths(range(1, n + 1), samples)
     else:
         # z2identity's one cache keeps width k's sums for both verifiers at k
         # and the recurrence at k + 1, so each is built once; printed

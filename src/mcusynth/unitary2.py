@@ -5,7 +5,7 @@ Matrices are plain ``numpy`` arrays of shape (2, 2), dtype complex128.
 2^k-th root of a unitary in closed form from the axis-angle decomposition
 u = e^(i mu) (cos d I + i sin d n.sigma), never from an iterative solver.
 ``NAMED_GATES`` is the one table of named gates; it and the identity ``I2``
-are read-only views of frozen arrays.
+are read-only arrays backed by immutable bytes.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ import numpy as np
 # gate specs) or be derived from one, and decimal serialization loses bits
 INGEST_ATOL = 1e-9
 
-# shared by every caller in the process, so each is a read-only view of a
-# frozen array, whose write flag cannot be set again
+# shared by every caller in the process, so each is read-only and backed by
+# immutable bytes: neither it nor its base can be made writable again
 NAMED_GATES = {
     "I": np.eye(2, dtype=complex),
     "X": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -29,9 +29,10 @@ NAMED_GATES = {
     "S": np.array([[1, 0], [0, 1j]], dtype=complex),
     "T": np.array([[1, 0], [0, cmath.exp(1j * cmath.pi / 4)]], dtype=complex),
 }
-for _gate in NAMED_GATES.values():
-    _gate.setflags(write=False)
-NAMED_GATES = {name: gate.view() for name, gate in NAMED_GATES.items()}
+NAMED_GATES = {
+    name: np.frombuffer(gate.tobytes(), dtype=complex).reshape(2, 2)
+    for name, gate in NAMED_GATES.items()
+}
 I2 = NAMED_GATES["I"]
 
 

@@ -151,6 +151,8 @@ class TestCircuit:
             c.v_binding[0, 0] = 1.0
         with pytest.raises(ValueError):
             c.v_binding.setflags(write=True)
+        with pytest.raises(ValueError):
+            c.v_binding.base.setflags(write=True)
 
     def test_equality(self):
         a = Circuit(2, [cnot(0, 1)])

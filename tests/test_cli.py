@@ -58,6 +58,55 @@ class TestVerifyIdentity:
         out = capsys.readouterr().out
         assert "closed-form (sampled) n=20: PASS (200 samples)" in out
 
+    def test_recurrent_only_whole_output(self, capsys):
+        n, samples = 24, 1000
+        assert main(["verify-identity", "--n", str(n), "--recurrent-only", "--samples", str(samples)]) == 0
+        triples = (z2identity.XOR_LAW_HI - z2identity.XOR_LAW_LO + 1) ** 3
+        lo, hi = z2identity.BINOMIAL_LO, z2identity.BINOMIAL_HI
+        assert capsys.readouterr().out.splitlines() == [
+            *(f"closed-form (sampled) n={k}: PASS ({samples} samples)" for k in range(1, n + 1)),
+            f"xor-int-laws [{z2identity.XOR_LAW_LO},{z2identity.XOR_LAW_HI}]: PASS ({triples} triples)",
+            *(
+                f"sum-shift-laws n={k}: PASS ({z2identity.SUM_SHIFT_TRIALS} samples)"
+                for k in range(1, n + 1)
+            ),
+            f"alternating-binomial n={lo}..{hi}: PASS ({hi - lo + 1} values)",
+            "all checks passed",
+        ]
+
+    def test_recurrent_only_failure(self, monkeypatch, capsys):
+        # an xor_int wrong at (4, 1) breaks the fold of a row whose first
+        # four bits are ones; each width's line is rebuilt here in Python
+        # ints from the same seeded rows, and the exit code is 1
+        real = z2identity.xor_int
+
+        def wrong(x, y):
+            return real(x, y) + ((x == 4) & (y == 1))
+
+        monkeypatch.setattr(z2identity, "xor_int", wrong)
+        n, samples = 24, 1000
+        assert main(["verify-identity", "--n", str(n), "--recurrent-only", "--samples", str(samples)]) == 1
+        want = []
+        for k in range(1, n + 1):
+            line = f"closed-form (sampled) n={k}: PASS ({samples} samples)"
+            table = np.random.default_rng(k).integers(0, 2, size=(samples, k), dtype=np.int8)
+            for i, bits in enumerate(table.tolist()):
+                s = bits[0]
+                for b in bits[1:]:
+                    s = s + b - int(wrong(s, b))
+                closed = 2 ** (k - 1) * all(bits)
+                if s != closed:
+                    line = (
+                        f"closed-form (sampled) n={k}: FAIL ({i + 1} samples)"
+                        f" counterexample={(tuple(bits), s, closed)!r}"
+                    )
+                    break
+            want.append(line)
+        out = capsys.readouterr().out.splitlines()
+        assert out[:n] == want
+        assert sum("FAIL" in line for line in want) > 1
+        assert "all checks passed" not in out
+
     def test_recurrent_only_out_of_range(self):
         assert main(["verify-identity", "--n", "25", "--recurrent-only"]) == 2
 
@@ -70,7 +119,8 @@ class TestVerifyIdentity:
         assert main(["verify-identity", "--n", "5", "--recurrent-only", "--samples", "0"]) == 2
 
     def test_too_many_samples(self, capsys):
-        # the sampled verifier holds every row at once
+        # each width's table, its sums and the closed form's temporaries are
+        # held whole at once, so memory grows with --samples
         args = ["verify-identity", "--n", "5", "--recurrent-only", "--samples"]
         assert main(args + [str(MAX_SAMPLES + 1)]) == 2
         assert f"at most {MAX_SAMPLES}" in capsys.readouterr().err

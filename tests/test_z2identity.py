@@ -2,6 +2,7 @@ import itertools
 import math
 import operator
 from functools import reduce
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from mcusynth.z2identity import (
     verify_append_recurrence,
     verify_closed_form,
     verify_closed_form_sampled,
+    verify_closed_form_sampled_widths,
     verify_sum_shift_laws,
     verify_xor_int_laws,
     xor_int,
@@ -321,6 +323,42 @@ class TestVerifiers:
     def test_sum_shift_laws_pass(self):
         for n in (1, 2, 3, 7):
             assert verify_sum_shift_laws(n).summary() == f"sum-shift-laws n={n}: PASS (500 samples)"
+
+    @given(
+        st.integers(1, 24),
+        st.integers(1, 64),
+        st.sampled_from([None, "x+y-xy", "at(2,1)", "at(4,1)", "at(0,1)"]),
+        st.sampled_from([z2identity._FOLD_ROWS, 1, 7, 64]),
+    )
+    def test_lockstep_matches_one_width_at_a_time(self, n, samples, mutant, fold_rows):
+        # each width's report rebuilt alone from its seeded rows, through
+        # the one-width recurrent form and the closed form.  Small passes
+        # make the lockstep split widths into groups and tables into slices
+        real = z2identity.xor_int
+        xor = {
+            None: real,
+            "x+y-xy": lambda x, y: x + y - x * y,
+            "at(2,1)": lambda x, y: real(x, y) + ((x == 2) & (y == 1)),
+            "at(4,1)": lambda x, y: real(x, y) + ((x == 4) & (y == 1)),
+            "at(0,1)": lambda x, y: real(x, y) + ((x == 0) & (y == 1)),
+        }[mutant]
+        with mock.patch.object(z2identity, "xor_int", xor), mock.patch.object(
+            z2identity, "_FOLD_ROWS", fold_rows
+        ):
+            got = verify_closed_form_sampled_widths(range(1, n + 1), samples)
+            want = []
+            for k in range(1, n + 1):
+                table = np.random.default_rng(k).integers(0, 2, size=(samples, k), dtype=np.int8)
+                recurrent, closed = parity_sum_recurrent(table), parity_sum_closed_form(table)
+                bad = [i for i in range(samples) if recurrent[i] != closed[i]]
+                name = f"closed-form (sampled) n={k}"
+                if bad:
+                    i = bad[0]
+                    witness = (tuple(table[i].tolist()), int(recurrent[i]), int(closed[i]))
+                    want.append(z2identity.CheckReport(name, False, i + 1, "samples", witness))
+                else:
+                    want.append(z2identity.CheckReport(name, True, samples, "samples"))
+        assert got == want
 
     def test_sampled_rows_are_seeded_with_n(self, monkeypatch):
         # verify-identity's sampled report lines are fixed by n and --samples
