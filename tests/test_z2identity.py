@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcusynth import z2identity
@@ -330,6 +330,7 @@ class TestVerifiers:
         st.sampled_from([None, "x+y-xy", "at(2,1)", "at(4,1)", "at(0,1)"]),
         st.sampled_from([z2identity._FOLD_ROWS, 1, 7, 64]),
     )
+    @settings(max_examples=100, deadline=None)
     def test_lockstep_matches_one_width_at_a_time(self, n, samples, mutant, fold_rows):
         # each width's report rebuilt alone from its seeded rows, through
         # the one-width recurrent form and the closed form.  Small passes
