@@ -7,14 +7,11 @@ Subcommands:
     check --circuit PATH --controls N --gate SPEC
     simulate --circuit PATH --input BITS
 
-``check`` and ``simulate`` take their route from the circuit's gates.  A
-circuit of the synthesizer's shape (cnots among the controls, cv/cvdg onto
-the target) goes through the exact linear trace, which takes every width
-``synth`` can emit; any other circuit goes through the dense simulator and
-the caps ``simulator`` holds for it: ``MAX_WIDTH`` on memory and
-``MAX_DENSE_WORK`` on time.  ``simulate`` takes up to ``MAX_CONTROLS`` + 1
-qubits on either route.  Input past a cap is refused with exit 2 before
-anything of size 2^width is allocated or run.
+``simulator`` decides the route of ``check`` and ``simulate``: the exact
+linear trace for the synthesizer's shape, at every width ``synth`` emits,
+else the dense simulator under its caps, whose ``DenseCapError`` exits 2
+here before the dense loop runs.  ``simulate`` refuses past
+``MAX_CONTROLS`` + 1 qubits before it allocates the state.
 
 Exit codes are a stable contract: 0 success / all checks pass, 1 a
 verification failed, 2 usage or parse error.
@@ -34,15 +31,13 @@ import numpy as np
 
 from . import z2identity
 from .simulator import (
-    MAX_DENSE_WORK,
-    MAX_WIDTH,
+    DenseCapError,
     circuit_unitary,
     linear_trace,
     operator_distance,
     reference_mcu,
     run_circuit,
     trace_blocks,
-    traceable,
 )
 # unused here: the benchmark's traced run wraps cli.peephole_cancel by name
 # until ROADMAP item A lets that hook go
@@ -56,10 +51,11 @@ RECURRENT_LIMIT = 24
 # interpreter (2-core Xeon).  CI fails that run above 150 MiB
 MAX_SAMPLES = 1_000_000
 # synth_mcu emits 2^n - 1 + 2*(n*2^(n-1) - 2^n + 1) gates: 983,041 at n=16,
-# a 9.6 MB file; `synth` takes about 0.4 s and `check` 0.6 s at 140 MiB
-# there (2-core Xeon), and each further control more than doubles all
-# three.  check takes the same range: its linear trace is one pass over
-# those gates plus a few arrays of 2^n entries
+# a 9.6 MB file; in a fresh interpreter `synth` takes 0.5-0.6 s at 111 MiB
+# and `check` 0.7-0.9 s at 141 MiB there (2-core Xeon), and each further
+# control more than doubles the gate count.  check takes the same range:
+# its linear trace is one pass over those gates plus a few arrays of 2^n
+# entries
 MAX_CONTROLS = 16
 CHECK_TOLERANCE = 1e-9
 AMPLITUDE_FLOOR = 1e-12
@@ -181,17 +177,14 @@ def cmd_check(args: argparse.Namespace) -> int:
         return _usage_error(
             f"circuit width {circuit.width} does not match controls+1 = {args.controls + 1}"
         )
-    trace = linear_trace(circuit)
-    if trace is not None:
+    if (trace := linear_trace(circuit)) is not None:
         actual, reference = trace_blocks(trace, u)
-    elif circuit.width > MAX_WIDTH:
-        return _usage_error(f"width {circuit.width} exceeds the simulation cap {MAX_WIDTH}")
-    elif len(circuit) << 2 * circuit.width > MAX_DENSE_WORK:
-        return _usage_error(
-            f"{len(circuit)} gates x 4^{circuit.width} exceed the dense work cap {MAX_DENSE_WORK}"
-        )
     else:
-        actual, reference = circuit_unitary(circuit), reference_mcu(args.controls, u)
+        try:
+            actual = circuit_unitary(circuit)
+        except DenseCapError as exc:
+            return _usage_error(str(exc))
+        reference = reference_mcu(args.controls, u)
 
     distance = operator_distance(actual, reference)
     # a round-off residual prints as 0.0, so the output does not move with it
@@ -220,16 +213,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         return _usage_error(
             f"input has {len(args.input)} bits, circuit width is {circuit.width}"
         )
-    # traceable reads only the gate columns, and runs only past the work cap
-    if len(circuit) << circuit.width > MAX_DENSE_WORK and not traceable(circuit):
-        return _usage_error(
-            f"{len(circuit)} gates x 2^{circuit.width} exceed the dense work cap {MAX_DENSE_WORK}"
-        )
-
     # qubit 0 is the most significant bit of a basis index
     state = np.zeros(1 << circuit.width, dtype=complex)
     state[int(args.input, 2)] = 1
-    final = run_circuit(circuit, state)
+    try:
+        final = run_circuit(circuit, state)
+    except DenseCapError as exc:
+        return _usage_error(str(exc))
 
     for index in np.flatnonzero(np.abs(final) > AMPLITUDE_FLOOR).tolist():
         print(f"|{index:0{circuit.width}b}⟩: {_fmt_amplitude(final[index])}")

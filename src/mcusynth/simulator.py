@@ -25,9 +25,10 @@ reference, whose ``operator_distance`` is that of the full operators; no
 and ``run_circuit`` runs every other circuit gate by gate on a dense state
 vector, both through one in-place loop.  That path is deliberately direct,
 exists to check, not to scale, and is the reference the trace is tested
-against.  ``reference_mcu`` builds the multi-controlled operator straight
-from its definition and never from a circuit, so it is an independent
-oracle for synthesized circuits.
+against.  It raises ``DenseCapError`` before it runs: ``circuit_unitary``
+past ``MAX_WIDTH`` or ``MAX_DENSE_WORK``, ``run_circuit`` past the latter.
+``reference_mcu`` builds the multi-controlled operator from its definition,
+never from a circuit: an independent oracle for synthesized circuits.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .circuit import CNOT_CODE, CV_CODE, CVDG_CODE, Circuit
-from .unitary2 import I2, power, require_unitary
+from .unitary2 import I2, require_unitary
 from .z2identity import parity_sums
 
 # the dense operator is 4^width * 16 B: `check` peaks at 86 MiB RSS at width
@@ -48,6 +49,16 @@ MAX_WIDTH = 10
 # 9-control H circuit with one cnot aimed at the target wire, 4,097 gates at
 # width 10; `check` runs it in 8.1 s (2-core sandbox)
 MAX_DENSE_WORK = 4097 << 20
+
+
+class DenseCapError(ValueError):
+    """The dense route's refusal past a cap, raised before the route runs."""
+
+
+def _require_dense_work(circuit: Circuit, base: int) -> None:
+    if len(circuit) * base**circuit.width > MAX_DENSE_WORK:
+        work = f"{len(circuit)} gates x {base}^{circuit.width}"
+        raise DenseCapError(f"{work} exceed the dense work cap {MAX_DENSE_WORK}")
 
 
 class LinearTrace(NamedTuple):
@@ -65,18 +76,6 @@ class LinearTrace(NamedTuple):
     v: np.ndarray
 
 
-def traceable(circuit: Circuit) -> bool:
-    """Whether ``linear_trace`` takes the circuit: every cnot among the first
-    width - 1 wires and every cv-kind gate onto the last wire.  Decided from
-    the gate columns alone, before anything of size 2^width is allocated."""
-    n = circuit.width - 1
-    cnots = circuit.kind == CNOT_CODE
-    return not (
-        np.any(cnots & ((circuit.control == n) | (circuit.target == n)))
-        or np.any(~cnots & (circuit.target != n))
-    )
-
-
 def linear_trace(circuit: Circuit) -> LinearTrace | None:
     """Trace a cnot + controlled-V circuit exactly, for every control input.
 
@@ -89,14 +88,14 @@ def linear_trace(circuit: Circuit) -> LinearTrace | None:
         e(x) = sum_S c[S] * parity(S & x),
 
     exactly and for all x at once by ``z2identity.parity_sums``, O(n 2^n)
-    for n controls.  Returns None when a gate leaves that class (see
-    ``traceable``): a cnot that touches the last wire, or a cv-kind gate
-    aimed at any other wire.
+    for n controls.  Returns None when a gate leaves that class: a cnot that
+    touches the last wire, or a cv-kind gate aimed at any other wire, decided
+    from the gate columns before anything of size 2^width is allocated.
     """
-    if not traceable(circuit):
-        return None
     n = circuit.width - 1
     cnots = circuit.kind == CNOT_CODE
+    if (cnots & ((circuit.control == n) | (circuit.target == n)) | ~cnots & (circuit.target != n)).any():
+        return None
     masks = [1 << (n - 1 - i) for i in range(n)]
     applied = []  # the mask each cv-kind gate reads, in gate order
     for kind, control, target in circuit.rows():
@@ -116,9 +115,24 @@ def linear_trace(circuit: Circuit) -> LinearTrace | None:
 
 
 def _v_powers(trace: LinearTrace) -> np.ndarray:
-    # V^e(x) for every control index x, one matrix power per distinct e
+    # V^e(x) for every control index x.  One squaring chain per sign (of V,
+    # or of its adjoint view for e < 0) serves every distinct e, and each V^e
+    # multiplies its set bits' entries into I2 in ascending order, as
+    # unitary2.power does, so it is bitwise what power(v, e) returns
     values, which = np.unique(trace.exponents, return_inverse=True)
-    powers = np.array([power(trace.v, int(e)) for e in values])
+    powers = np.empty((len(values), 2, 2), dtype=complex)
+    powers[:] = I2
+    for signed, base in ((values > 0, trace.v), (values < 0, trace.v.conj().T)):
+        e = np.abs(values[signed])
+        if not len(e):
+            continue
+        group, bits = powers[signed], int(np.bitwise_or.reduce(e))
+        for bit in range(bits.bit_length()):
+            if bits >> bit & 1:
+                on = (e >> bit) & 1 == 1
+                group[on] = group[on] @ base
+            base = base @ base
+        powers[signed] = group
     return powers[which.reshape(-1)]
 
 
@@ -190,7 +204,7 @@ def run_circuit(circuit: Circuit, state: np.ndarray) -> np.ndarray:
 
     A circuit in ``linear_trace``'s class moves the target pair of each
     control index x to y(x) and applies V^e(x) to it; any other circuit is
-    run gate by gate on a copy of the dense state.
+    run gate by gate on a copy of the dense state, under ``MAX_DENSE_WORK``.
     """
     state = np.asarray(state, dtype=complex)
     if state.shape != (1 << circuit.width,):
@@ -202,13 +216,15 @@ def run_circuit(circuit: Circuit, state: np.ndarray) -> np.ndarray:
         out = np.zeros_like(state).reshape(-1, 2)
         out[trace.outputs] = (_v_powers(trace) @ state.reshape(-1, 2, 1))[..., 0]
         return out.reshape(-1)
+    _require_dense_work(circuit, 2)
     return _run_dense(circuit, state.copy())
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
     """Full matrix of the circuit: column j is the circuit run on basis j."""
     if circuit.width > MAX_WIDTH:
-        raise ValueError(f"width {circuit.width} exceeds the simulation cap {MAX_WIDTH}")
+        raise DenseCapError(f"width {circuit.width} exceeds the simulation cap {MAX_WIDTH}")
+    _require_dense_work(circuit, 4)
     return _run_dense(circuit, np.eye(1 << circuit.width, dtype=complex))
 
 

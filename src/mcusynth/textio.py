@@ -81,10 +81,7 @@ def format_circuit(circuit: Circuit, header: str | None = None) -> str:
         lines.extend(f"# {h}" for h in header.splitlines())
     lines.append(f"qubits {circuit.width}")
     if circuit.v_binding is not None:
-        flat = []
-        for entry in circuit.v_binding.reshape(-1):
-            flat.append(repr(float(entry.real)))
-            flat.append(repr(float(entry.imag)))
+        flat = map(repr, circuit.v_binding.reshape(-1).view(float).tolist())
         lines.append("vmatrix " + " ".join(flat))
     # a circuit repeats few distinct gates: render each once, then gather
     keys = circuit.pair_ids() * len(GATE_KINDS) + circuit.kind
@@ -301,12 +298,7 @@ def _header_line(keyword: str, args: list[str], width, v):
         values = [float(a) for a in args]
     except ValueError:
         raise CircuitFormatError("bad number in vmatrix") from None
-    v = np.array(
-        [
-            [complex(values[0], values[1]), complex(values[2], values[3])],
-            [complex(values[4], values[5]), complex(values[6], values[7])],
-        ]
-    )
+    v = np.array(values).view(complex).reshape(2, 2)
     try:
         return width, require_unitary(v, name="v binding")
     except ValueError as exc:

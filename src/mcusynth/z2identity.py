@@ -36,8 +36,8 @@ import numpy as np
 
 # the largest n for the exhaustive verifiers and parity_sum_direct.  All 2^n
 # assignments are one int8 table plus a few int64 columns: `verify-identity
-# --n 20` takes 1.9-2.4 s and peaks at 130 MiB RSS, interpreter start
-# included, while the verifiers alone take 4.7 s and 236 MiB at n = 21
+# --n 20` takes 1.1-1.3 s and peaks at 125-148 MiB RSS in a fresh
+# interpreter, while the verifiers alone take 4.7 s and 236 MiB at n = 21
 # (2-core Xeon)
 EXHAUSTIVE_LIMIT = 20
 

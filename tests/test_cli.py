@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import mcusynth
-from mcusynth import cli, z2identity
+from mcusynth import cli, simulator, z2identity
 from mcusynth.cli import MAX_SAMPLES, main
 from mcusynth.simulator import MAX_WIDTH
 from mcusynth.textio import MAX_CIRCUIT_BYTES, MAX_GATE_BYTES, read_circuit
@@ -282,6 +282,19 @@ class TestCheck:
         with pytest.raises(ValueError, match="^oracle bug$"):
             main(["check", "--circuit", str(path), "--controls", "2", "--gate", "X"])
 
+    @pytest.mark.parametrize("command", ["check", "simulate"])
+    def test_dense_oracle_errors_are_not_usage_errors(self, command, tmp_path, monkeypatch):
+        # only DenseCapError exits 2 around the dense call
+        def broken(circuit, arr):
+            raise ValueError("oracle bug")
+
+        monkeypatch.setattr(simulator, "_run_dense", broken)
+        path = tmp_path / "offclass.circ"
+        path.write_text("qubits 2\ncnot 0 1\ncnot 1 0\n")
+        args = ["--controls", "1", "--gate", "X"] if command == "check" else ["--input", "10"]
+        with pytest.raises(ValueError, match="^oracle bug$"):
+            main([command, "--circuit", str(path), *args])
+
     @pytest.mark.parametrize("controls", [13, 16])
     def test_passes_past_the_dense_cap(self, controls, tmp_path, capsys):
         path = self.synth(tmp_path, controls, "H")
@@ -334,9 +347,9 @@ class TestCheck:
     def test_out_of_class_file_at_the_work_cap(self, tmp_path, capsys, monkeypatch):
         # 4,097 gates x 4^10 is the cap, the size of the 9-control H circuit
         # with one cnot aimed at the target wire; one gate more is refused
-        # before anything runs
+        # before the dense loop runs
         ran = []
-        monkeypatch.setattr(cli, "circuit_unitary", lambda c: ran.append(len(c)) or np.eye(1 << c.width))
+        monkeypatch.setattr(simulator, "_run_dense", lambda c, arr: ran.append(len(c)) or arr)
         path = tmp_path / "offclass.circ"
         for gates, code in ((4097, 1), (4098, 2)):
             path.write_text("qubits 10\n" + "cnot 0 9\n" * gates)
@@ -448,9 +461,9 @@ class TestSimulate:
 
     def test_out_of_class_file_at_the_work_cap(self, tmp_path, capsys, monkeypatch):
         # 32,776 gates x 2^17 is the cap; one gate more is refused before
-        # anything runs
+        # the dense loop runs
         ran = []
-        monkeypatch.setattr(cli, "run_circuit", lambda c, state: ran.append(len(c)) or state)
+        monkeypatch.setattr(simulator, "_run_dense", lambda c, arr: ran.append(len(c)) or arr)
         path = tmp_path / "offclass.circ"
         for gates, code in ((32776, 0), (32777, 2)):
             path.write_text("qubits 17\n" + "cnot 0 16\n" * gates)
@@ -461,17 +474,33 @@ class TestSimulate:
             "error: 32777 gates x 2^17 exceed the dense work cap 4296015872\n",
         )
 
-    def test_trace_route_skips_the_class_test_under_the_work_cap(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "traceable", None)
-        path = tmp_path / "cx.circ"
-        path.write_text("qubits 3\ncnot 0 1\n")
-        assert main(["simulate", "--circuit", str(path), "--input", "100"]) == 0
-        assert capsys.readouterr().out == "|110⟩: 1.0\n"
-
     def test_non_bit_input(self, tmp_path):
         path = tmp_path / "cx.circ"
         path.write_text("qubits 2\ncnot 0 1\n")
         assert main(["simulate", "--circuit", str(path), "--input", "1a"]) == 2
+
+    @pytest.mark.parametrize(
+        "gate, bits, line",
+        [
+            ("Y", "10", "|11⟩: 1.0j"),
+            ("Y", "11", "|10⟩: -1.0j"),
+            ("T", "11", "|11⟩: 0.707106781187+0.707106781187j"),
+            ("Tdg", "11", "|11⟩: 0.707106781187-0.707106781187j"),
+        ],
+    )
+    def test_complex_amplitudes(self, gate, bits, line, tmp_path, capsys):
+        # an imaginary-only amplitude prints its imaginary part alone, a mixed
+        # one both parts with the sign between them
+        if gate == "Tdg":
+            adjoint = NAMED_GATES["T"].conj().T
+            spec = tmp_path / "tdg.json"
+            spec.write_text(json.dumps({"matrix": np.stack((adjoint.real, adjoint.imag), -1).tolist()}))
+            gate = f"@{spec}"
+        path = tmp_path / "c1.circ"
+        assert main(["synth", "--controls", "1", "--gate", gate, "--out", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["simulate", "--circuit", str(path), "--input", bits]) == 0
+        assert capsys.readouterr().out == line + "\n"
 
 
 class TestIngest:

@@ -5,7 +5,11 @@ from hypothesis import strategies as st
 
 from mcusynth.circuit import GATE_KINDS, Circuit, GateError, cnot, cv, cvdg
 from mcusynth.cli import CHECK_TOLERANCE
+from mcusynth import simulator
 from mcusynth.simulator import (
+    MAX_DENSE_WORK,
+    DenseCapError,
+    _v_powers,
     circuit_unitary,
     linear_trace,
     operator_distance,
@@ -14,7 +18,8 @@ from mcusynth.simulator import (
     trace_blocks,
 )
 from mcusynth.synthesize import peephole_cancel, synth_mcu
-from mcusynth.unitary2 import I2, NAMED_GATES, unitary_root
+from mcusynth.textio import format_circuit, parse_circuit
+from mcusynth.unitary2 import I2, NAMED_GATES, power, unitary_root
 
 from conftest import basis_state, random_unitary
 
@@ -217,6 +222,54 @@ class TestRunCircuit:
         assert np.max(np.abs(out - circuit_unitary(c) @ before)) < 1e-12
 
 
+class TestDenseCaps:
+    """Past a cap, circuit_unitary and run_circuit's dense route raise
+    DenseCapError before the dense loop runs."""
+
+    @pytest.fixture(autouse=True)
+    def ran(self, monkeypatch):
+        ran = []
+        monkeypatch.setattr(simulator, "_run_dense", lambda c, arr: ran.append(len(c)) or arr)
+        return ran
+
+    def test_is_a_value_error(self):
+        assert issubclass(DenseCapError, ValueError)
+
+    @pytest.mark.parametrize(
+        "dense, width, gates, message",
+        [
+            (False, 11, 1, "width 11 exceeds the simulation cap 10"),
+            (False, 10, 4098, "4098 gates x 4^10 exceed the dense work cap 4296015872"),
+            (True, 17, 32777, "32777 gates x 2^17 exceed the dense work cap 4296015872"),
+        ],
+        ids=["width", "operator-work", "state-work"],
+    )
+    def test_refused_before_the_dense_loop(self, dense, width, gates, message, ran):
+        # the cnot onto the last wire keeps the circuit off the trace route
+        circuit = Circuit(width, [cnot(0, width - 1)] * gates)
+        with pytest.raises(DenseCapError) as info:
+            if dense:
+                run_circuit(circuit, basis_state([1] * width))
+            else:
+                circuit_unitary(circuit)
+        assert str(info.value) == message
+        assert ran == []
+
+    def test_runs_at_the_work_cap(self, ran):
+        circuit_unitary(Circuit(10, [cnot(0, 9)] * 4097))
+        run_circuit(Circuit(17, [cnot(0, 16)] * 32776), basis_state([1] * 17))
+        assert ran == [4097, 32776]
+
+    def test_in_class_circuit_past_the_work_cap_takes_the_trace(self, ran):
+        # the 16-control Gray circuit, 131,069 gates at width 17
+        circuit = synth_mcu(16, H, gray=True)
+        assert len(circuit) << circuit.width > MAX_DENSE_WORK
+        out = run_circuit(circuit, basis_state([1] * 16 + [0]))
+        assert ran == []
+        assert np.flatnonzero(out).tolist() == [(1 << 17) - 2, (1 << 17) - 1]
+        assert np.max(np.abs(out[-2:] - H[:, 0])) < 1e-9
+
+
 class TestReferenceMcu:
     def test_single_control_x_is_cnot_matrix(self):
         assert np.array_equal(reference_mcu(1, X), CNOT_MATRIX)
@@ -346,6 +399,21 @@ class TestLinearTrace:
         assert list(trace.outputs) == [0, 1, 3, 2]
         assert not trace.exponents.any()
         assert operator_distance(*trace_blocks(trace, I2)) == 1.0
+
+    @pytest.mark.parametrize("signs", [[1] * 10, [-1] * 10, [1, -1] * 5], ids=["cv", "cvdg", "mixed"])
+    def test_powers_are_bitwise_those_of_power(self, signs):
+        # 10 controls with 2^(9-i) cv (sign 1) or cvdg (sign -1) gates on wire
+        # i: e(x) takes 1,024 distinct values, all served by the shared chains
+        shifts = np.arange(9, -1, -1)
+        gates = "".join(
+            f"{'cv' if sign > 0 else 'cvdg'} {i} 10\n" * (1 << int(shift))
+            for i, (sign, shift) in enumerate(zip(signs, shifts))
+        )
+        trace = linear_trace(parse_circuit(format_circuit(Circuit(11, [], random_unitary(RNG))) + gates))
+        bits = np.arange(1024)[:, None] >> shifts & 1
+        assert np.array_equal(trace.exponents, bits @ (np.array(signs) << shifts))
+        for e, got in zip(trace.exponents.tolist(), _v_powers(trace)):
+            assert got.tobytes() == power(trace.v, e).tobytes(), e
 
     def test_missing_binding_rejected(self):
         # even when the cv-kind gates cancel
