@@ -52,10 +52,10 @@ RECURRENT_LIMIT = 24
 MAX_SAMPLES = 1_000_000
 # synth_mcu emits 2^n - 1 + 2*(n*2^(n-1) - 2^n + 1) gates: 983,041 at n=16,
 # a 9.6 MB file; in a fresh interpreter `synth` takes 0.5-0.6 s at 111 MiB
-# and `check` 0.7-0.9 s at 141 MiB there (2-core Xeon), and each further
+# and `check` 0.7-0.8 s at 98 MiB there (2-core Xeon), and each further
 # control more than doubles the gate count.  check takes the same range:
-# its linear trace is one pass over those gates plus a few arrays of 2^n
-# entries
+# its reader parses the file's 154 distinct lines once each, and its linear
+# trace is one pass over the gates plus a few arrays of 2^n entries
 MAX_CONTROLS = 16
 CHECK_TOLERANCE = 1e-9
 AMPLITUDE_FLOOR = 1e-12

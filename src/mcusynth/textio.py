@@ -17,15 +17,24 @@ of ``cnot c t``, ``cv c t``, ``cvdg c t``, one gate per line.  A file with a
 cv or cvdg gate needs a ``vmatrix``; a missing one is reported last, at the
 first cv-kind gate.
 
-Both directions work on the circuit's int columns, not per gate:
-``format_circuit`` renders each distinct gate once and gathers the lines,
-and ``parse_circuit`` tokenizes the whole file as one byte array, handles
-the few non-gate lines (``qubits``, ``vmatrix``) one by one, converts the
-gate arguments column-wise and leaves the gate checks to ``Circuit``.
-Lines, tokens and integers are read exactly as ``str.splitlines``,
-``str.split`` and ``int`` read them, and an error names the line of the
-first bad gate or header line, whatever kind of fault it is.  Input past
-its byte cap is refused before it is parsed.
+Both directions work on distinct lines, not per gate: ``format_circuit``
+renders each distinct gate once and gathers the lines, and
+``parse_circuit`` reads each distinct line once.  It cuts the text into
+slices of about 1 MiB, each ending just after a "\n", splits each slice
+with ``str.splitlines``, numbers the slice's distinct lines, reads each
+with ``str.split`` and ``int``, and gathers the gate columns by those
+numbers.  The few other lines (``qubits``, ``vmatrix``, faults) are handled
+in file order, and the gate checks are left to ``Circuit``.  An error names
+the line of the first bad gate or header line, whatever kind of fault it
+is.  Text whose UTF-8 encoding, comments included, is past the byte cap
+is refused before it is parsed.
+
+So reading costs a few C passes over the text plus one Python parse per
+distinct line of each slice.  The 983,041-gate 16-control file has 154
+distinct lines and parses in about 0.25 s.  A file whose lines never repeat
+pays the parse on every line, and the byte cap bounds that: 16 MiB of
+891,657 distinct gate lines parses in 2.4-3.0 s, and 16 MiB of 2.2 M
+distinct comment lines in about 3.6 s (2-core Xeon, in-process).
 
 Gate matrices on the command line are either a named gate (I, X, Y, Z, H, S,
 T) or ``@file.json`` pointing at ``{"matrix": [[[re,im],[re,im]],
@@ -37,7 +46,6 @@ from __future__ import annotations
 import io
 import json
 import os
-import re
 from pathlib import Path
 
 import numpy as np
@@ -46,8 +54,11 @@ from .circuit import GATE_KINDS, MAX_QUBITS, Circuit, GateError, _gate_problem
 from .unitary2 import NAMED_GATES, require_unitary
 
 
-# the 16-control canonical file is 9.6 MB; padded to this cap with cancelling
-# cnot pairs (1.78 M gates), `check` takes 1.2-1.4 s at 223 MiB peak RSS (2-core sandbox)
+# in a fresh interpreter (2-core Xeon), `check` takes 0.7-0.8 s at 98 MiB peak
+# RSS on the 9.6 MB 16-control canonical file, and 1.1-1.2 s at 154 MiB on
+# that file padded to this cap with cancelling cnot pairs (1.78 M gates).
+# On 16 MiB of 891,657 gate lines that never repeat it reads for 3.1-3.4 s
+# at 139 MiB before it refuses the width.  CI fails the padded run above 200 MiB
 MAX_CIRCUIT_BYTES = 16 << 20
 MAX_GATE_BYTES = 1 << 16  # a gate file is one 2x2 matrix, a few hundred bytes
 
@@ -95,117 +106,37 @@ def write_circuit(circuit: Circuit, path: str | Path, header: str | None = None)
     Path(path).write_text(format_circuit(circuit, header=header))
 
 
-# str.split whitespace and str.splitlines breaks outside ASCII, mapped onto
-# ASCII so that one byte table classifies every separator. The breaks map to
-# "\x1e", not "\n", so that "\r" before one stays two line breaks
-_WIDE_WHITESPACE = str.maketrans(
-    dict.fromkeys("\x85\u2028\u2029", "\x1e")
-    | dict.fromkeys("\xa0\u1680\u2000\u2001\u2002\u2003\u2004\u2005\u2006\u2007"
-                    "\u2008\u2009\u200a\u202f\u205f\u3000", " ")
-)
-_SPACE, _BREAK = 1, 2
-_BYTE_CLASS = np.zeros(256, dtype=np.uint8)
-_BYTE_CLASS[[0x09, 0x1F, 0x20]] = _SPACE
-_BYTE_CLASS[[0x0A, 0x0B, 0x0C, 0x0D, 0x1C, 0x1D, 0x1E]] = _BREAK
-# a comment runs from '#' to the end of its line
-_COMMENT = re.compile("#[^\n\v\f\r\x1c\x1d\x1e]*")
-# the most digits a token may have to be converted in int64 arithmetic
-_DIGITS = 18
-# bytes the tokenizer takes per pass
-_CHUNK = 1 << 20
+# characters the reader splits at once; each slice ends just after a "\n",
+# which no line break straddles, so its lines are the text's own
+_SLICE = 1 << 20
+# the kind of a line that is no gate row: blank, or read in file order
+_BLANK, _OTHER = -1, -2
+_KIND_CODE = {kind: code for code, kind in enumerate(GATE_KINDS)}
+_INT64 = range(-(1 << 63), 1 << 63)
 
 
-class _Tokens:
-    """The whitespace-separated tokens of a text, grouped by line.
+class _LineIds(dict):
+    """Numbers each distinct line in the order first seen."""
 
-    ``starts`` and ``ends`` bound every token in the padded bytes ``data``;
-    per nonblank line, ``heads`` is its first token, ``fields`` its token
-    count and ``lineno`` its 1-based number.
-    """
+    def __missing__(self, line: str) -> int:
+        self[line] = len(self)
+        return self[line]
 
-    def __init__(self, text: str):
-        if not text.isascii():
-            text = text.translate(_WIDE_WHITESPACE)
-        # a comment becomes a space, so that "\r#...\n" stays two line breaks
-        raw = _COMMENT.sub(" ", text).encode()
-        if len(raw) > MAX_CIRCUIT_BYTES:
-            raise CircuitFormatError(f"circuit text exceeds the cap of {MAX_CIRCUIT_BYTES} bytes")
-        # space padding lets a column read _DIGITS bytes past any token start
-        data = np.full(len(raw) + _DIGITS, ord(" "), dtype=np.uint8)
-        data[: len(raw)] = np.frombuffer(raw, dtype=np.uint8)
-        del raw
-        byte_class = _BYTE_CLASS[data]
-        # "\r\n" is one line break
-        cr = np.flatnonzero(data == 0x0D)
-        byte_class[cr[data[cr + 1] == 0x0A]] = _SPACE
-        # +1 where a token starts, -1 just past its end
-        edges = np.diff((byte_class == 0).view(np.int8), prepend=np.int8(0))
-        breaks = byte_class == _BREAK
-        del byte_class
-        # positions and line numbers in int32, which the cap leaves room
-        # for.  A pass per _CHUNK bytes keeps every int64 temporary that small
-        count = np.count_nonzero(edges > 0)
-        self.starts, self.ends, lines = (np.empty(count, dtype=np.int32) for _ in range(3))
-        started = ended = above = 0  # tokens started and ended, breaks seen
-        for lo in range(0, data.shape[0], _CHUNK):
-            edge = edges[lo : lo + _CHUNK]
-            start, end = np.flatnonzero(edge > 0), np.flatnonzero(edge < 0)
-            self.starts[started : started + start.shape[0]] = start + lo
-            self.ends[ended : ended + end.shape[0]] = end + lo
-            # inclusive counts: a token's first byte is no break
-            breaks_to = np.cumsum(breaks[lo : lo + _CHUNK], dtype=np.int32)
-            lines[started : started + start.shape[0]] = breaks_to[start] + above
-            started, ended, above = started + start.shape[0], ended + end.shape[0], above + int(breaks_to[-1])
-        self.data = data
-        del edges, breaks
-        # a head is a token on another line than the token before it
-        head = np.ones(count, dtype=bool)
-        np.not_equal(lines[1:], lines[:-1], out=head[1:])
-        self.heads = np.flatnonzero(head)
-        self.fields = np.diff(self.heads, append=count)
-        self.lineno = lines[self.heads] + 1
 
-    def word(self, i: int) -> str:
-        return self.data[self.starts[i] : self.ends[i]].tobytes().decode()
-
-    def lookup(self, index: np.ndarray, words: tuple[str, ...]) -> np.ndarray:
-        """Each token's position in ``words``, or -1; words of at most four
-        bytes, compared as one packed int of length and bytes."""
-        first = self.starts[index]
-        length = self.ends[index] - first
-        packed = length.astype(np.int64) << 32
-        for j in range(4):
-            byte = np.where(j < length, self.data[first + j], 0)
-            packed |= byte.astype(np.int64) << (8 * j)
-        out = np.full(index.shape[0], -1, dtype=np.int8)
-        for code, word in enumerate(words):
-            out[packed == (len(word) << 32 | int.from_bytes(word.encode(), "little"))] = code
-        return out
-
-    def integers(self, index: np.ndarray) -> tuple[np.ndarray, int | None]:
-        """int() of each token in ``index`` as int64, plus the position of
-        the first one int() refuses or int64 cannot hold (None if none).
-
-        Plain digit strings are converted column-wise; anything else
-        (signs, underscores, non-ASCII digits) goes through int() itself.
-        """
-        first = self.starts[index]
-        length = self.ends[index] - first
-        digits = length <= _DIGITS
-        values = np.zeros(index.shape[0], dtype=np.int64)
-        for j in range(min(int(length.max(initial=0)), _DIGITS)):
-            live = j < length
-            byte = self.data[first + j]
-            digits &= ~live | ((byte >= ord("0")) & (byte <= ord("9")))
-            # a non-digit byte wraps here, but its token goes through int()
-            np.multiply(values, 10, out=values, where=live)
-            np.add(values, byte - ord("0"), out=values, where=live)
-        for k in np.flatnonzero(~digits).tolist():
-            try:
-                values[k] = int(self.word(index[k]))
-            except (ValueError, OverflowError):
-                return values, k
-        return values, None
+def _gate_row(line: str) -> tuple[int, int, int]:
+    """The (kind, control, target) gate row of one line, or (_BLANK or
+    _OTHER, 0, 0) for a line that holds none."""
+    words = line.split("#", 1)[0].split()
+    if not words:
+        return _BLANK, 0, 0
+    if len(words) == 3 and words[0] in _KIND_CODE:
+        try:
+            control, target = int(words[1]), int(words[2])
+        except ValueError:
+            return _OTHER, 0, 0
+        if control in _INT64 and target in _INT64:
+            return _KIND_CODE[words[0]], control, target
+    return _OTHER, 0, 0
 
 
 def parse_circuit(text: str) -> Circuit:
@@ -214,6 +145,12 @@ def parse_circuit(text: str) -> Circuit:
     Raises CircuitFormatError with a line number on any malformed input,
     including gates that do not fit the declared width.
     """
+    # the UTF-8 length, as read_circuit caps the file; a lone surrogate
+    # counts as the three bytes it takes there
+    if len(text) > MAX_CIRCUIT_BYTES or (
+        not text.isascii() and len(text.encode("utf-8", "surrogatepass")) > MAX_CIRCUIT_BYTES
+    ):
+        raise CircuitFormatError(f"circuit text exceeds the cap of {MAX_CIRCUIT_BYTES} bytes")
     width, v, table, gate_lines, error = _read(text)
     # the gate checks are Circuit's; a bad gate above the first error wins
     try:
@@ -229,51 +166,58 @@ def _read(text: str):
     """(width, v, table, gate_lines, error): the gate table, each gate's
     line, and the first (line, message) fault other than a gate check.  The
     table holds the gates above that fault, or all of them."""
-    tokens = _Tokens(text)
-    # one row per nonblank line
-    heads, fields, lineno = tokens.heads, tokens.fields, tokens.lineno
-    if heads.shape[0] == 0:
-        raise CircuitFormatError("missing 'qubits' line")
-    if tokens.word(heads[0]) != "qubits":
-        raise CircuitFormatError(f"line {lineno[0]}: 'qubits' must come first")
-    kind = tokens.lookup(heads, GATE_KINDS)
-
-    # the few other lines one by one; the first of them is the qubits line
     width = v = error = None
-    for row in np.flatnonzero(kind < 0).tolist():
-        keyword, *args = map(tokens.word, range(heads[row], heads[row] + fields[row]))
+    rows, gate_ids, gate_lines = [], [], []  # per slice
+    start = lineno = seen = 0  # where the slice starts, the lines and distinct gate rows above it
+    while start < len(text) and error is None:
+        # just past the first "\n" that leaves _SLICE characters, or the end
+        end = text.find("\n", start + _SLICE - 1) + 1 or len(text)
+        # a circuit repeats few distinct lines: read each once, then gather
+        ids = _LineIds()
+        index = np.fromiter(map(ids.__getitem__, text[start:end].splitlines()), dtype=np.int32)
+        lines = list(ids)
+        distinct = np.array([_gate_row(line) for line in lines], dtype=np.int64).T
+        kind = distinct[0, index]
+        if width is None and (kind != _BLANK).any():
+            first = int((kind != _BLANK).argmax())
+            if lines[index[first]].split("#", 1)[0].split()[0] != "qubits":
+                raise CircuitFormatError(f"line {lineno + first + 1}: 'qubits' must come first")
+        # the few other lines one by one; the first of them is the qubits line
+        for i in np.flatnonzero(kind == _OTHER).tolist():
+            keyword, *args = lines[index[i]].split("#", 1)[0].split()
+            try:
+                width, v = _other_line(keyword, args, width, v)
+            except CircuitFormatError as exc:
+                if width is None:
+                    raise CircuitFormatError(f"line {lineno + i + 1}: {exc}") from None
+                error = (lineno + i + 1, str(exc))
+                kind = kind[:i]
+                break
+        gates = np.flatnonzero(kind >= 0)
+        # the distinct gate rows, numbered on from those of the slices above
+        is_gate = distinct[0] >= 0
+        rows.append(distinct[:, is_gate])
+        gate_ids.append((np.cumsum(is_gate, dtype=np.int32) + (seen - 1))[index[gates]])
+        gate_lines.append((gates + lineno + 1).astype(np.int32))
+        start, lineno, seen = end, lineno + index.shape[0], seen + rows[-1].shape[1]
+    if width is None:
+        raise CircuitFormatError("missing 'qubits' line")
+    table = np.concatenate(rows, axis=1)[:, np.concatenate(gate_ids)]
+    return width, v, table, np.concatenate(gate_lines), error
+
+
+def _other_line(keyword: str, args: list[str], width, v):
+    """(width, v) after one line that is no gate row; CircuitFormatError
+    says why not."""
+    if keyword in _KIND_CODE:
+        # why _gate_row refused a gate line: its arity, int(), or past int64 the gate checks
+        if len(args) != 2:
+            raise CircuitFormatError(f"{keyword} takes 2 argument(s), got {len(args)}")
         try:
-            width, v = _header_line(keyword, args, width, v)
-        except CircuitFormatError as exc:
-            if width is None:
-                raise CircuitFormatError(f"line {lineno[row]}: {exc}") from None
-            error = (lineno[row], str(exc))
-            break
-    gates = np.flatnonzero(kind >= 0)
-    if error is not None:
-        gates = gates[lineno[gates] < error[0]]
-
-    # the gates read end at the first line that is not a gate and two ints
-    short = np.flatnonzero(fields[gates] != 3)
-    if short.size:
-        row = gates[short[0]]
-        error = (lineno[row], f"{GATE_KINDS[kind[row]]} takes 2 argument(s), got {fields[row] - 1}")
-        gates = gates[: short[0]]
-    control, refused = tokens.integers(heads[gates] + 1)
-    target, refused_target = tokens.integers(heads[gates] + 2)
-    refused = min((k for k in (refused, refused_target) if k is not None), default=None)
-    if refused is not None:
-        row = gates[refused]
-        error = (lineno[row], _integer_problem(tokens, heads[row], GATE_KINDS[kind[row]], width))
-        gates = gates[:refused]
-    del tokens  # before the table is built: the largest arrays here
-    count = gates.shape[0]
-    table = np.stack((kind[gates], control[:count], target[:count]))
-    return width, v, table, lineno[gates], error
-
-
-def _header_line(keyword: str, args: list[str], width, v):
-    """(width, v) after one non-gate line; CircuitFormatError says why not."""
+            control, target = map(int, args)
+        except ValueError:
+            raise CircuitFormatError(f"{keyword} arguments must be integers") from None
+        raise CircuitFormatError(_gate_problem(_KIND_CODE[keyword], control, target, width))
     if keyword == "qubits":
         if width is not None:
             raise CircuitFormatError("duplicate qubits line")
@@ -303,15 +247,6 @@ def _header_line(keyword: str, args: list[str], width, v):
         return width, require_unitary(v, name="v binding")
     except ValueError as exc:
         raise CircuitFormatError(str(exc)) from None
-
-
-def _integer_problem(tokens: _Tokens, head: int, keyword: str, width: int) -> str:
-    # why int() refuses a gate line's arguments, or past int64 the gate checks
-    try:
-        control, target = (int(tokens.word(head + i)) for i in (1, 2))
-    except ValueError:
-        return f"{keyword} arguments must be integers"
-    return _gate_problem(GATE_KINDS.index(keyword), control, target, width)
 
 
 def read_circuit(path: str | Path) -> Circuit:

@@ -1,5 +1,6 @@
 import json
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -108,6 +109,11 @@ def outcome(text):
     except CircuitFormatError as exc:
         return ("error", str(exc))
     return ("ok", c.width, tuple(c.rows()), c.v_binding)
+
+
+def sliced(size):
+    """parse_circuit reading its text in slices of about ``size`` characters."""
+    return mock.patch.object(textio, "_SLICE", size)
 
 
 def same_outcome(a, b):
@@ -324,10 +330,11 @@ class TestColumnTextIO:
         assert parsed == circuit
         assert format_circuit(parsed) == text
 
-    @settings(max_examples=400, deadline=None)
+    @settings(max_examples=800, deadline=None)
     @given(
         st.sampled_from(
             [
+                "qubits 2\r\n\r\ncnot 0 1\r\n",
                 "qubits 3\nvmatrix 0 0 1 0 1 0 0 0\ncv 0 2\ncv 1 2\ncnot 0 1\ncvdg 1 2\ncnot 0 1\n",
                 "# header\nqubits 4\ncnot 0 1 # c\n\ncv 1 3\ncvdg 2 3\ncnot 2 1\n",
             ]
@@ -344,27 +351,53 @@ class TestColumnTextIO:
             min_size=1,
             max_size=6,
         ),
+        # slices of a few characters put line breaks, blank lines and faults
+        # at their cuts
+        st.sampled_from([textio._SLICE, 1, 7, 64]),
     )
     # "\r" before a non-ASCII line break is two line breaks, not one "\r\n"
-    @example("qubits 3\nvmatrix 0 0 1 0 1 0 0 0\ncv 0 2\ncv 1 2\ncnot 0 1\ncvdg 1 2\ncnot 0 1\n", [(0, "0", 0), (0, "\r", 0), (1, "\x85", 0)])
-    @example("qubits 3\nvmatrix 0 0 1 0 1 0 0 0\ncv 0 2\ncv 1 2\ncnot 0 1\ncvdg 1 2\ncnot 0 1\n", [(0, "\r", 0), (1, "\u2028", 0)])
-    def test_matches_line_by_line_reference(self, base, edits):
+    @example("qubits 3\nvmatrix 0 0 1 0 1 0 0 0\ncv 0 2\ncv 1 2\ncnot 0 1\ncvdg 1 2\ncnot 0 1\n", [(0, "0", 0), (0, "\r", 0), (1, "\x85", 0)], 1)
+    @example("qubits 3\nvmatrix 0 0 1 0 1 0 0 0\ncv 0 2\ncv 1 2\ncnot 0 1\ncvdg 1 2\ncnot 0 1\n", [(0, "\r", 0), (1, "\u2028", 0)], 7)
+    # a "\r\n" and a blank line at a cut
+    @example("qubits 2\r\n\r\ncnot 0 1\r\n", [], 1)
+    @example("qubits 2\r\n\r\ncnot 0 1\r\n", [], 9)
+    def test_matches_line_by_line_reference(self, base, edits, slice_size):
         # each edit deletes up to 3 characters at a position and inserts a piece
         text = base
         for at, piece, cut in edits:
             at %= len(text) + 1
             text = text[:at] + piece + text[at + cut :]
-        assert same_outcome(outcome(text), reference_parse(text))
+        with sliced(slice_size):
+            assert same_outcome(outcome(text), reference_parse(text))
 
-    def test_whitespace_tables_match_str(self):
-        # the tokenizer's idea of separators and line breaks is Python's own
-        for code in range(0x110000):
-            ch = chr(code)
-            line_break = len(f"a{ch}b".splitlines()) == 2
-            mapped = ch.translate(textio._WIDE_WHITESPACE) if not ch.isascii() else ch
-            byte_class = textio._BYTE_CLASS[ord(mapped)] if mapped.isascii() else 0
-            assert (byte_class == textio._BREAK) == line_break, hex(code)
-            assert (byte_class != 0) == ch.isspace(), hex(code)
+    def test_separators_and_line_breaks_match_str(self):
+        # every code point str.split separates words at or str.splitlines
+        # breaks lines at, as each, and as a break after "\r"
+        special = [
+            chr(code)
+            for code in range(0x110000)
+            if chr(code).isspace() or len(f"a{chr(code)}b".splitlines()) == 2
+        ]
+        for ch in special:
+            for text in (
+                f"qubits{ch}3{ch}\ncnot{ch}0{ch}{ch}2\n",
+                f"qubits 3{ch}cnot 0 2{ch}{ch}cv 1 2 #{ch}vmatrix 0 0 1 0 1 0 0 0{ch}",
+                f"qubits 3\r{ch}cnot 0 2\r{ch}",
+            ):
+                assert same_outcome(outcome(text), reference_parse(text)), (hex(ord(ch)), text)
+
+    def test_all_distinct_lines_round_trip(self):
+        # no line repeats, so every line is read on its own, over several slices
+        width = 1 << 20
+        pairs = RNG.choice(width, size=(30_000, 2), replace=False)
+        kinds = RNG.integers(0, len(GATE_KINDS), size=len(pairs))
+        circuit = Circuit(width, np.column_stack((kinds, pairs)), X)
+        text = format_circuit(circuit)
+        assert len(set(text.splitlines())) == len(text.splitlines())
+        for size in (textio._SLICE, 1 << 16):
+            with sliced(size):
+                assert parse_circuit(text) == circuit
+        assert same_outcome(outcome(text), reference_parse(text))
 
 
 @pytest.fixture(scope="module")
@@ -377,6 +410,19 @@ class TestDeepParseErrors:
     the line-by-line reader uses."""
 
     LINE = 40_123
+
+    def read_in_slices(self, lines):
+        """parse_circuit's error on the lines, the same at each slice size:
+        the default, 64 characters, and the cuts just above and below LINE."""
+        text = "\n".join(lines) + "\n"
+        above = len("\n".join(lines[: self.LINE - 1])) + 1
+        messages = set()
+        for size in (textio._SLICE, 64, above, above + len(lines[self.LINE - 1]) + 1):
+            with sliced(size), pytest.raises(CircuitFormatError) as exc:
+                parse_circuit(text)
+            messages.add(str(exc.value))
+        assert len(messages) == 1
+        return messages.pop()
 
     @pytest.mark.parametrize(
         "bad, message",
@@ -397,27 +443,21 @@ class TestDeepParseErrors:
         lines[self.LINE - 1] = bad
         # a later fault of another kind must not win
         lines[self.LINE + 500] = "cnot 0"
-        text = "\n".join(lines) + "\n"
-        with pytest.raises(CircuitFormatError) as exc:
-            parse_circuit(text)
-        assert str(exc.value) == f"line {self.LINE}: {message}"
-        assert reference_parse(text) == ("error", str(exc.value))
+        assert self.read_in_slices(lines) == f"line {self.LINE}: {message}"
+        assert reference_parse("\n".join(lines) + "\n") == ("error", f"line {self.LINE}: {message}")
 
     def test_two_fields_then_four_do_not_realign(self, twelve_control_lines):
         # "cv 0" + "12 cnot 0 1" would read as two valid gates if the tokens
         # were dealt out three per row regardless of lines
         lines = list(twelve_control_lines)
         lines[self.LINE - 1 : self.LINE + 1] = ["cv 0", "12 cnot 0 1"]
-        with pytest.raises(CircuitFormatError) as exc:
-            parse_circuit("\n".join(lines) + "\n")
-        assert str(exc.value) == f"line {self.LINE}: cv takes 2 argument(s), got 1"
+        assert self.read_in_slices(lines) == f"line {self.LINE}: cv takes 2 argument(s), got 1"
 
     def test_first_of_two_gate_faults_wins(self, twelve_control_lines):
         lines = list(twelve_control_lines)
         lines[self.LINE - 1] = "cnot 0 99"
         lines[self.LINE + 10] = "cnot 0 x"
-        with pytest.raises(CircuitFormatError, match=f"^line {self.LINE}: gate "):
-            parse_circuit("\n".join(lines) + "\n")
+        assert self.read_in_slices(lines).startswith(f"line {self.LINE}: gate ")
 
 
 @pytest.mark.parametrize(
@@ -485,6 +525,14 @@ class TestReadCaps:
 
     def test_circuit_text_past_the_cap_is_refused(self):
         text = "qubits 1\n" + " " * textio.MAX_CIRCUIT_BYTES
+        with pytest.raises(CircuitFormatError, match="^circuit text exceeds the cap of 16777216 bytes$"):
+            parse_circuit(text)
+
+    @pytest.mark.parametrize("char", ["x", "é"], ids=["one_byte", "two_byte"])
+    def test_comment_counts_toward_the_cap(self, char):
+        # the cap is on the UTF-8 bytes of the text as given, as read_circuit
+        # caps the file, so a comment counts like any other text
+        text = f"qubits 1\n#{char * (textio.MAX_CIRCUIT_BYTES // len(char.encode()))}\n"
         with pytest.raises(CircuitFormatError, match="^circuit text exceeds the cap of 16777216 bytes$"):
             parse_circuit(text)
 
