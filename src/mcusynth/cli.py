@@ -16,6 +16,9 @@ here before the dense loop runs.  ``simulate`` refuses past
 Exit codes are a stable contract: 0 success / all checks pass, 1 a
 verification failed, 2 usage or parse error.
 
+Circuit and gate files are UTF-8 whatever the locale, and so is the output:
+``main`` sets stdout to UTF-8 when it is a text stream over bytes.
+
 The argument parser is built once, at import; ``main(argv)`` only parses
 into a fresh namespace, so it may be called repeatedly in one process.  A
 usage error or ``--help`` raises ``SystemExit`` (2 or 0) as argparse does
@@ -25,6 +28,8 @@ and leaves the next call unaffected.
 from __future__ import annotations
 
 import argparse
+import io
+import os
 import sys
 
 import numpy as np
@@ -51,11 +56,12 @@ RECURRENT_LIMIT = 24
 # interpreter (2-core Xeon).  CI fails that run above 150 MiB
 MAX_SAMPLES = 1_000_000
 # synth_mcu emits 2^n - 1 + 2*(n*2^(n-1) - 2^n + 1) gates: 983,041 at n=16,
-# a 9.6 MB file; in a fresh interpreter `synth` takes 0.5-0.6 s at 111 MiB
-# and `check` 0.7-0.8 s at 98 MiB there (2-core Xeon), and each further
-# control more than doubles the gate count.  check takes the same range:
-# its reader parses the file's 154 distinct lines once each, and its linear
-# trace is one pass over the gates plus a few arrays of 2^n entries
+# a 9.6 MB file; in a fresh interpreter `synth` takes 0.26-0.39 s at 102 MiB
+# peak RSS and `check` 0.47-0.59 s at 98 MiB there (2-core Xeon), and each
+# further control more than doubles the gate count.  CI fails that synth
+# above 140 MiB.  check takes the same range: its reader parses the file's
+# 154 distinct lines once each, and its linear trace is one pass over the
+# gates plus a few arrays of 2^n entries
 MAX_CONTROLS = 16
 CHECK_TOLERANCE = 1e-9
 AMPLITUDE_FLOOR = 1e-12
@@ -150,7 +156,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
     circuit = synth_mcu(args.controls, u, gray=args.optimize)
     # written before anything is printed, so a failed write prints only its error
-    header = f"controls={args.controls} gate={args.gate}"
+    # the spec as UTF-8 text of the bytes it was given as, so a locale that
+    # cannot decode them leaves no surrogate that the UTF-8 file cannot hold
+    gate = os.fsencode(args.gate).decode("utf-8", "backslashreplace")
+    header = f"controls={args.controls} gate={gate}"
     try:
         write_circuit(circuit, args.out, header=header)
     except OSError as exc:
@@ -278,6 +287,10 @@ _PARSER = build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:
+    # stdout is UTF-8 like the files, whatever the locale: simulate prints
+    # "⟩", and a path from the command line goes back out as its own bytes
+    if isinstance(sys.stdout, io.TextIOWrapper):
+        sys.stdout.reconfigure(encoding="utf-8", errors="surrogateescape")
     args = _PARSER.parse_args(argv)
     return args.func(args)
 

@@ -17,7 +17,11 @@ circuit's int columns:
   uncompute block of its own: 2^n - 1 cv-kind gates and
   2*(n*2^(n-1) - 2^n + 1) cnots.  n = 1 is a single cv with v = u, and
   n = 2 is the five-gate sequence cv(0,2), cv(1,2), cnot(0,1), cvdg(1,2),
-  cnot(0,1) with v = sqrt(u) (Barenco et al. 1995, Lemma 6.1).
+  cnot(0,1) with v = sqrt(u) (Barenco et al. 1995, Lemma 6.1).  The
+  table is allocated once and filled a subset size at a time: the
+  k-subsets are the (k - 1)-subsets each grown by every higher wire, a
+  repeat and an arange that keep lexicographic order, and their blocks are
+  written whole through a (3, C(n, k), 2k - 1) view of the table.
 * Gray (``gray=True``): the subsets in reflected Gray-code order, so that
   consecutive subsets differ in one wire and each parity moves to the next
   with a single cnot (Barenco et al. 1995, Lemma 7.1): 2^n - 1 cv-kind
@@ -44,29 +48,44 @@ the synthesizer's.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from .circuit import CNOT_CODE, CV_CODE, CVDG_CODE, GATE_KINDS, INVERSE_CODE, Circuit, GateCounts
 from .unitary2 import unitary_root
 
 
-def _blocks(n: int, k: int) -> np.ndarray:
-    """The (3, C(n, k), 2k - 1) kind / control / target planes of the
-    k-subset blocks, subsets in lexicographic order.
+def _canonical(n: int) -> np.ndarray:
+    """The (3, m) kind / control / target table of the canonical order.
 
-    Row i of each plane is the block of the i-th subset s: cnot(s[j],
-    s[j + 1]) for j < k - 1, the cv (odd k) or cvdg (even k) from s[-1] onto
-    the target n, then the chain reversed.
+    The k-subsets come from the (k - 1)-subsets, each extended by every
+    wire above its last, which keeps them in lexicographic order.  Row i of
+    the (3, C(n, k), 2k - 1) view of size k's columns is the block of the
+    i-th subset s: cnot(s[j], s[j + 1]) for j < k - 1, the cv (odd k) or
+    cvdg (even k) from s[-1] onto the target n, then the chain reversed.
     """
-    subsets = np.array(list(itertools.combinations(range(n), k)), dtype=np.int64)
-    apply = np.full((len(subsets), 1), n)
-    control = np.concatenate((subsets[:, :-1], subsets[:, -1:], subsets[:, -2::-1]), axis=1)
-    target = np.concatenate((subsets[:, 1:], apply, subsets[:, :0:-1]), axis=1)
-    kind = np.full(2 * k - 1, CNOT_CODE)
-    kind[k - 1] = CV_CODE if k % 2 else CVDG_CODE
-    return np.stack((np.broadcast_to(kind, control.shape), control, target))
+    table = np.empty((3, canonical_counts(n).total), dtype=np.int64)
+    table[0] = CNOT_CODE
+    subsets = np.arange(n).reshape(n, 1)
+    start = 0
+    for k in range(1, n + 1):
+        if k > 1:
+            # subset s grows into a run of n - 1 - s[-1] subsets, whose j-th
+            # adds wire s[-1] + 1 + j
+            last = subsets[:, -1]
+            grown = n - 1 - last
+            run_start = np.cumsum(grown) - grown
+            wire = np.arange(grown.sum()) + np.repeat(last + 1 - run_start, grown)
+            subsets = np.column_stack((np.repeat(subsets, grown, axis=0), wire))
+        end = start + subsets.shape[0] * (2 * k - 1)
+        block = table[:, start:end].reshape(3, subsets.shape[0], 2 * k - 1)
+        block[0, :, k - 1] = CV_CODE if k % 2 else CVDG_CODE
+        block[1, :, :k] = subsets
+        block[1, :, k:] = subsets[:, -2::-1]
+        block[2, :, : k - 1] = subsets[:, 1:]
+        block[2, :, k - 1] = n
+        block[2, :, k:] = subsets[:, :0:-1]
+        start = end
+    return table
 
 
 def _gray(n: int) -> np.ndarray:
@@ -114,11 +133,7 @@ def synth_mcu(n: int, u: np.ndarray, gray: bool = False) -> Circuit:
     if n < 1:
         raise ValueError(f"need n >= 1 controls, got {n}")
     v = unitary_root(u, n - 1)
-    if gray:
-        table = _gray(n)
-    else:
-        blocks = [_blocks(n, k).reshape(3, -1) for k in range(1, n + 1)]
-        table = np.concatenate(blocks, axis=1)
+    table = _gray(n) if gray else _canonical(n)
     return Circuit(n + 1, table.T, v)
 
 

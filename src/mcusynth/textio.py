@@ -17,7 +17,10 @@ of ``cnot c t``, ``cv c t``, ``cvdg c t``, one gate per line.  A file with a
 cv or cvdg gate needs a ``vmatrix``; a missing one is reported last, at the
 first cv-kind gate.
 
-Both directions work on distinct lines, not per gate: ``format_circuit``
+Files are read and written as UTF-8, whatever the locale.  Both
+directions work on distinct lines, not per gate: ``format_circuit``
+numbers the gates by sorting one (kind, wires) key each, in the smallest
+unsigned dtype that holds it (16 bits, so a radix sort, up to 147 qubits),
 renders each distinct gate once and gathers the lines, and
 ``parse_circuit`` reads each distinct line once.  It cuts the text into
 slices of about 1 MiB, each ending just after a "\n", splits each slice
@@ -43,7 +46,6 @@ T) or ``@file.json`` pointing at ``{"matrix": [[[re,im],[re,im]],
 
 from __future__ import annotations
 
-import io
 import json
 import os
 from pathlib import Path
@@ -68,8 +70,8 @@ class CircuitFormatError(ValueError):
 
 
 def _read_text(path: str | Path, cap: int, what: str) -> str:
-    # Path.read_text's decoding of at most cap bytes, read as cap + 1.  read(n)
-    # allocates n bytes up front, so the first read takes the stated size
+    # at most cap bytes, read as cap + 1.  read(n) allocates n bytes up
+    # front, so the first read takes the stated size
     with Path(path).open("rb") as f:
         size = min(os.fstat(f.fileno()).st_size, cap) + 1
         data = f.read(size)
@@ -77,12 +79,14 @@ def _read_text(path: str | Path, cap: int, what: str) -> str:
             data += f.read(cap + 1 - size)
     if len(data) > cap:
         raise CircuitFormatError(f"{path}: {what} exceeds the cap of {cap} bytes")
+    # UTF-8 whatever the locale, with Path.read_text's universal newlines
     try:
-        return io.TextIOWrapper(io.BytesIO(data)).read()
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise CircuitFormatError(
             f"{path}: {what} does not decode as {exc.encoding} at byte {exc.start} ({exc.reason})"
         ) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 def format_circuit(circuit: Circuit, header: str | None = None) -> str:
@@ -94,8 +98,11 @@ def format_circuit(circuit: Circuit, header: str | None = None) -> str:
     if circuit.v_binding is not None:
         flat = map(repr, circuit.v_binding.reshape(-1).view(float).tolist())
         lines.append("vmatrix " + " ".join(flat))
-    # a circuit repeats few distinct gates: render each once, then gather
+    # a circuit repeats few distinct gates: render each once, then gather.
+    # Keys below 3 * width^2 fit 16 bits up to width 147, every width synth
+    # writes, and numpy sorts 16-bit keys by radix
     keys = circuit.pair_ids() * len(GATE_KINDS) + circuit.kind
+    keys = keys.astype(np.min_scalar_type(len(GATE_KINDS) * circuit.width**2))
     _, first, which = np.unique(keys, return_index=True, return_inverse=True)
     distinct = [f"{GATE_KINDS[k]} {c} {t}" for k, c, t in circuit.table[:, first].T.tolist()]
     lines.extend(np.array(distinct, dtype=object)[which.reshape(-1)].tolist())
@@ -103,7 +110,7 @@ def format_circuit(circuit: Circuit, header: str | None = None) -> str:
 
 
 def write_circuit(circuit: Circuit, path: str | Path, header: str | None = None) -> None:
-    Path(path).write_text(format_circuit(circuit, header=header))
+    Path(path).write_text(format_circuit(circuit, header=header), encoding="utf-8")
 
 
 # characters the reader splits at once; each slice ends just after a "\n",

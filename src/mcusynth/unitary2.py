@@ -11,6 +11,7 @@ are read-only arrays backed by immutable bytes.
 from __future__ import annotations
 
 import cmath
+import math
 
 import numpy as np
 
@@ -111,10 +112,12 @@ def unitary_root(u: np.ndarray, k: int) -> np.ndarray:
     axis = -1j * cmath.exp(-1j * mu) * traceless
     axis = (axis + axis.conj().T) / 2
     sin_d = np.linalg.norm(axis) / np.sqrt(2)
-    scale = 1 << k
+    # ldexp scales by 2^-k exactly and takes every k: past k = 1023 the
+    # result underflows toward the identity, where 2^k overflows a float
+    mu_k, d_k = math.ldexp(mu, -k), math.ldexp(d, -k)
     # sin(d/2^k) / sin(d) is even in d, so its denominator is the accurate
     # |sin d| from the norm, not sin of the rounded d; a zero norm means a
     # zero axis, so any finite ratio will do
-    ratio = np.sin(abs(d) / scale) / sin_d if sin_d else 0.0
-    return cmath.exp(1j * mu / scale) * (np.cos(d / scale) * I2 + 1j * ratio * axis)
+    ratio = np.sin(abs(d_k)) / sin_d if sin_d else 0.0
+    return cmath.exp(1j * mu_k) * (np.cos(d_k) * I2 + 1j * ratio * axis)
 

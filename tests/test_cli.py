@@ -1,6 +1,5 @@
 import argparse
 import cmath
-import io
 import json
 import os
 import subprocess
@@ -584,10 +583,6 @@ class TestReadCaps:
         )
 
 
-@pytest.mark.skipif(
-    io.TextIOWrapper(io.BytesIO()).encoding.lower() not in ("utf-8", "utf8"),
-    reason="the messages name the UTF-8 codec",
-)
 class TestUndecodable:
     """A circuit or gate file whose bytes do not decode is refused with
     exit 2 and one error line naming the file and the first bad byte."""
@@ -615,6 +610,35 @@ class TestUndecodable:
         assert not out.exists()
 
 
+class TestCLocale:
+    """Circuit files, gate files and stdout are UTF-8 whatever the locale:
+    under the C locale with UTF-8 mode off, a run reads and writes the
+    bytes it does in this process."""
+
+    ENV = {"LC_ALL": "C", "PYTHONUTF8": "0"}
+
+    def test_synth_names_a_non_ascii_gate_file(self, tmp_path, capsys):
+        gate = tmp_path / "ж.json"
+        gate.write_text(json.dumps({"matrix": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]}), encoding="utf-8")
+        out = tmp_path / "c.circ"
+        argv = ["synth", "--controls", "2", "--gate", f"@{gate}", "--out", str(out)]
+        expected = run_in_process(argv, capsys)
+        written = out.read_bytes()
+        out.unlink()
+        assert expected == (0, f"cnot=2 cv=2 cvdg=1 total=5\nwrote {out}\n", "")
+        assert written.startswith(f"# controls=2 gate=@{gate}\n".encode("utf-8"))
+        assert run_fresh(argv, tmp_path, **self.ENV) == expected
+        assert out.read_bytes() == written
+
+    def test_simulate_reads_a_non_ascii_comment(self, tmp_path, capsys):
+        path = tmp_path / "c.circ"
+        path.write_text("qubits 2\n# café\ncnot 0 1\n", encoding="utf-8")
+        argv = ["simulate", "--circuit", str(path), "--input", "10"]
+        expected = (0, "|11⟩: 1.0\n", "")
+        assert run_in_process(argv, capsys) == expected
+        assert run_fresh(argv, tmp_path, **self.ENV) == expected
+
+
 def run_in_process(argv, capsys):
     """(exit code, stdout, stderr) of one ``main`` call in this process."""
     try:
@@ -625,12 +649,17 @@ def run_in_process(argv, capsys):
     return code, out, err
 
 
-def run_fresh(argv, cwd):
-    """(exit code, stdout, stderr) of the same command in a new interpreter."""
+def run_fresh(argv, cwd, **env):
+    """(exit code, stdout, stderr) of the same command in a new interpreter,
+    with ``env`` added to its environment."""
     src = str(Path(mcusynth.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-m", "mcusynth.cli", *argv], cwd=cwd, env=env, capture_output=True, text=True
+        [sys.executable, "-m", "mcusynth.cli", *argv],
+        cwd=cwd,
+        env={**os.environ, "PYTHONPATH": path, **env},
+        capture_output=True,
+        encoding="utf-8",
     )
     return proc.returncode, proc.stdout, proc.stderr
 

@@ -273,6 +273,22 @@ def block_reference(n):
     return tuple(gates)
 
 
+def combinations_table(n):
+    """The canonical (3, m) table as synth_mcu once built it: the k-subsets
+    from itertools.combinations as rows, each widened into its block, one
+    stack per size and the sizes concatenated."""
+    planes = []
+    for k in range(1, n + 1):
+        subsets = np.array(list(itertools.combinations(range(n), k)))
+        apply = np.full((len(subsets), 1), n)
+        control = np.concatenate((subsets[:, :-1], subsets[:, -1:], subsets[:, -2::-1]), axis=1)
+        target = np.concatenate((subsets[:, 1:], apply, subsets[:, :0:-1]), axis=1)
+        kind = np.full(control.shape, CNOT_CODE)
+        kind[:, k - 1] = CV_CODE if k % 2 else CVDG_CODE
+        planes.append(np.stack((kind, control, target)).reshape(3, -1))
+    return np.concatenate(planes, axis=1)
+
+
 def stack_walk(gates):
     # the peephole pass spelled out over (kind, control, target) rows
     inverse = {CNOT_CODE: CNOT_CODE, CV_CODE: CVDG_CODE, CVDG_CODE: CV_CODE}
@@ -302,7 +318,7 @@ def gray_reference(n):
 
 
 class TestGrayOrder:
-    @pytest.mark.parametrize("n", range(1, 11))
+    @pytest.mark.parametrize("n", range(1, 13))
     def test_matches_gray_reference(self, n):
         assert gate_rows(synth_mcu(n, H, gray=True)) == gray_reference(n)
 
@@ -387,6 +403,12 @@ class TestArrayEmitter:
     @pytest.mark.parametrize("n", range(1, 11))
     def test_matches_block_reference(self, n):
         assert gate_rows(synth_mcu(n, H)) == block_reference(n)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_matches_combinations_table(self, n):
+        table = synth_mcu(n, H).table
+        assert table.shape == (3, canonical_counts(n).total)
+        assert np.array_equal(table, combinations_table(n))
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_peephole_matches_stack_walk(self, n):

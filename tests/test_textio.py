@@ -386,6 +386,30 @@ class TestColumnTextIO:
             ):
                 assert same_outcome(outcome(text), reference_parse(text)), (hex(ord(ch)), text)
 
+    @pytest.mark.parametrize(
+        "width, key_type", [(147, np.uint16), (148, np.uint32), ((1 << 16) + 1, np.uint64)]
+    )
+    def test_gate_keys_at_each_dtype_boundary(self, width, key_type):
+        # format_circuit numbers gates by their keys (control * width +
+        # target) * 3 + kind, below 3 * width^2, in the smallest unsigned
+        # dtype; the top wires give the largest keys
+        assert np.min_scalar_type(len(GATE_KINDS) * width**2) == key_type
+        top, below = width - 1, width - 2
+        pairs = [(top, below), (below, top), (top, 0), (0, top)]
+        rows = [(kind, c, t) for c, t in pairs for kind in range(len(GATE_KINDS))]
+        # and the gates whose keys a dtype half as wide would wrap those onto
+        wrap = 1 << (4 * np.dtype(key_type).itemsize)
+        for kind, c, t in list(rows):
+            pair, alias_kind = divmod(((c * width + t) * 3 + kind) % wrap, 3)
+            if pair // width != pair % width:
+                rows.append((alias_kind, *divmod(pair, width)))
+        gates = [rows[i] for i in RNG.permutation(np.arange(100) % len(rows))]
+        circuit = Circuit(width, gates, X)
+        body = "".join(f"{GATE_KINDS[kind]} {c} {t}\n" for kind, c, t in gates)
+        text = format_circuit(circuit)
+        assert text.split("\n", 2)[2] == body
+        assert parse_circuit(text) == circuit
+
     def test_all_distinct_lines_round_trip(self):
         # no line repeats, so every line is read on its own, over several slices
         width = 1 << 20

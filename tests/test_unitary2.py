@@ -27,6 +27,29 @@ def unitarity_err(m):
     return max_err(m @ m.conj().T, I2)
 
 
+def division_root(u, k):
+    """``unitary_root`` as it scaled by 2^-k before it used ``math.ldexp``:
+    by dividing by the int 2^k, which numpy makes a float, so that it
+    overflows past k = 1023."""
+    u = require_unitary(u)
+    if k == 0:
+        return u.copy()
+    half_trace = (u[0, 0] + u[1, 1]) / 2
+    traceless = u - half_trace * I2
+    det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
+    offset = 1j * cmath.sqrt(det) * np.linalg.norm(traceless) / np.sqrt(2)
+    phases = np.angle([half_trace + offset, half_trace - offset])
+    phases[phases == -np.pi] = np.pi
+    mu = (phases[0] + phases[1]) / 2
+    d = (phases[0] - phases[1]) / 2
+    axis = -1j * cmath.exp(-1j * mu) * traceless
+    axis = (axis + axis.conj().T) / 2
+    sin_d = np.linalg.norm(axis) / np.sqrt(2)
+    scale = 1 << k
+    ratio = np.sin(abs(d) / scale) / sin_d if sin_d else 0.0
+    return cmath.exp(1j * mu / scale) * (np.cos(d / scale) * I2 + 1j * ratio * axis)
+
+
 def test_named_gates_are_unitary():
     for name, gate in NAMED_GATES.items():
         assert require_unitary(gate) is gate, name
@@ -117,6 +140,20 @@ class TestUnitaryRoot:
     def test_large_k_tends_to_identity(self):
         u = random_unitary(RNG)
         assert max_err(unitary_root(u, 60), I2) < 1e-9
+
+    @pytest.mark.parametrize("k", [1023, 1024, 5000])
+    def test_huge_k_is_the_identity(self, k):
+        # 2^1024 overflows a float, so a root that divides by it raises
+        for u in [*NAMED_GATES.values(), random_unitary(RNG), random_unitary(RNG)]:
+            v = unitary_root(u, k)
+            assert unitarity_err(v) < 1e-15
+            assert max_err(v, I2) < 1e-15
+
+    def test_same_bits_as_dividing_by_two_to_the_k(self):
+        # synthesized files bind these roots, so they stay byte-identical
+        for u in [*NAMED_GATES.values(), *(random_unitary(RNG) for _ in range(5))]:
+            for k in [*range(63), 1023]:
+                assert unitary_root(u, k).tobytes() == division_root(u, k).tobytes(), k
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
