@@ -50,18 +50,18 @@ from .synthesize import canonical_counts, peephole_cancel, synth_mcu
 from .textio import CircuitFormatError, parse_gate_spec, read_circuit, write_circuit
 
 RECURRENT_LIMIT = 24
-# the sampled verifier holds one width's rows, their sums and the closed
-# form's temporaries at once; at this cap `verify-identity --n 24
-# --recurrent-only` takes 3.3-3.6 s and peaks at 112 MiB RSS in a fresh
-# interpreter (2-core Xeon).  CI fails that run above 150 MiB
+# the sampled verifier holds one samples x n int8 table, 24 MB at this cap
+# and n = 24, plus int64 temporaries of z2identity._FOLD_ROWS rows per pass.
+# There `verify-identity --n 24 --recurrent-only` takes 1.6-1.8 s and peaks
+# at 59 MiB RSS in a fresh interpreter (2-core Xeon).  CI fails it above 100 MiB
 MAX_SAMPLES = 1_000_000
 # synth_mcu emits 2^n - 1 + 2*(n*2^(n-1) - 2^n + 1) gates: 983,041 at n=16,
 # a 9.6 MB file; in a fresh interpreter `synth` takes 0.26-0.39 s at 102 MiB
-# peak RSS and `check` 0.47-0.59 s at 98 MiB there (2-core Xeon), and each
-# further control more than doubles the gate count.  CI fails that synth
-# above 140 MiB.  check takes the same range: its reader parses the file's
-# 154 distinct lines once each, and its linear trace is one pass over the
-# gates plus a few arrays of 2^n entries
+# peak RSS there (2-core Xeon), and each further control more than doubles
+# the gate count.  CI fails that synth above 140 MiB.  `check` of that file
+# takes the time and memory stated at textio.MAX_CIRCUIT_BYTES: its reader
+# parses the file's 154 distinct lines once each, and its linear trace is
+# one pass over the gates plus a few arrays of 2^n entries
 MAX_CONTROLS = 16
 CHECK_TOLERANCE = 1e-9
 AMPLITUDE_FLOOR = 1e-12
@@ -109,7 +109,7 @@ def cmd_verify_identity(args: argparse.Namespace) -> int:
 
     reports = []
     if args.recurrent_only:
-        reports += z2identity.verify_closed_form_sampled_widths(range(1, n + 1), samples)
+        reports += z2identity.verify_closed_form_sampled_prefixes(n, samples)
     else:
         # z2identity's one cache keeps width k's sums for both verifiers at k
         # and the recurrence at k + 1, so each is built once; printed

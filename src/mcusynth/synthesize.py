@@ -39,6 +39,16 @@ forces c[S] = +1 for odd |S| and -1 for even |S|, on every nonempty S.  Each
 cv or cvdg moves one c[S] by one, so the circuit has at least 2^n - 1
 cv-kind gates, and both orders use exactly that many.
 
+Nor does one need fewer cnots than the Gray order's 2^n - 2.  The cnots
+carry the controls' masks through invertible GF(2) matrices from the
+identity back to it, and each nonempty mask S (c[S] != 0) sits on some wire
+at some moment.  A cnot changes one wire, so it shows at most one new mask:
+the 2^n - 1 - n non-unit masks take that many cnots.  Each wire that moves
+takes one more, which shows nothing new, to return to its unit vector.  And
+at least n - 1 wires move, since two unmoved wires u, v would force e_u +
+e_v onto a third wire w, making rows u, v and w dependent.  That is
+(2^n - 1 - n) + (n - 1) = 2^n - 2 cnots at least.
+
 ``peephole_cancel`` removes adjacent inverse pairs as a separate pass; on the
 canonical order it keeps fewer gates than the canonical circuit but more than
 the Gray one.  Gate totals grow exponentially in n either way.  Checking a

@@ -56,11 +56,12 @@ from .circuit import GATE_KINDS, MAX_QUBITS, Circuit, GateError, _gate_problem
 from .unitary2 import NAMED_GATES, require_unitary
 
 
-# in a fresh interpreter (2-core Xeon), `check` takes 0.7-0.8 s at 98 MiB peak
-# RSS on the 9.6 MB 16-control canonical file, and 1.1-1.2 s at 154 MiB on
-# that file padded to this cap with cancelling cnot pairs (1.78 M gates).
-# On 16 MiB of 891,657 gate lines that never repeat it reads for 3.1-3.4 s
-# at 139 MiB before it refuses the width.  CI fails the padded run above 200 MiB
+# in a fresh interpreter (2-core Xeon), `check` takes 0.48-0.50 s at 98 MiB
+# peak RSS on the 9.6 MB 16-control canonical file (0.70 s in the first of
+# eight runs), and 0.71-0.78 s at 154-155 MiB on that file padded to this
+# cap with cancelling cnot pairs (1.78 M gates).  On 16 MiB of 891,657 gate
+# lines that never repeat it reads for 3.1-3.4 s at 139 MiB before it
+# refuses the width.  CI fails the padded run above 200 MiB
 MAX_CIRCUIT_BYTES = 16 << 20
 MAX_GATE_BYTES = 1 << 16  # a gate file is one 2x2 matrix, a few hundred bytes
 

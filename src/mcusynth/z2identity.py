@@ -19,9 +19,11 @@ one shape: build its input table once (all assignments in
 ``itertools.product`` order, or seeded random rows), evaluate each form over
 the whole table, and report the first row where two forms disagree, so its
 output is deterministic.  The recurrent form is one fold over bit columns,
-one pass per bit; the sampled verifier folds the tables of many widths in
-lockstep, so a bit costs one pass for all of them.  The one cache holds the
-direct sums of the last two widths, read-only over immutable bytes.
+and after bit k it holds the recurrent form of each row's k-bit prefix, so
+the sampled verifier draws one table of width n, seeded with n, and checks
+every width k on the k-bit prefixes of its rows: each width still sees
+``samples`` independent, uniform rows.  The one cache holds the direct sums
+of the last two widths, read-only over immutable bytes.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import dataclasses
 import functools
 import itertools
 import math
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -50,9 +52,8 @@ BINOMIAL_LO, BINOMIAL_HI = 2, 60  # verify_alternating_binomial: n = 2..60
 SUM_SHIFT_TRIALS = 500  # verify_sum_shift_laws: seeded rows per width
 # the recurrent fold takes at most this many rows per pass, so its int64
 # sums and temporaries stay at 64 KiB each.  Longer passes are slower per
-# row: widths 1..24 at 1,000 samples fold in 0.9 ms in passes of 8,000 rows
-# and in 1.7-2.3 ms in one pass of 24,000, and one width of 1,000,000 rows
-# in 89 ms in passes against 160-170 ms in one (2-core Xeon)
+# row: parity_sum_recurrent of 1,000,000 rows of 24 bits takes 113-119 ms
+# in passes and 278-405 ms in one (2-core Xeon)
 _FOLD_ROWS = 8192
 
 
@@ -189,25 +190,16 @@ def _report(name: str, unit: str, mismatch: np.ndarray, witness: Callable) -> Ch
     return CheckReport(name, False, k + 1, unit, tuple(_plain(v) for v in witness(k)))
 
 
-def _fold(tables: list[np.ndarray]) -> np.ndarray:
-    """The append recurrence over the rows of bit tables, widest table first.
-
-    Returns the int64 sums of every row, table after table.  The tables are
-    laid out as one column per bit, so the rows that have a bit j are a
-    prefix of column j, and each bit is one pass over that prefix whatever
-    the rows' widths.
-    """
-    columns = np.empty((tables[0].shape[1], sum(map(len, tables))), dtype=np.int8)
-    start = 0
-    for table in tables:
-        columns[: table.shape[1], start : start + len(table)] = table.T
-        start += len(table)
-    total = columns[0].astype(np.int64)
-    for j in range(1, len(columns)):
-        rows = sum(len(t) for t in tables if t.shape[1] > j)
-        s, b = total[:rows], columns[j, :rows]
-        np.subtract(s + b, xor_int(s, b), out=s)
-    return total
+def _fold(table: np.ndarray) -> Iterator[np.ndarray]:
+    """The append recurrence over a bit table's rows: yields their int64
+    running sums after each bit, one array updated in place, so after bit k
+    it holds the recurrent form of the rows' k-bit prefixes."""
+    total = table[:, 0].astype(np.int64)
+    yield total
+    for j in range(1, table.shape[1]):
+        b = table[:, j]
+        np.subtract(total + b, xor_int(total, b), out=total)
+        yield total
 
 
 def parity_sum_recurrent(bits) -> np.ndarray:
@@ -219,9 +211,12 @@ def parity_sum_recurrent(bits) -> np.ndarray:
     the result is int64 of the table's leading shape.
     """
     bits = _bit_table(bits)
-    table = bits.reshape(-1, bits.shape[-1])
-    passes = range(0, max(len(table), 1), _FOLD_ROWS)
-    sums = np.concatenate([_fold([table[lo : lo + _FOLD_ROWS]]) for lo in passes])
+    table = bits.reshape(-1, bits.shape[-1]).astype(np.int8, copy=False)
+    sums = np.empty(len(table), dtype=np.int64)
+    for lo in range(0, len(table), _FOLD_ROWS):
+        for running in _fold(table[lo : lo + _FOLD_ROWS]):
+            pass
+        sums[lo : lo + _FOLD_ROWS] = running
     return sums.reshape(bits.shape[:-1])
 
 
@@ -248,54 +243,38 @@ def verify_closed_form(n: int) -> CheckReport:
 
 
 def verify_closed_form_sampled(n: int, samples: int) -> CheckReport:
-    """Sampled check of recurrent == closed form past the direct cap, seeded with n."""
-    (report,) = verify_closed_form_sampled_widths([n], samples)
-    return report
+    """Width n's report of ``verify_closed_form_sampled_prefixes(n, samples)``."""
+    return verify_closed_form_sampled_prefixes(n, samples)[-1]
 
 
-def verify_closed_form_sampled_widths(widths: Sequence[int], samples: int) -> list[CheckReport]:
-    """``verify_closed_form_sampled(n, samples)`` for each n in ``widths``.
-
-    Each width draws its own seeded table, and the closed form checks each
-    table in one call, but the recurrent forms of several widths are folded
-    in lockstep: one pass per bit over all their rows, not one per width.  A
-    pass takes at most ``_FOLD_ROWS`` rows, so widths fold together while
-    their tables fit, and a larger table folds alone, in slices.
-    """
-    if min(widths) < 1:
-        raise ValueError(f"need n >= 1, got {min(widths)}")
+def verify_closed_form_sampled_prefixes(n: int, samples: int) -> list[CheckReport]:
+    """Sampled check of recurrent == closed form past the direct cap, for
+    each width k = 1..n on the k-bit prefixes of rows seeded with n.  Report
+    k names width k's first failing row, numbered across the fold's passes."""
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
     if samples < 1:
         raise ValueError(f"need samples >= 1, got {samples}")
-    if max(widths) > MAX_BITS:
-        raise ValueError(f"bit vectors are capped at {MAX_BITS} bits, got {max(widths)}")
-    step = min(samples, _FOLD_ROWS)
-    per_group = _FOLD_ROWS // step
-    order = sorted(set(widths), reverse=True)
-    reports = {}
-    for i in range(0, len(order), per_group):
-        reports.update(_sampled_group(order[i : i + per_group], samples, step))
-    return [reports[n] for n in widths]
-
-
-def _sampled_group(widths: list[int], samples: int, step: int) -> dict[int, CheckReport]:
-    # widths in descending order; each pass folds rows lo..lo + step of
-    # every table, which is all of them unless the group is one wide table
-    tables = [
-        np.random.default_rng(n).integers(0, 2, size=(samples, n), dtype=np.int8) for n in widths
-    ]
-    sums = np.empty((len(tables), samples), dtype=np.int64)
-    for lo in range(0, samples, step):
-        folded = _fold([table[lo : lo + step] for table in tables])
-        sums[:, lo : lo + step] = folded.reshape(len(tables), -1)
-    reports = {}
-    for n, table, recurrent in zip(widths, tables, sums):
-        closed = parity_sum_closed_form(table)
-        reports[n] = _report(
-            f"closed-form (sampled) n={n}",
-            "samples",
-            recurrent != closed,
-            lambda k: (table[k], recurrent[k], closed[k]),
-        )
+    if n > MAX_BITS:
+        raise ValueError(f"bit vectors are capped at {MAX_BITS} bits, got {n}")
+    table = np.random.default_rng(n).integers(0, 2, size=(samples, n), dtype=np.int8)
+    names = [f"closed-form (sampled) n={k}" for k in range(1, n + 1)]
+    reports = [CheckReport(name, True, samples, "samples") for name in names]
+    for lo in range(0, samples, _FOLD_ROWS):
+        rows = table[lo : lo + _FOLD_ROWS]
+        for k, recurrent in enumerate(_fold(rows), 1):
+            if not reports[k - 1].passed:
+                continue  # an earlier pass found this width's first failure
+            prefixes = rows[:, :k]
+            closed = parity_sum_closed_form(prefixes)
+            report = _report(
+                names[k - 1],
+                "samples",
+                recurrent != closed,
+                lambda i: (prefixes[i], recurrent[i], closed[i]),
+            )
+            if not report.passed:
+                reports[k - 1] = dataclasses.replace(report, checked=lo + report.checked)
     return reports
 
 

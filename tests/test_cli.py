@@ -75,8 +75,9 @@ class TestVerifyIdentity:
 
     def test_recurrent_only_failure(self, monkeypatch, capsys):
         # an xor_int wrong at (4, 1) breaks the fold of a row whose first
-        # four bits are ones; each width's line is rebuilt here in Python
-        # ints from the same seeded rows, and the exit code is 1
+        # four bits are ones; each width k's line is rebuilt here in Python
+        # ints from the k-bit prefixes of the rows seeded with n, and the
+        # exit code is 1
         real = z2identity.xor_int
 
         def wrong(x, y):
@@ -86,10 +87,10 @@ class TestVerifyIdentity:
         n, samples = 24, 1000
         assert main(["verify-identity", "--n", str(n), "--recurrent-only", "--samples", str(samples)]) == 1
         want = []
+        table = np.random.default_rng(n).integers(0, 2, size=(samples, n), dtype=np.int8)
         for k in range(1, n + 1):
             line = f"closed-form (sampled) n={k}: PASS ({samples} samples)"
-            table = np.random.default_rng(k).integers(0, 2, size=(samples, k), dtype=np.int8)
-            for i, bits in enumerate(table.tolist()):
+            for i, bits in enumerate(table[:, :k].tolist()):
                 s = bits[0]
                 for b in bits[1:]:
                     s = s + b - int(wrong(s, b))
@@ -118,8 +119,8 @@ class TestVerifyIdentity:
         assert main(["verify-identity", "--n", "5", "--recurrent-only", "--samples", "0"]) == 2
 
     def test_too_many_samples(self, capsys):
-        # each width's table, its sums and the closed form's temporaries are
-        # held whole at once, so memory grows with --samples
+        # the sampled verifier holds one --samples x n int8 table whole, so
+        # memory grows with --samples
         args = ["verify-identity", "--n", "5", "--recurrent-only", "--samples"]
         assert main(args + [str(MAX_SAMPLES + 1)]) == 2
         assert f"at most {MAX_SAMPLES}" in capsys.readouterr().err

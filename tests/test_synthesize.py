@@ -334,21 +334,38 @@ class TestGrayOrder:
             assert distance >= 1e-9, (n, row, distance)
 
 
-def min_cnot_walk(n):
+def shown_and_away(masks, shown, moved):
+    """Cnots a walk still needs, at least: a cnot (c, t) sets mask[t] ^=
+    mask[c], so it shows at most one new mask, and one that puts a wire
+    back on its bit shows none.  So the masks not yet shown plus the wires
+    off their own bit bound the rest."""
+    every = (1 << (1 << len(masks))) - 2  # bit m set for every nonempty mask m
+    away = sum(m != 1 << i for i, m in enumerate(masks))
+    return bin(every & ~shown).count("1") + away
+
+
+def with_unmoved_wires(masks, shown, moved):
+    """``shown_and_away`` plus the wires not yet moved, less one.  At most
+    one wire never moves (synthesize's docstring has the argument), and each
+    that moves must come back to its bit, by a cnot that shows no new mask."""
+    unmoved = len(masks) - bin(moved).count("1")
+    return shown_and_away(masks, shown, moved) + max(unmoved - 1, 0)
+
+
+def min_cnot_walk(n, bound=shown_and_away):
     """The fewest cnots among n wires that put every nonempty parity mask on
     some wire and end with each wire back on its own bit, by iterative
-    deepening.  A cnot (c, t) sets mask[t] ^= mask[c], so it shows at most
-    one new mask, and one that puts a wire back on its bit shows none: the
-    masks not yet shown plus the wires off their own bit bound the rest."""
+    deepening.  ``bound(masks, shown, moved)`` is a lower bound on the cnots
+    still needed, which prunes the search; ``moved`` has bit t set once a
+    cnot has targeted wire t."""
     home = tuple(1 << i for i in range(n))
     every = (1 << (1 << n)) - 2  # bit m set for every nonempty mask m
     moves = [(c, t) for c in range(n) for t in range(n) if c != t]
 
-    def walk(masks, shown, budget, failed):
+    def walk(masks, shown, moved, budget, failed):
         if shown == every and masks == home:
             return True
-        missing = bin(every & ~shown).count("1")
-        if missing + sum(m != h for m, h in zip(masks, home)) > budget:
+        if bound(masks, shown, moved) > budget:
             return False
         if failed.get((masks, shown), -1) >= budget:
             return False
@@ -356,12 +373,12 @@ def min_cnot_walk(n):
         for c, t in moves:
             step = list(masks)
             step[t] ^= masks[c]
-            if walk(tuple(step), shown | (1 << step[t]), budget - 1, failed):
+            if walk(tuple(step), shown | (1 << step[t]), moved | (1 << t), budget - 1, failed):
                 return True
         return False
 
     budget = 0
-    while not walk(home, sum(1 << h for h in home), budget, {}):
+    while not walk(home, sum(1 << h for h in home), 0, budget, {}):
         budget += 1
     return budget
 
@@ -394,6 +411,22 @@ class TestLowerBounds:
     @pytest.mark.parametrize("n, fewest", [(1, 0), (2, 2), (3, 6), (4, 14)])
     def test_gray_order_has_the_fewest_cnots(self, n, fewest):
         assert min_cnot_walk(n) == fewest == synth_mcu(n, X, gray=True).counts().cnot
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_unmoved_wires_make_the_start_bound_tight(self, n):
+        # at the start every wire is on its own bit and no cnot has run: the
+        # 2^n - 1 - n non-unit masks plus n - 1 wires that must move and
+        # return are 2^n - 2, the Gray order's cnot count
+        home = tuple(1 << i for i in range(n))
+        shown = sum(1 << h for h in home)
+        assert shown_and_away(home, shown, 0) == (1 << n) - 1 - n
+        assert with_unmoved_wires(home, shown, 0) == (1 << n) - 2
+        assert synth_mcu(n, X, gray=True).counts().cnot == (1 << n) - 2
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_unmoved_wires_keep_the_minima(self, n):
+        # an admissible term prunes the search but finds the same fewest
+        assert min_cnot_walk(n, with_unmoved_wires) == min_cnot_walk(n)
 
 
 class TestArrayEmitter:

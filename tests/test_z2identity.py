@@ -23,7 +23,7 @@ from mcusynth.z2identity import (
     verify_append_recurrence,
     verify_closed_form,
     verify_closed_form_sampled,
-    verify_closed_form_sampled_widths,
+    verify_closed_form_sampled_prefixes,
     verify_sum_shift_laws,
     verify_xor_int_laws,
     xor_int,
@@ -268,7 +268,8 @@ class TestVerifiers:
 
     def test_closed_form_sampled_reports_first_failure(self, monkeypatch):
         # wrong on every sample that ends (1, 1); the report names the
-        # first, which is not the first row
+        # first, which is not the first row.  Width 6 is checked last, on
+        # the whole rows
         real, tables = z2identity.parity_sum_closed_form, []
 
         def marked(bits):
@@ -277,7 +278,8 @@ class TestVerifiers:
 
         monkeypatch.setattr(z2identity, "parity_sum_closed_form", marked)
         report = verify_closed_form_sampled(6, samples=200)
-        (table,) = tables
+        table = tables[-1]
+        assert table.shape == (200, 6)
         k = next(i for i, row in enumerate(table.tolist()) if row[-2:] == [1, 1])
         assert k > 0
         bits = tuple(table[k].tolist())
@@ -290,6 +292,40 @@ class TestVerifiers:
         assert report.summary() == (
             f"closed-form (sampled) n=6: FAIL ({k + 1} samples) counterexample={want!r}"
         )
+
+    def test_sampled_failure_in_a_later_pass(self, monkeypatch):
+        # the closed form of width 5 is wrong on one 5-bit prefix, which
+        # first shows in a later pass and shows again in a pass after that:
+        # the report names its first row, numbered from the table's start
+        n, k, samples, fold_rows = 10, 5, 200, 8
+        table = np.random.default_rng(n).integers(0, 2, size=(samples, n), dtype=np.int8)
+        prefixes = [tuple(row[:k]) for row in table.tolist()]
+        first = {}
+        for i, prefix in enumerate(prefixes):
+            first.setdefault(prefix, i)
+        bad = max(first, key=first.get)
+        i = first[bad]
+        assert i >= fold_rows
+        assert any(p == bad for p in prefixes[(i // fold_rows + 1) * fold_rows :])
+        real = z2identity.parity_sum_closed_form
+
+        def marked(bits):
+            if bits.shape[-1] != k:
+                return real(bits)
+            return real(bits) + (bits == bad).all(axis=-1)
+
+        monkeypatch.setattr(z2identity, "parity_sum_closed_form", marked)
+        monkeypatch.setattr(z2identity, "_FOLD_ROWS", fold_rows)
+        reports = verify_closed_form_sampled_prefixes(n, samples)
+        closed = 16 if all(bad) else 0
+        assert reports[k - 1] == z2identity.CheckReport(
+            f"closed-form (sampled) n={k}", False, i + 1, "samples", (bad, closed, closed + 1)
+        )
+        assert [r.summary() for r in reports[:k - 1] + reports[k:]] == [
+            f"closed-form (sampled) n={w}: PASS ({samples} samples)"
+            for w in range(1, n + 1)
+            if w != k
+        ]
 
     @pytest.mark.parametrize(
         "wrong_at, checked, counterexample",
@@ -331,10 +367,11 @@ class TestVerifiers:
         st.sampled_from([z2identity._FOLD_ROWS, 1, 7, 64]),
     )
     @settings(max_examples=100, deadline=None)
-    def test_lockstep_matches_one_width_at_a_time(self, n, samples, mutant, fold_rows):
-        # each width's report rebuilt alone from its seeded rows, through
-        # the one-width recurrent form and the closed form.  Small passes
-        # make the lockstep split widths into groups and tables into slices
+    def test_prefixes_match_one_width_at_a_time(self, n, samples, mutant, fold_rows):
+        # each width k's report rebuilt alone from the k-bit prefixes of the
+        # rows seeded with n, through the recurrent form and the closed
+        # form.  Small passes split the table, so a width's first failure
+        # may lie in any pass
         real = z2identity.xor_int
         xor = {
             None: real,
@@ -346,10 +383,11 @@ class TestVerifiers:
         with mock.patch.object(z2identity, "xor_int", xor), mock.patch.object(
             z2identity, "_FOLD_ROWS", fold_rows
         ):
-            got = verify_closed_form_sampled_widths(range(1, n + 1), samples)
+            got = verify_closed_form_sampled_prefixes(n, samples)
+            rows = np.random.default_rng(n).integers(0, 2, size=(samples, n), dtype=np.int8)
             want = []
             for k in range(1, n + 1):
-                table = np.random.default_rng(k).integers(0, 2, size=(samples, k), dtype=np.int8)
+                table = rows[:, :k]
                 recurrent, closed = parity_sum_recurrent(table), parity_sum_closed_form(table)
                 bad = [i for i in range(samples) if recurrent[i] != closed[i]]
                 name = f"closed-form (sampled) n={k}"
@@ -362,14 +400,16 @@ class TestVerifiers:
         assert got == want
 
     def test_sampled_rows_are_seeded_with_n(self, monkeypatch):
-        # verify-identity's sampled report lines are fixed by n and --samples
+        # verify-identity's sampled report lines are fixed by n and
+        # --samples: width k checks the k-bit prefixes of the rows seeded
+        # with n, so width n's rows are the same whatever n's neighbours
         real, tables = z2identity.parity_sum_closed_form, []
         monkeypatch.setattr(
             z2identity, "parity_sum_closed_form", lambda bits: tables.append(bits) or real(bits)
         )
         assert verify_closed_form_sampled(7, samples=40).passed
         want = np.random.default_rng(7).integers(0, 2, size=(40, 7), dtype=np.int8)
-        assert [t.tolist() for t in tables] == [want.tolist()]
+        assert [t.tolist() for t in tables] == [want[:, :k].tolist() for k in range(1, 8)]
 
     def test_sum_shift_hand_case_plain(self):
         # xs = (1,1,1), z = 1: left side 0, right side (3 (+) 1) + 2 = 0
