@@ -52,8 +52,8 @@ from .textio import CircuitFormatError, parse_gate_spec, read_circuit, write_cir
 RECURRENT_LIMIT = 24
 # the sampled verifier holds one samples x n int8 table, 24 MB at this cap
 # and n = 24, plus int64 temporaries of z2identity._FOLD_ROWS rows per pass.
-# There `verify-identity --n 24 --recurrent-only` takes 1.6-1.8 s and peaks
-# at 59 MiB RSS in a fresh interpreter (2-core Xeon).  CI fails it above 100 MiB
+# There `verify-identity --n 24 --recurrent-only` takes 0.40-0.52 s and peaks
+# at 58 MiB RSS in a fresh interpreter (2-core Xeon).  CI fails it above 100 MiB
 MAX_SAMPLES = 1_000_000
 # synth_mcu emits 2^n - 1 + 2*(n*2^(n-1) - 2^n + 1) gates: 983,041 at n=16,
 # a 9.6 MB file; in a fresh interpreter `synth` takes 0.26-0.39 s at 102 MiB
@@ -122,8 +122,7 @@ def cmd_verify_identity(args: argparse.Namespace) -> int:
         reports += recurrence
 
     reports.append(z2identity.verify_xor_int_laws())
-    for k in range(1, n + 1):
-        reports.append(z2identity.verify_sum_shift_laws(k))
+    reports += z2identity.verify_sum_shift_laws(n)
     reports.append(z2identity.verify_alternating_binomial())
 
     for report in reports:
@@ -282,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # built once: parsing leaves the parser unchanged, and a build takes about
-# 1 ms, a third of an 8-control check request in-process
+# 0.45 ms, half of an 8-control check request in-process (2-core Xeon)
 _PARSER = build_parser()
 
 

@@ -16,14 +16,27 @@ literal definition for one bit vector, in Python ints.  The recurrent and
 closed forms take a table of bit vectors along its last axis and return
 int64 arrays, so bit vectors are capped at ``MAX_BITS``.  Every verifier has
 one shape: build its input table once (all assignments in
-``itertools.product`` order, or seeded random rows), evaluate each form over
+``itertools.product`` order, or seeded random rows), evaluate the forms over
 the whole table, and report the first row where two forms disagree, so its
-output is deterministic.  The recurrent form is one fold over bit columns,
-and after bit k it holds the recurrent form of each row's k-bit prefix, so
-the sampled verifier draws one table of width n, seeded with n, and checks
-every width k on the k-bit prefixes of its rows: each width still sees
-``samples`` independent, uniform rows.  The one cache holds the direct sums
-of the last two widths, read-only over immutable bytes.
+output is deterministic.
+
+Both closed-form verifiers read the recurrent and the closed form from one
+fold over the table's bit columns (``_fold``).  It carries the running sum
+of the append recurrence beside the running product 2^(k-1) * x_1 * ... *
+x_k, so after bit k it holds both forms of every row's k-bit prefix, and a
+table costs one pass per bit.  The verifiers do not re-validate the tables
+they build; the public ``parity_sum_recurrent`` and
+``parity_sum_closed_form`` validate their input and are the references the
+fold is tested against.
+
+Prefix policy: the sampled closed-form check and the sum-shift laws each
+draw one table seeded with n and check every width k = 1..n on a prefix of
+its rows.  The closed form takes the k-bit prefixes of n-bit rows; the
+sum-shift laws take x from the first k bits of (n + 1)-bit rows and z from
+bit k + 1.  Each width still sees independent, uniform rows, and width n's
+rows are those seeded with n; a smaller width's rows, and so its report
+under a broken ``xor_int``, depend on n.  The one cache holds the direct
+sums of the last two widths, read-only over immutable bytes.
 """
 
 from __future__ import annotations
@@ -38,8 +51,8 @@ import numpy as np
 
 # the largest n for the exhaustive verifiers and parity_sum_direct.  All 2^n
 # assignments are one int8 table plus a few int64 columns: `verify-identity
-# --n 20` takes 1.1-1.3 s and peaks at 125-148 MiB RSS in a fresh
-# interpreter, while the verifiers alone take 4.7 s and 236 MiB at n = 21
+# --n 20` takes 0.6-0.75 s and peaks at 85 MiB RSS in a fresh interpreter,
+# while both verifiers at widths 20 and 21 alone take 0.9 s at 132 MiB
 # (2-core Xeon)
 EXHAUSTIVE_LIMIT = 20
 
@@ -50,10 +63,10 @@ MAX_BITS = 62
 XOR_LAW_LO, XOR_LAW_HI = -8, 8  # verify_xor_int_laws: every triple in [-8, 8]^3
 BINOMIAL_LO, BINOMIAL_HI = 2, 60  # verify_alternating_binomial: n = 2..60
 SUM_SHIFT_TRIALS = 500  # verify_sum_shift_laws: seeded rows per width
-# the recurrent fold takes at most this many rows per pass, so its int64
-# sums and temporaries stay at 64 KiB each.  Longer passes are slower per
-# row: parity_sum_recurrent of 1,000,000 rows of 24 bits takes 113-119 ms
-# in passes and 278-405 ms in one (2-core Xeon)
+# the verifiers' fold takes at most this many rows per pass, so its two
+# int64 forms and its temporaries stay at 64 KiB each.  Longer passes are
+# slower per row: the fold of 1,000,000 rows of 24 bits takes 119-132 ms in
+# passes and 205-357 ms in one (2-core Xeon)
 _FOLD_ROWS = 8192
 
 
@@ -137,13 +150,19 @@ def parity_sums(coeffs: np.ndarray) -> np.ndarray:
     and Algazi 1976): exact in int64, O(n 2^n) for all 2^n values of x.
     """
     c = np.asarray(coeffs, dtype=np.int64)
-    # (WHT a)[x] = sum_s (-1)^popcount(s & x) a[s], one butterfly per index bit
-    a, h = c, 1
+    # (WHT a)[x] = sum_s (-1)^popcount(s & x) a[s], one butterfly per index
+    # bit, each from one preallocated buffer into the other
+    a, out = c.copy(), np.empty_like(c)
+    h = 1
     while h < a.shape[0]:
-        pairs = a.reshape(-1, 2, h)
-        a = np.stack((pairs[:, 0] + pairs[:, 1], pairs[:, 0] - pairs[:, 1]), axis=1).reshape(-1)
+        pairs, sums = a.reshape(-1, 2, h), out.reshape(-1, 2, h)
+        np.add(pairs[:, 0], pairs[:, 1], out=sums[:, 0])
+        np.subtract(pairs[:, 0], pairs[:, 1], out=sums[:, 1])
+        a, out = out, a
         h *= 2
-    return (c.sum() - a) // 2
+    np.subtract(c.sum(), a, out=a)
+    np.floor_divide(a, 2, out=a)
+    return a
 
 
 # the one cache: verify-identity runs verify_closed_form(k) and then
@@ -154,10 +173,9 @@ def _direct_sums(n: int) -> np.ndarray:
     # parity_sum_direct of every width-n assignment, in product order: the
     # coefficient of subset mask S is the sign of a |S|-element subset, so
     # by symmetry the mask's bit order does not matter
-    odd = np.zeros(1, dtype=np.int64)
+    signs = np.full(1, -1, dtype=np.int64)
     for _ in range(n):
-        odd = np.concatenate((odd, 1 - odd))  # popcount parity of 0..2^n - 1
-    signs = 2 * odd - 1
+        signs = np.concatenate((signs, -signs))  # -(-1)^popcount of 0..2^n - 1
     signs[0] = 0
     # backed by immutable bytes, so no view or base can be made writable
     return np.frombuffer(parity_sums(signs).tobytes(), dtype=np.int64)
@@ -190,16 +208,26 @@ def _report(name: str, unit: str, mismatch: np.ndarray, witness: Callable) -> Ch
     return CheckReport(name, False, k + 1, unit, tuple(_plain(v) for v in witness(k)))
 
 
-def _fold(table: np.ndarray) -> Iterator[np.ndarray]:
-    """The append recurrence over a bit table's rows: yields their int64
-    running sums after each bit, one array updated in place, so after bit k
-    it holds the recurrent form of the rows' k-bit prefixes."""
-    total = table[:, 0].astype(np.int64)
-    yield total
-    for j in range(1, table.shape[1]):
-        b = table[:, j]
-        np.subtract(total + b, xor_int(total, b), out=total)
-        yield total
+def _fold(table: np.ndarray) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+    """Both forms of every k-bit prefix of a bit table's rows, in one pass
+    over the bit columns per ``_FOLD_ROWS`` rows.
+
+    Yields (lo, k, recurrent, closed) after bit k of the pass whose first
+    row is table row lo: the int64 recurrent form, by the append recurrence
+    through ``xor_int``, and the closed form 2^(k-1) * x_1 * ... * x_k, as a
+    running product, of the pass's k-bit prefixes.  Each form is one array
+    per pass, updated in place.  The table is not validated.
+    """
+    for lo in range(0, len(table), _FOLD_ROWS):
+        rows = table[lo : lo + _FOLD_ROWS]
+        recurrent = rows[:, 0].astype(np.int64)
+        closed = recurrent.copy()
+        yield lo, 1, recurrent, closed
+        for k in range(2, rows.shape[1] + 1):
+            b = rows[:, k - 1]
+            np.subtract(recurrent + b, xor_int(recurrent, b), out=recurrent)
+            np.multiply(closed, 2 * b, out=closed)
+            yield lo, k, recurrent, closed
 
 
 def parity_sum_recurrent(bits) -> np.ndarray:
@@ -208,16 +236,16 @@ def parity_sum_recurrent(bits) -> np.ndarray:
     Appending a bit b to a vector with sum s gives  s + b - xor_int(s, b),
     which collapses to 2*b*s.  Base case: a single bit is its own sum.
     ``bits`` holds one bit vector along its last axis, or a table of them;
-    the result is int64 of the table's leading shape.
+    the result is int64 of the table's leading shape.  It takes one step per
+    bit over the whole table, with no passes, and is the reference the
+    verifiers' fold is tested against.
     """
-    bits = _bit_table(bits)
-    table = bits.reshape(-1, bits.shape[-1]).astype(np.int8, copy=False)
-    sums = np.empty(len(table), dtype=np.int64)
-    for lo in range(0, len(table), _FOLD_ROWS):
-        for running in _fold(table[lo : lo + _FOLD_ROWS]):
-            pass
-        sums[lo : lo + _FOLD_ROWS] = running
-    return sums.reshape(bits.shape[:-1])
+    table = _bit_table(bits).astype(np.int8, copy=False)
+    total = table[..., 0].astype(np.int64)
+    for j in range(1, table.shape[-1]):
+        b = table[..., j]
+        total = total + b - xor_int(total, b)
+    return np.asarray(total)
 
 
 def parity_sum_closed_form(bits) -> np.ndarray:
@@ -230,16 +258,22 @@ def verify_closed_form(n: int) -> CheckReport:
     """Exhaustively confirm direct == recurrent == closed form for width n."""
     if not 1 <= n <= EXHAUSTIVE_LIMIT:
         raise ValueError(f"need 1 <= n <= {EXHAUSTIVE_LIMIT}, got {n}")
+    name = f"closed-form n={n}"
+    direct = _direct_sums(n)  # before the table, so the two peaks do not add
     table = _assignments(n)
-    direct = _direct_sums(n)
-    recurrent = parity_sum_recurrent(table)
-    closed = parity_sum_closed_form(table)
-    return _report(
-        f"closed-form n={n}",
-        "assignments",
-        (direct != closed) | (direct != recurrent),
-        lambda k: (table[k], direct[k], recurrent[k], closed[k]),
-    )
+    for lo, k, recurrent, closed in _fold(table):
+        if k < n:
+            continue
+        want = direct[lo : lo + len(recurrent)]
+        report = _report(
+            name,
+            "assignments",
+            (want != closed) | (want != recurrent),
+            lambda i: (table[lo + i], want[i], recurrent[i], closed[i]),
+        )
+        if not report.passed:
+            return dataclasses.replace(report, checked=lo + report.checked)
+    return CheckReport(name, True, len(table), "assignments")
 
 
 def verify_closed_form_sampled(n: int, samples: int) -> CheckReport:
@@ -260,21 +294,17 @@ def verify_closed_form_sampled_prefixes(n: int, samples: int) -> list[CheckRepor
     table = np.random.default_rng(n).integers(0, 2, size=(samples, n), dtype=np.int8)
     names = [f"closed-form (sampled) n={k}" for k in range(1, n + 1)]
     reports = [CheckReport(name, True, samples, "samples") for name in names]
-    for lo in range(0, samples, _FOLD_ROWS):
-        rows = table[lo : lo + _FOLD_ROWS]
-        for k, recurrent in enumerate(_fold(rows), 1):
-            if not reports[k - 1].passed:
-                continue  # an earlier pass found this width's first failure
-            prefixes = rows[:, :k]
-            closed = parity_sum_closed_form(prefixes)
-            report = _report(
-                names[k - 1],
-                "samples",
-                recurrent != closed,
-                lambda i: (prefixes[i], recurrent[i], closed[i]),
-            )
-            if not report.passed:
-                reports[k - 1] = dataclasses.replace(report, checked=lo + report.checked)
+    for lo, k, recurrent, closed in _fold(table):
+        if not reports[k - 1].passed:
+            continue  # an earlier pass found this width's first failure
+        report = _report(
+            names[k - 1],
+            "samples",
+            recurrent != closed,
+            lambda i: (table[lo + i, :k], recurrent[i], closed[i]),
+        )
+        if not report.passed:
+            reports[k - 1] = dataclasses.replace(report, checked=lo + report.checked)
     return reports
 
 
@@ -289,7 +319,7 @@ def verify_append_recurrence(n: int) -> CheckReport:
     if not 2 <= n <= EXHAUSTIVE_LIMIT:
         raise ValueError(f"need 2 <= n <= {EXHAUSTIVE_LIMIT}, got {n}")
     # assignment x is assignment x // 2 of width n - 1 with the bit x % 2 appended
-    base, b = np.repeat(_direct_sums(n - 1), 2), np.arange(1 << n) % 2
+    base, b = np.repeat(_direct_sums(n - 1), 2), np.tile(np.arange(2, dtype=np.int8), 1 << (n - 1))
     sums = _direct_sums(n)
     want = base + b - xor_int(base, b)
     return _report(
@@ -341,23 +371,32 @@ def verify_xor_int_laws() -> CheckReport:
     return _report(name, "triples", laws.any(axis=-1), witness)
 
 
-def verify_sum_shift_laws(n: int) -> CheckReport:
-    """Check the two aggregated shift identities on SUM_SHIFT_TRIALS random bit vectors.
+def verify_sum_shift_laws(n: int) -> list[CheckReport]:
+    """Check the two aggregated shift identities for each width k = 1..n on
+    SUM_SHIFT_TRIALS random rows of n + 1 bits, seeded with n.
 
-    For bits x_1..x_n and a bit z:
+    For bits x_1..x_k and a bit z:
 
-        sum_i (x_i xor z)            == xor_int(sum_i x_i, z) + (n - 1) * z
+        sum_i (x_i xor z)            == xor_int(sum_i x_i, z) + (k - 1) * z
         sum_i (-1)^(i-1) (x_i xor z) == xor_int(sum_i (-1)^(i-1) x_i, z)
-                                        - ((1 + (-1)^n) // 2) * z
+                                        - ((1 + (-1)^k) // 2) * z
 
-    Each trial is one random row of n + 1 bits, z the last, seeded with n.
+    Width k takes x from the rows' first k bits and z from bit k + 1, so
+    width n's z is the last bit.  Report k names width k's first failing row.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     rows = np.random.default_rng(n).integers(0, 2, size=(SUM_SHIFT_TRIALS, n + 1), dtype=np.int8)
-    bits = np.ascontiguousarray(rows.T)  # row i - 1 holds x_i of every trial, row n holds z
-    xs, z = bits[:n], bits[n].astype(np.int64)
-    flipped = xs ^ bits[n]  # x_i xor z, bit by bit
+    bits = np.ascontiguousarray(rows.T)  # row i - 1 holds bit i of every trial
+    return [_sum_shift_report(bits[:k], bits[k]) for k in range(1, n + 1)]
+
+
+def _sum_shift_report(xs: np.ndarray, z_bits: np.ndarray) -> CheckReport:
+    # both shift identities on every trial: row i - 1 of xs holds x_i of
+    # every trial, and z_bits holds z
+    n = len(xs)
+    z = z_bits.astype(np.int64)
+    flipped = xs ^ z_bits  # x_i xor z, bit by bit
     # sums over the odd positions i = 1, 3, ... (sign +) and the even ones (sign -)
     odd, even = xs[::2].sum(axis=0), xs[1::2].sum(axis=0)
     flipped_odd, flipped_even = flipped[::2].sum(axis=0), flipped[1::2].sum(axis=0)
@@ -370,7 +409,7 @@ def verify_sum_shift_laws(n: int) -> CheckReport:
         f"sum-shift-laws n={n}",
         "samples",
         (left_plain != right_plain) | (left_alt != right_alt),
-        lambda k: (rows[k, :n], z[k], left_plain[k], right_plain[k], left_alt[k], right_alt[k]),
+        lambda k: (xs[:, k], z[k], left_plain[k], right_plain[k], left_alt[k], right_alt[k]),
     )
 
 

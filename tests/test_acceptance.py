@@ -69,7 +69,7 @@ def test_criterion_2_law_suite():
             left = sum(s * f for s, f in zip(signs, flipped))
             right = xor_int(sum(s * x for s, x in zip(signs, xs)), z) - ((1 + (-1) ** n) // 2) * z
             assert left == right, (xs, z)
-        assert verify_sum_shift_laws(n).passed, n
+        assert all(r.passed for r in verify_sum_shift_laws(n)), n
     for n in range(2, 61):
         lhs, rhs = alternating_binomial_sides(n)
         assert lhs == rhs, n

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import operator
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mcusynth import z2identity
 from mcusynth.z2identity import (
@@ -30,6 +32,29 @@ from mcusynth.z2identity import (
 )
 
 bits_vectors = st.lists(st.sampled_from([0, 1]), min_size=1, max_size=12)
+
+# xor_int, and mutants of it that the verifiers must catch
+XOR_MUTANTS = {
+    None: xor_int,
+    "x+y-xy": lambda x, y: x + y - x * y,
+    "at(2,1)": lambda x, y: xor_int(x, y) + ((x == 2) & (y == 1)),
+    "at(4,1)": lambda x, y: xor_int(x, y) + ((x == 4) & (y == 1)),
+    "at(0,1)": lambda x, y: xor_int(x, y) + ((x == 0) & (y == 1)),
+}
+FOLD_ROWS = [z2identity._FOLD_ROWS, 1, 7, 64]
+
+
+def mark_fold(monkeypatch, form, hit):
+    """Make the shared fold's ``form`` ("recurrent" or "closed") one too
+    large on the rows whose k-bit prefix ``hit(prefixes)`` marks."""
+    real, which = z2identity._fold, ("recurrent", "closed").index(form)
+
+    def marked(table):
+        for lo, k, *forms in real(table):
+            forms[which] = forms[which] + hit(table[lo : lo + len(forms[0]), :k])
+            yield lo, k, *forms
+
+    monkeypatch.setattr(z2identity, "_fold", marked)
 
 
 def naive_parity_sum(bits):
@@ -150,6 +175,37 @@ class TestParitySum:
             assert recurrent[k] == closed[k] == direct[int("".join(map(str, bits)), 2)] == want
 
 
+class TestFold:
+    @given(
+        # a fill of ones makes long all-ones prefixes, whose forms are nonzero
+        arrays(
+            np.int8,
+            st.tuples(st.integers(1, 40), st.integers(1, MAX_BITS)),
+            elements=st.integers(0, 1),
+            fill=st.integers(0, 1),
+        ),
+        st.sampled_from(FOLD_ROWS),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_both_forms_of_every_prefix(self, table, fold_rows):
+        # every pass yields each width once, in order, and both running
+        # forms equal the public forms of the pass's k-bit prefixes
+        rows, n = table.shape
+        want = [
+            (parity_sum_recurrent(table[:, :k]), parity_sum_closed_form(table[:, :k]))
+            for k in range(1, n + 1)
+        ]
+        with mock.patch.object(z2identity, "_FOLD_ROWS", fold_rows):
+            seen = []
+            for lo, k, recurrent, closed in z2identity._fold(table):
+                seen.append((lo, k))
+                part = slice(lo, min(lo + fold_rows, rows))
+                assert recurrent.dtype == closed.dtype == np.int64
+                assert recurrent.tolist() == want[k - 1][0][part].tolist()
+                assert closed.tolist() == want[k - 1][1][part].tolist()
+        assert seen == [(lo, k) for lo in range(0, rows, fold_rows) for k in range(1, n + 1)]
+
+
 class TestParitySums:
     @pytest.mark.parametrize("n", range(1, 11))
     def test_signed_table_matches_definition(self, n):
@@ -221,19 +277,18 @@ class TestVerifiers:
         assert report.checked == 1 << n
 
     @pytest.mark.parametrize(
-        "broken, want",
-        [("parity_sum_closed_form", (0, 0, 1)), ("parity_sum_recurrent", (0, 1, 0))],
+        "broken, want", [("closed", (0, 0, 1)), ("recurrent", (0, 1, 0))],
         ids=["closed_form", "recurrent"],
     )
     def test_closed_form_reports_first_failure(self, monkeypatch, broken, want):
-        # wrong at two assignments; the report names the earlier one
+        # one form of the fold is wrong at two assignments; the report names
+        # the earlier one
         bad, later = (0, 1, 1, 0, 1), (1, 1, 0, 0, 0)
-        real = getattr(z2identity, broken)
-
-        def marked(bits):
-            return real(bits) + ((bits == bad).all(axis=-1) | (bits == later).all(axis=-1))
-
-        monkeypatch.setattr(z2identity, broken, marked)
+        mark_fold(
+            monkeypatch,
+            broken,
+            lambda p: p.shape[1] == 5 and (p == bad).all(axis=-1) | (p == later).all(axis=-1),
+        )
         report = verify_closed_form(5)
         assert not report.passed
         assert report.checked == list(itertools.product((0, 1), repeat=5)).index(bad) + 1
@@ -242,6 +297,27 @@ class TestVerifiers:
         assert report.summary() == (
             f"closed-form n=5: FAIL (14 assignments) counterexample={(bad,) + want!r}"
         )
+
+    @pytest.mark.parametrize("fold_rows", [z2identity._FOLD_ROWS, 1, 7])
+    @pytest.mark.parametrize("mutant", list(XOR_MUTANTS))
+    def test_closed_form_matches_one_row_at_a_time(self, mutant, fold_rows):
+        # the report rebuilt row by row from the definition and the public
+        # forms; small passes put the first failure in a later pass
+        n = 6
+        with mock.patch.object(z2identity, "xor_int", XOR_MUTANTS[mutant]), mock.patch.object(
+            z2identity, "_FOLD_ROWS", fold_rows
+        ):
+            got = verify_closed_form(n)
+            want = z2identity.CheckReport(f"closed-form n={n}", True, 1 << n, "assignments")
+            for i, bits in enumerate(itertools.product((0, 1), repeat=n)):
+                direct = parity_sum_direct(bits)
+                forms = (direct, int(parity_sum_recurrent(bits)), int(parity_sum_closed_form(bits)))
+                if len(set(forms)) > 1:
+                    want = dataclasses.replace(
+                        want, passed=False, checked=i + 1, counterexample=(bits, *forms)
+                    )
+                    break
+        assert got == want
 
     @pytest.mark.parametrize(
         "wrong_at, prefix, b, checked",
@@ -267,16 +343,11 @@ class TestVerifiers:
         assert all(type(v) is int for v in got_prefix + (got_b, got, want))
 
     def test_closed_form_sampled_reports_first_failure(self, monkeypatch):
-        # wrong on every sample that ends (1, 1); the report names the
-        # first, which is not the first row.  Width 6 is checked last, on
-        # the whole rows
-        real, tables = z2identity.parity_sum_closed_form, []
-
-        def marked(bits):
-            tables.append(bits)
-            return real(bits) + bits[..., -2:].all(axis=-1)
-
-        monkeypatch.setattr(z2identity, "parity_sum_closed_form", marked)
+        # the fold's closed form is wrong on every prefix that ends (1, 1);
+        # the report names the first, which is not the first row.  Width 6
+        # is folded last, on the whole rows
+        tables = []
+        mark_fold(monkeypatch, "closed", lambda p: tables.append(p) or p[:, -2:].all(axis=-1))
         report = verify_closed_form_sampled(6, samples=200)
         table = tables[-1]
         assert table.shape == (200, 6)
@@ -294,7 +365,7 @@ class TestVerifiers:
         )
 
     def test_sampled_failure_in_a_later_pass(self, monkeypatch):
-        # the closed form of width 5 is wrong on one 5-bit prefix, which
+        # the fold's closed form of width 5 is wrong on one 5-bit prefix, which
         # first shows in a later pass and shows again in a pass after that:
         # the report names its first row, numbered from the table's start
         n, k, samples, fold_rows = 10, 5, 200, 8
@@ -307,14 +378,7 @@ class TestVerifiers:
         i = first[bad]
         assert i >= fold_rows
         assert any(p == bad for p in prefixes[(i // fold_rows + 1) * fold_rows :])
-        real = z2identity.parity_sum_closed_form
-
-        def marked(bits):
-            if bits.shape[-1] != k:
-                return real(bits)
-            return real(bits) + (bits == bad).all(axis=-1)
-
-        monkeypatch.setattr(z2identity, "parity_sum_closed_form", marked)
+        mark_fold(monkeypatch, "closed", lambda p: p.shape[1] == k and (p == bad).all(axis=-1))
         monkeypatch.setattr(z2identity, "_FOLD_ROWS", fold_rows)
         reports = verify_closed_form_sampled_prefixes(n, samples)
         closed = 16 if all(bad) else 0
@@ -358,13 +422,61 @@ class TestVerifiers:
 
     def test_sum_shift_laws_pass(self):
         for n in (1, 2, 3, 7):
-            assert verify_sum_shift_laws(n).summary() == f"sum-shift-laws n={n}: PASS (500 samples)"
+            assert [r.summary() for r in verify_sum_shift_laws(n)] == [
+                f"sum-shift-laws n={k}: PASS (500 samples)" for k in range(1, n + 1)
+            ]
+
+    @given(st.integers(1, 24), st.sampled_from(list(XOR_MUTANTS)))
+    @settings(max_examples=100, deadline=None)
+    def test_sum_shift_prefixes_match_one_width_at_a_time(self, n, mutant):
+        # each width k's report rebuilt alone in Python ints: x is the first
+        # k bits of a row seeded with n, z its bit k + 1
+        xor = XOR_MUTANTS[mutant]
+        with mock.patch.object(z2identity, "xor_int", xor):
+            got = verify_sum_shift_laws(n)
+        rows = np.random.default_rng(n).integers(0, 2, size=(500, n + 1), dtype=np.int8).tolist()
+        want = []
+        for k in range(1, n + 1):
+            report = z2identity.CheckReport(f"sum-shift-laws n={k}", True, 500, "samples")
+            for i, row in enumerate(rows):
+                xs, z = row[:k], row[k]
+                flipped = [x ^ z for x in xs]
+                sides = (
+                    sum(flipped),
+                    int(xor(sum(xs), z)) + (k - 1) * z,
+                    sum(flipped[::2]) - sum(flipped[1::2]),
+                    int(xor(sum(xs[::2]) - sum(xs[1::2]), z)) - ((1 + (-1) ** k) // 2) * z,
+                )
+                if sides[0] != sides[1] or sides[2] != sides[3]:
+                    report = dataclasses.replace(
+                        report, passed=False, checked=i + 1, counterexample=(tuple(xs), z, *sides)
+                    )
+                    break
+            want.append(report)
+        assert got == want
+
+    def test_sum_shift_rows_are_seeded_with_n(self, monkeypatch):
+        # width k checks the first k bits of the rows seeded with n against
+        # their bit k + 1, so width n's rows are the same whatever its
+        # neighbours
+        real, given_rows = z2identity._sum_shift_report, []
+        monkeypatch.setattr(
+            z2identity,
+            "_sum_shift_report",
+            lambda xs, z: given_rows.append((xs, z)) or real(xs, z),
+        )
+        assert all(r.passed for r in verify_sum_shift_laws(6))
+        rows = np.random.default_rng(6).integers(0, 2, size=(500, 7), dtype=np.int8)
+        # the helper takes x_i of every trial as row i - 1
+        assert [(xs.T.tolist(), z.tolist()) for xs, z in given_rows] == [
+            (rows[:, :k].tolist(), rows[:, k].tolist()) for k in range(1, 7)
+        ]
 
     @given(
         st.integers(1, 24),
         st.integers(1, 64),
-        st.sampled_from([None, "x+y-xy", "at(2,1)", "at(4,1)", "at(0,1)"]),
-        st.sampled_from([z2identity._FOLD_ROWS, 1, 7, 64]),
+        st.sampled_from(list(XOR_MUTANTS)),
+        st.sampled_from(FOLD_ROWS),
     )
     @settings(max_examples=100, deadline=None)
     def test_prefixes_match_one_width_at_a_time(self, n, samples, mutant, fold_rows):
@@ -372,14 +484,7 @@ class TestVerifiers:
         # rows seeded with n, through the recurrent form and the closed
         # form.  Small passes split the table, so a width's first failure
         # may lie in any pass
-        real = z2identity.xor_int
-        xor = {
-            None: real,
-            "x+y-xy": lambda x, y: x + y - x * y,
-            "at(2,1)": lambda x, y: real(x, y) + ((x == 2) & (y == 1)),
-            "at(4,1)": lambda x, y: real(x, y) + ((x == 4) & (y == 1)),
-            "at(0,1)": lambda x, y: real(x, y) + ((x == 0) & (y == 1)),
-        }[mutant]
+        xor = XOR_MUTANTS[mutant]
         with mock.patch.object(z2identity, "xor_int", xor), mock.patch.object(
             z2identity, "_FOLD_ROWS", fold_rows
         ):
@@ -403,10 +508,8 @@ class TestVerifiers:
         # verify-identity's sampled report lines are fixed by n and
         # --samples: width k checks the k-bit prefixes of the rows seeded
         # with n, so width n's rows are the same whatever n's neighbours
-        real, tables = z2identity.parity_sum_closed_form, []
-        monkeypatch.setattr(
-            z2identity, "parity_sum_closed_form", lambda bits: tables.append(bits) or real(bits)
-        )
+        tables = []
+        mark_fold(monkeypatch, "closed", lambda p: tables.append(p.copy()) or False)
         assert verify_closed_form_sampled(7, samples=40).passed
         want = np.random.default_rng(7).integers(0, 2, size=(40, 7), dtype=np.int8)
         assert [t.tolist() for t in tables] == [want[:, :k].tolist() for k in range(1, 8)]
