@@ -14,20 +14,19 @@ at once, to the exhaustive verifiers and to the simulator's linear trace.
 Everything here is exact integer arithmetic.  ``parity_sum_direct`` is the
 literal definition for one bit vector, in Python ints.  The recurrent and
 closed forms take a table of bit vectors along its last axis and return
-int64 arrays, so bit vectors are capped at ``MAX_BITS``.  Every verifier has
-one shape: build its input table once (all assignments in
-``itertools.product`` order, or seeded random rows), evaluate the forms over
-the whole table, and report the first row where two forms disagree, so its
-output is deterministic.
+int64 arrays, so bit vectors are capped at ``MAX_BITS``.  Every verifier
+evaluates its forms over all its inputs at once and reports the first
+input where two forms disagree, so its output is deterministic.
 
-Both closed-form verifiers read the recurrent and the closed form from one
-fold over the table's bit columns (``_fold``).  It carries the running sum
-of the append recurrence beside the running product 2^(k-1) * x_1 * ... *
-x_k, so after bit k it holds both forms of every row's k-bit prefix, and a
-table costs one pass per bit.  The verifiers do not re-validate the tables
-they build; the public ``parity_sum_recurrent`` and
-``parity_sum_closed_form`` validate their input and are the references the
-fold is tested against.
+The exhaustive verifiers hold no table: in ``itertools.product`` order,
+assignment x is assignment x // 2 with the bit x % 2 appended, so
+``_bits`` reads an assignment from its index, and both forms of every
+assignment grow from width 1 by the append step ``_append`` (recurrent)
+and the running product 2^(k-1) * x_1 * ... * x_k (closed).  Only the
+sampled verifier folds a table, of seeded rows (``_fold``).  The verifiers
+do not re-validate what they build; the public ``parity_sum_recurrent``
+and ``parity_sum_closed_form`` validate their input and are the
+references the verifiers' forms are tested against.
 
 Prefix policy: the sampled closed-form check and the sum-shift laws each
 draw one table seeded with n and check every width k = 1..n on a prefix of
@@ -49,11 +48,11 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-# the largest n for the exhaustive verifiers and parity_sum_direct.  All 2^n
-# assignments are one int8 table plus a few int64 columns: `verify-identity
-# --n 20` takes 0.6-0.75 s and peaks at 85 MiB RSS in a fresh interpreter,
-# while both verifiers at widths 20 and 21 alone take 0.9 s at 132 MiB
-# (2-core Xeon)
+# the largest n for the exhaustive verifiers and parity_sum_direct.  Each
+# width costs a few int64 arrays of 2^n entries and no table of assignments:
+# `verify-identity --n 20` takes 0.43-0.55 s and peaks at 79 MiB RSS in a
+# fresh interpreter, while both verifiers at widths 20 and 21 alone take
+# 0.66-0.68 s at 130 MiB (2-core Xeon)
 EXHAUSTIVE_LIMIT = 20
 
 # the forms' values reach 2^(n-1), so at n <= 62 they and the sums and
@@ -63,7 +62,7 @@ MAX_BITS = 62
 XOR_LAW_LO, XOR_LAW_HI = -8, 8  # verify_xor_int_laws: every triple in [-8, 8]^3
 BINOMIAL_LO, BINOMIAL_HI = 2, 60  # verify_alternating_binomial: n = 2..60
 SUM_SHIFT_TRIALS = 500  # verify_sum_shift_laws: seeded rows per width
-# the verifiers' fold takes at most this many rows per pass, so its two
+# the sampled mode's fold takes at most this many rows per pass, so its two
 # int64 forms and its temporaries stay at 64 KiB each.  Longer passes are
 # slower per row: the fold of 1,000,000 rows of 24 bits takes 119-132 ms in
 # passes and 205-357 ms in one (2-core Xeon)
@@ -167,7 +166,9 @@ def parity_sums(coeffs: np.ndarray) -> np.ndarray:
 
 # the one cache: verify-identity runs verify_closed_form(k) and then
 # verify_append_recurrence(k), which reuse the sums of widths k - 1 and k.
-# Results are read-only arrays over immutable bytes
+# The recurrence reads width k - 1 first, or verify_closed_form(k + 1)
+# evicts width k and every width is built twice.  Results are read-only
+# arrays over immutable bytes
 @functools.lru_cache(maxsize=2)
 def _direct_sums(n: int) -> np.ndarray:
     # parity_sum_direct of every width-n assignment, in product order: the
@@ -181,13 +182,17 @@ def _direct_sums(n: int) -> np.ndarray:
     return np.frombuffer(parity_sums(signs).tobytes(), dtype=np.int64)
 
 
-def _assignments(n: int) -> np.ndarray:
-    # all 2^n width-n bit vectors as int8 rows, in itertools.product order
-    x = np.arange(1 << n)
-    table = np.empty((1 << n, n), dtype=np.int8)
-    for i in range(n):
-        table[:, i] = (x >> (n - 1 - i)) & 1
-    return table
+def _bits(x: int, n: int) -> tuple[int, ...]:
+    # the width-n assignment at index x in itertools.product order
+    return tuple((x >> (n - 1 - i)) & 1 for i in range(n))
+
+
+def _append(sums: np.ndarray) -> np.ndarray:
+    # the append step s + b - xor_int(s, b) for b = 0 and b = 1 on every
+    # sum, interleaved: the sums of every width-k assignment in product
+    # order become those of every width-(k + 1) assignment
+    s, b = sums[:, None], np.arange(2)
+    return (s + b - xor_int(s, b)).reshape(-1)
 
 
 def _plain(value):
@@ -238,7 +243,7 @@ def parity_sum_recurrent(bits) -> np.ndarray:
     ``bits`` holds one bit vector along its last axis, or a table of them;
     the result is int64 of the table's leading shape.  It takes one step per
     bit over the whole table, with no passes, and is the reference the
-    verifiers' fold is tested against.
+    verifiers' forms are tested against.
     """
     table = _bit_table(bits).astype(np.int8, copy=False)
     total = table[..., 0].astype(np.int64)
@@ -254,26 +259,27 @@ def parity_sum_closed_form(bits) -> np.ndarray:
     return np.int64(1 << (bits.shape[-1] - 1)) * bits.all(axis=-1)
 
 
+def _forms(n: int) -> tuple[np.ndarray, np.ndarray]:
+    # the recurrent and the closed form of every width-n assignment, in
+    # product order, grown from width 1, where a bit is both its forms
+    recurrent = closed = np.arange(2, dtype=np.int64)
+    for _ in range(n - 1):
+        recurrent, closed = _append(recurrent), (closed[:, None] * (0, 2)).reshape(-1)
+    return recurrent, closed
+
+
 def verify_closed_form(n: int) -> CheckReport:
     """Exhaustively confirm direct == recurrent == closed form for width n."""
     if not 1 <= n <= EXHAUSTIVE_LIMIT:
         raise ValueError(f"need 1 <= n <= {EXHAUSTIVE_LIMIT}, got {n}")
-    name = f"closed-form n={n}"
-    direct = _direct_sums(n)  # before the table, so the two peaks do not add
-    table = _assignments(n)
-    for lo, k, recurrent, closed in _fold(table):
-        if k < n:
-            continue
-        want = direct[lo : lo + len(recurrent)]
-        report = _report(
-            name,
-            "assignments",
-            (want != closed) | (want != recurrent),
-            lambda i: (table[lo + i], want[i], recurrent[i], closed[i]),
-        )
-        if not report.passed:
-            return dataclasses.replace(report, checked=lo + report.checked)
-    return CheckReport(name, True, len(table), "assignments")
+    direct = _direct_sums(n)  # before the forms, so the two peaks do not add
+    recurrent, closed = _forms(n)
+    return _report(
+        f"closed-form n={n}",
+        "assignments",
+        (direct != closed) | (direct != recurrent),
+        lambda x: (_bits(x, n), direct[x], recurrent[x], closed[x]),
+    )
 
 
 def verify_closed_form_sampled(n: int, samples: int) -> CheckReport:
@@ -318,15 +324,14 @@ def verify_append_recurrence(n: int) -> CheckReport:
     """
     if not 2 <= n <= EXHAUSTIVE_LIMIT:
         raise ValueError(f"need 2 <= n <= {EXHAUSTIVE_LIMIT}, got {n}")
-    # assignment x is assignment x // 2 of width n - 1 with the bit x % 2 appended
-    base, b = np.repeat(_direct_sums(n - 1), 2), np.tile(np.arange(2, dtype=np.int8), 1 << (n - 1))
+    # width n - 1 first: see the cache at _direct_sums
+    want = _append(_direct_sums(n - 1))
     sums = _direct_sums(n)
-    want = base + b - xor_int(base, b)
     return _report(
         f"recurrence n={n}",
         "cases",
         sums != want,
-        lambda k: (_assignments(n - 1)[k // 2], b[k], sums[k], want[k]),
+        lambda x: (_bits(x // 2, n - 1), x % 2, sums[x], want[x]),
     )
 
 

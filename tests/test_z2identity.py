@@ -45,8 +45,8 @@ FOLD_ROWS = [z2identity._FOLD_ROWS, 1, 7, 64]
 
 
 def mark_fold(monkeypatch, form, hit):
-    """Make the shared fold's ``form`` ("recurrent" or "closed") one too
-    large on the rows whose k-bit prefix ``hit(prefixes)`` marks."""
+    """Make ``form`` ("recurrent" or "closed") of the sampled verifier's fold
+    one too large on the rows whose k-bit prefix ``hit(prefixes)`` marks."""
     real, which = z2identity._fold, ("recurrent", "closed").index(form)
 
     def marked(table):
@@ -206,6 +206,19 @@ class TestFold:
         assert seen == [(lo, k) for lo in range(0, rows, fold_rows) for k in range(1, n + 1)]
 
 
+class TestExhaustiveForms:
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_both_forms_of_every_assignment(self, n):
+        # entry x of each form belongs to assignment x in product order,
+        # which _bits reads back from x
+        rows = list(itertools.product((0, 1), repeat=n))
+        recurrent, closed = z2identity._forms(n)
+        assert recurrent.dtype == closed.dtype == np.int64
+        assert recurrent.tolist() == parity_sum_recurrent(rows).tolist()
+        assert closed.tolist() == parity_sum_closed_form(rows).tolist()
+        assert [z2identity._bits(x, n) for x in range(1 << n)] == rows
+
+
 class TestParitySums:
     @pytest.mark.parametrize("n", range(1, 11))
     def test_signed_table_matches_definition(self, n):
@@ -281,32 +294,34 @@ class TestVerifiers:
         ids=["closed_form", "recurrent"],
     )
     def test_closed_form_reports_first_failure(self, monkeypatch, broken, want):
-        # one form of the fold is wrong at two assignments; the report names
-        # the earlier one
+        # one form is wrong at two assignments, so only its comparison with
+        # the direct sums fails; the report names the earlier one
         bad, later = (0, 1, 1, 0, 1), (1, 1, 0, 0, 0)
-        mark_fold(
-            monkeypatch,
-            broken,
-            lambda p: p.shape[1] == 5 and (p == bad).all(axis=-1) | (p == later).all(axis=-1),
-        )
+        order = list(itertools.product((0, 1), repeat=5))
+        hits = np.isin(np.arange(32), [order.index(bad), order.index(later)])
+        real, which = z2identity._forms, ("recurrent", "closed").index(broken)
+
+        def marked(n):
+            forms = list(real(n))
+            forms[which] = forms[which] + hits
+            return tuple(forms)
+
+        monkeypatch.setattr(z2identity, "_forms", marked)
         report = verify_closed_form(5)
         assert not report.passed
-        assert report.checked == list(itertools.product((0, 1), repeat=5)).index(bad) + 1
+        assert report.checked == order.index(bad) + 1
         assert report.counterexample == (bad,) + want
         assert all(type(v) is int for v in bad + report.counterexample[1:])
         assert report.summary() == (
             f"closed-form n=5: FAIL (14 assignments) counterexample={(bad,) + want!r}"
         )
 
-    @pytest.mark.parametrize("fold_rows", [z2identity._FOLD_ROWS, 1, 7])
+    @pytest.mark.parametrize("n", [1, 2, 6, 7, 8])
     @pytest.mark.parametrize("mutant", list(XOR_MUTANTS))
-    def test_closed_form_matches_one_row_at_a_time(self, mutant, fold_rows):
+    def test_closed_form_matches_one_row_at_a_time(self, mutant, n):
         # the report rebuilt row by row from the definition and the public
-        # forms; small passes put the first failure in a later pass
-        n = 6
-        with mock.patch.object(z2identity, "xor_int", XOR_MUTANTS[mutant]), mock.patch.object(
-            z2identity, "_FOLD_ROWS", fold_rows
-        ):
+        # forms
+        with mock.patch.object(z2identity, "xor_int", XOR_MUTANTS[mutant]):
             got = verify_closed_form(n)
             want = z2identity.CheckReport(f"closed-form n={n}", True, 1 << n, "assignments")
             for i, bits in enumerate(itertools.product((0, 1), repeat=n)):
