@@ -42,7 +42,7 @@ from .simulator import (
     operator_distance,
     reference_mcu,
     run_circuit,
-    trace_blocks,
+    trace_distance,
 )
 # unused here: the benchmark's traced run wraps cli.peephole_cancel by name
 # until ROADMAP item A lets that hook go
@@ -56,12 +56,12 @@ RECURRENT_LIMIT = 24
 # at 58 MiB RSS in a fresh interpreter (2-core Xeon).  CI fails it above 100 MiB
 MAX_SAMPLES = 1_000_000
 # synth_mcu emits 2^n - 1 + 2*(n*2^(n-1) - 2^n + 1) gates: 983,041 at n=16,
-# a 9.6 MB file; in a fresh interpreter `synth` takes 0.26-0.39 s at 102 MiB
-# peak RSS there (2-core Xeon), and each further control more than doubles
-# the gate count.  CI fails that synth above 140 MiB.  `check` of that file
-# takes the time and memory stated at textio.MAX_CIRCUIT_BYTES: its reader
-# parses the file's 154 distinct lines once each, and its linear trace is
-# one pass over the gates plus a few arrays of 2^n entries
+# a 9.6 MB file; `synth` takes 0.29-0.44 s there at 102 MiB peak RSS (15
+# fresh interpreters, 2-core Xeon), and each further control more than
+# doubles the gate count.  CI fails that synth above 140 MiB.  `check` of
+# that file takes the time and memory stated at textio.MAX_CIRCUIT_BYTES:
+# its reader parses the file's 154 distinct lines once each, and its linear
+# trace is one pass over the gates plus a few arrays of 2^n entries
 MAX_CONTROLS = 16
 CHECK_TOLERANCE = 1e-9
 AMPLITUDE_FLOOR = 1e-12
@@ -186,15 +186,15 @@ def cmd_check(args: argparse.Namespace) -> int:
             f"circuit width {circuit.width} does not match controls+1 = {args.controls + 1}"
         )
     if (trace := linear_trace(circuit)) is not None:
-        actual, reference = trace_blocks(trace, u)
+        distance = trace_distance(trace, u)
     else:
         try:
             actual = circuit_unitary(circuit)
         except DenseCapError as exc:
             return _usage_error(str(exc))
         reference = reference_mcu(args.controls, u)
+        distance = operator_distance(actual, reference)
 
-    distance = operator_distance(actual, reference)
     # a round-off residual prints as 0.0, so the output does not move with it
     shown = f"{distance:.12g}" if distance >= AMPLITUDE_FLOOR else "0.0"
     print(f"distance {shown}")

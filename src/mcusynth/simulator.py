@@ -17,9 +17,8 @@ apply V^e(x) to the last wire (the phase-polynomial view of Amy, Maslov
 and Mosca, arXiv:1303.2042).  ``linear_trace`` computes y and e for all
 2^(m-1) inputs in one pass over the gates, e from the parity-sum engine in
 ``z2identity``.  ``run_circuit`` applies such a circuit from its trace, and
-``trace_blocks`` gives the nonzero blocks of its operator and of the
-reference, whose ``operator_distance`` is that of the full operators; no
-2^m x 2^m matrix is built.
+``trace_distance`` gives the ``operator_distance`` of its operator from the
+reference; no 2^m x 2^m matrix is built.
 
 ``circuit_unitary`` always builds the dense 2^m x 2^m operator gate by gate,
 and ``run_circuit`` runs every other circuit gate by gate on a dense state
@@ -136,26 +135,21 @@ def _v_powers(trace: LinearTrace) -> np.ndarray:
     return powers[which.reshape(-1)]
 
 
-def trace_blocks(trace: LinearTrace, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The nonzero blocks of a traced circuit's operator and of reference_mcu.
+def trace_distance(trace: LinearTrace, u: np.ndarray) -> float:
+    """``operator_distance`` of a traced circuit's operator and reference_mcu.
 
-    Column block x of the circuit's operator holds V^e(x) in row block y(x)
-    and zeros elsewhere; column block x of ``reference_mcu(n, u)`` holds R_x
-    in row block x, with R_x = u for x all ones and I otherwise.  Entry x of
-    each returned array is a 4 x 2 stack: rows 0-1 are row block y(x), rows
-    2-3 row block x when that differs (zeros otherwise).  So
-    ``operator_distance`` of the pair is exactly ``operator_distance`` of
-    the two 2^m x 2^m operators, neither of which is built.
+    Column block x holds V^e(x) in row block y(x) of the circuit's operator,
+    and R_x (u for x all ones, else I) in row block x of the reference.
+    Where y(x) = x the two blocks differ entrywise; elsewhere each faces
+    zeros, so the gap is the larger entry size.  Neither operator is built.
     """
     u = require_unitary(u)
-    count = trace.outputs.shape[0]
-    actual = np.zeros((count, 4, 2), dtype=complex)
-    actual[:, :2] = _v_powers(trace)
-    rows = 2 * (trace.outputs != np.arange(count))[:, None] + np.arange(2)
-    reference = np.zeros((count, 4, 2), dtype=complex)
-    reference[np.arange(count)[:, None], rows] = I2
-    reference[-1, rows[-1]] = u
-    return actual, reference
+    powers = _v_powers(trace)
+    reference = np.broadcast_to(I2, powers.shape).copy()
+    reference[-1] = u
+    moved = (trace.outputs != np.arange(len(powers)))[:, None, None]
+    gaps = np.where(moved, np.maximum(np.abs(powers), np.abs(reference)), np.abs(powers - reference))
+    return float(gaps.max())
 
 
 def _run_dense(circuit: Circuit, arr: np.ndarray) -> np.ndarray:

@@ -34,7 +34,7 @@ is refused before it is parsed.
 
 So reading costs a few C passes over the text plus one Python parse per
 distinct line of each slice.  The 983,041-gate 16-control file has 154
-distinct lines and parses in about 0.25 s.  A file whose lines never repeat
+distinct lines and parses in 0.16-0.26 s.  A file whose lines never repeat
 pays the parse on every line, and the byte cap bounds that: 16 MiB of
 891,657 distinct gate lines parses in 2.4-3.0 s, and 16 MiB of 2.2 M
 distinct comment lines in about 3.6 s (2-core Xeon, in-process).

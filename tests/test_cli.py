@@ -240,6 +240,42 @@ class TestCheck:
         assert main(["check", "--circuit", str(path), "--controls", "2", "--gate", "X"]) == 1
         assert "FAIL" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("optimize", [False, True], ids=["canonical", "gray"])
+    @pytest.mark.parametrize(
+        "controls, drop, code, out",
+        [
+            (4, None, 0, "distance 0.0\nPASS\n"),
+            (8, None, 0, "distance 0.0\nPASS\n"),
+            # the controls no longer come back to x, so blocks move
+            (4, "cnot", 1, "distance 1\nFAIL (tolerance 1e-09)\n"),
+            (8, "cnot", 1, "distance 1\nFAIL (tolerance 1e-09)\n"),
+            # the first cv-kind gate is cv 0 n in both orders, so deleting it
+            # leaves the same V^-1 on every input with x_0 = 1
+            (4, "cv", 1, "distance 0.333040011658\nFAIL (tolerance 1e-09)\n"),
+            (8, "cv", 1, "distance 0.0209488262231\nFAIL (tolerance 1e-09)\n"),
+        ],
+        ids=["4-whole", "8-whole", "4-no-cnot", "8-no-cnot", "4-no-cv", "8-no-cv"],
+    )
+    def test_whole_output(self, optimize, controls, drop, code, out, tmp_path, capsys):
+        path = tmp_path / "c.circ"
+        args = ["synth", "--controls", str(controls), "--gate", "H", "--out", str(path)]
+        assert main(args + ["--optimize"] * optimize) == 0
+        lines = path.read_text().splitlines(keepends=True)
+        if drop:
+            del lines[next(i for i, l in enumerate(lines) if l.split()[:1] == [drop])]
+        path.write_text("".join(lines))
+        capsys.readouterr()
+        assert main(["check", "--circuit", str(path), "--controls", str(controls), "--gate", "H"]) == code
+        assert capsys.readouterr().out == out
+
+    def test_cv_only_file_passes_for_the_identity(self, tmp_path, capsys):
+        # V = X has order 2 and every wire applies it twice: the operator is
+        # the identity, though its coefficients are not the synthesizer's
+        path = tmp_path / "cvonly.circ"
+        path.write_text("qubits 3\nvmatrix 0 0 1 0 1 0 0 0\ncv 0 2\ncv 0 2\ncv 1 2\ncv 1 2\n")
+        assert main(["check", "--circuit", str(path), "--controls", "2", "--gate", "I"]) == 0
+        assert capsys.readouterr().out == "distance 0.0\nPASS\n"
+
     def test_width_mismatch(self, tmp_path):
         path = self.synth(tmp_path, 2, "X")
         assert main(["check", "--circuit", str(path), "--controls", "3", "--gate", "X"]) == 2

@@ -571,3 +571,63 @@ class TestAlternatingBinomial:
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
             alternating_binomial_sides(1)
+
+
+def shifted(a, z, c):
+    """The weighted shift's right side, xor_int(a, z) + (c - 1) * z: equal to
+    c * (x xor z) for a = c * x, and summed over terms with a and c summed."""
+    return xor_int(a, z) + (c - 1) * z
+
+
+def flipped_sum(x, b):
+    """sum_S sigma(S) * (parity(x_S) xor b) over the nonempty subsets S of x."""
+    return sum(sign * ((sum(x[i] for i in S) % 2) ^ b) for sign, S in signed_parity_terms(len(x)))
+
+
+class TestInduction:
+    """The lemmas of the induction in the z2identity docstring, each checked
+    on a grid that proves it: a polynomial of degree at most d in each
+    variable that vanishes on d + 1 points per variable is zero (Alon,
+    "Combinatorial Nullstellensatz", 1999).  Each test also checks the lemma
+    where the step uses it, on every assignment of a few bits."""
+
+    GRID = range(-3, 4)
+
+    def test_append_step(self):
+        """P(x, b) = s + b - sum_S sigma(S) * (parity(x_S) xor b), and
+        s + b - shifted(s, b, 1) = 2*b*s.  The second is of degree 1 in s and
+        in b, so 2 values of each prove it; the grid has 7.  It is the step
+        that ``_append`` takes, and the first splits the definition."""
+        for s, b in itertools.product(self.GRID, repeat=2):
+            assert s + b - shifted(s, b, 1) == 2 * b * s, (s, b)
+        assert z2identity._append(np.array(self.GRID)).tolist() == [
+            2 * b * s for s in self.GRID for b in (0, 1)
+        ]
+        for n in range(1, 7):
+            for *x, b in itertools.product((0, 1), repeat=n + 1):
+                assert parity_sum_direct([*x, b]) == parity_sum_direct(x) + b - flipped_sum(x, b)
+
+    def test_weighted_shift(self):
+        """c * (x xor z) = shifted(c * x, z, c) for bits x, z and every
+        integer c, and shifted sums termwise.  With x xor z = x + z - 2*x*z
+        both are of degree at most 1 in each of c, x, z and the a, c and z
+        of two terms, so 2 values of each prove them; c and a take 7 values,
+        and x and z are bits."""
+        for c, x, z in itertools.product(self.GRID, (0, 1), (0, 1)):
+            assert c * (x ^ z) == shifted(c * x, z, c), (c, x, z)
+        for a, c, a2, c2 in itertools.product(self.GRID, repeat=4):
+            for z in (0, 1):
+                assert shifted(a, z, c) + shifted(a2, z, c2) == shifted(a + a2, z, c + c2)
+
+    def test_subset_sign_sum(self):
+        """sum_S sigma(S) over the nonempty subsets of m >= 1 bits is
+        1 - (1 - 1)^m = 1, the binomial theorem at -1: not a polynomial
+        identity in m, so the values m = 1..60 are a spot check.  Then the
+        flipped parities sum to shifted(s, b, 1) = xor_int(s, b) on every
+        assignment of up to 6 bits, the lemma that closes the step."""
+        for m in range(1, 61):
+            assert sum((-1) ** (k + 1) * math.comb(m, k) for k in range(1, m + 1)) == 1, m
+        for m in range(1, 7):
+            assert sum(sign for sign, _ in signed_parity_terms(m)) == 1
+            for *x, b in itertools.product((0, 1), repeat=m + 1):
+                assert flipped_sum(x, b) == shifted(parity_sum_direct(x), b, 1), (x, b)

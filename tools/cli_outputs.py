@@ -1,0 +1,71 @@
+"""List the stdout and exit code of `check` and `simulate` over a fixed sweep.
+
+Run from a checkout, with the mcusynth to list on the import path:
+
+    PYTHONPATH=src python tools/cli_outputs.py > outputs.txt
+
+The sweep: n = 1..7 controls, canonical and Gray order, the named gates
+X, Z, H, S and T.  Each synthesized file is kept whole and with one of up
+to six evenly spaced gates deleted.  Every file is checked under four
+``--gate`` specs (its own gate, I, Y and one explicit matrix) and simulated
+on four basis inputs.  Each case prints one JSON line: the argv, the exit
+code and the stdout.  The files live under relative names in a temporary
+directory, so the listing names no path of its own, and two checkouts give
+the same outputs when ``diff`` of their listings is empty.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import tempfile
+
+from mcusynth.cli import main
+
+CONTROLS = range(1, 8)
+GATES = ("X", "Z", "H", "S", "T")
+DELETIONS = 6
+# a unitary that is no named gate
+MATRIX = {"matrix": [[[0.6, 0.0], [0.0, 0.8]], [[0.0, 0.8], [0.6, 0.0]]]}
+
+
+def run(argv: list[str]) -> None:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    print(json.dumps([argv, code, out.getvalue()]))
+
+
+def sweep() -> None:
+    with open("matrix.json", "w", encoding="utf-8") as f:
+        json.dump(MATRIX, f)
+    for n in CONTROLS:
+        inputs = ["1" * n + "0", "1" * n + "1", "0" * (n + 1), ("10" * n)[: n + 1]]
+        for optimize in (False, True):
+            for gate in GATES:
+                name = f"c{n}{'g' if optimize else ''}{gate}.circ"
+                synth = ["synth", "--controls", str(n), "--gate", gate, "--out", name]
+                with contextlib.redirect_stdout(io.StringIO()):
+                    main(synth + ["--optimize"] * optimize)
+                with open(name, encoding="utf-8") as f:
+                    lines = f.read().splitlines(keepends=True)
+                rows = [i for i, line in enumerate(lines) if line.split()[:1] in (["cnot"], ["cv"], ["cvdg"])]
+                files = [name]
+                for k in sorted({len(rows) * i // DELETIONS for i in range(DELETIONS)}):
+                    mutant = f"{name[:-5]}-{k}.circ"
+                    with open(mutant, "w", encoding="utf-8") as f:
+                        f.write("".join(line for i, line in enumerate(lines) if i != rows[k]))
+                    files.append(mutant)
+                for path in files:
+                    for spec in (gate, "I", "Y", "@matrix.json"):
+                        run(["check", "--circuit", path, "--controls", str(n), "--gate", spec])
+                    for bits in inputs:
+                        run(["simulate", "--circuit", path, "--input", bits])
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as workdir:
+        os.chdir(workdir)
+        sweep()
