@@ -42,7 +42,7 @@ from .simulator import (
     operator_distance,
     reference_mcu,
     run_circuit,
-    trace_distance,
+    trace_operands,
 )
 # unused here: the benchmark's traced run wraps cli.peephole_cancel by name
 # until ROADMAP item A lets that hook go
@@ -186,15 +186,15 @@ def cmd_check(args: argparse.Namespace) -> int:
             f"circuit width {circuit.width} does not match controls+1 = {args.controls + 1}"
         )
     if (trace := linear_trace(circuit)) is not None:
-        distance = trace_distance(trace, u)
+        actual, reference = trace_operands(trace, u)
     else:
         try:
             actual = circuit_unitary(circuit)
         except DenseCapError as exc:
             return _usage_error(str(exc))
         reference = reference_mcu(args.controls, u)
-        distance = operator_distance(actual, reference)
 
+    distance = operator_distance(actual, reference)
     # a round-off residual prints as 0.0, so the output does not move with it
     shown = f"{distance:.12g}" if distance >= AMPLITUDE_FLOOR else "0.0"
     print(f"distance {shown}")

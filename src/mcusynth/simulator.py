@@ -17,8 +17,9 @@ apply V^e(x) to the last wire (the phase-polynomial view of Amy, Maslov
 and Mosca, arXiv:1303.2042).  ``linear_trace`` computes y and e for all
 2^(m-1) inputs in one pass over the gates, e from the parity-sum engine in
 ``z2identity``.  ``run_circuit`` applies such a circuit from its trace, and
-``trace_distance`` gives the ``operator_distance`` of its operator from the
-reference; no 2^m x 2^m matrix is built.
+``trace_operands`` gives a pair of 2 x 2 blocks per input, whose
+``operator_distance`` is that of its operator from the reference; no
+2^m x 2^m matrix is built.
 
 ``circuit_unitary`` always builds the dense 2^m x 2^m operator gate by gate,
 and ``run_circuit`` runs every other circuit gate by gate on a dense state
@@ -135,21 +136,23 @@ def _v_powers(trace: LinearTrace) -> np.ndarray:
     return powers[which.reshape(-1)]
 
 
-def trace_distance(trace: LinearTrace, u: np.ndarray) -> float:
-    """``operator_distance`` of a traced circuit's operator and reference_mcu.
+def trace_operands(trace: LinearTrace, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A pair whose ``operator_distance`` is that of the circuit and reference_mcu.
 
     Column block x holds V^e(x) in row block y(x) of the circuit's operator,
     and R_x (u for x all ones, else I) in row block x of the reference.
-    Where y(x) = x the two blocks differ entrywise; elsewhere each faces
-    zeros, so the gap is the larger entry size.  Neither operator is built.
+    Where y(x) = x, entry x of the pair is those two blocks.  Elsewhere each
+    block faces zeros in the other operator, so entry x is the larger of
+    their entry sizes against zeros.  Neither operator is built.
     """
     u = require_unitary(u)
-    powers = _v_powers(trace)
-    reference = np.broadcast_to(I2, powers.shape).copy()
+    actual = _v_powers(trace)
+    reference = np.broadcast_to(I2, actual.shape).copy()
     reference[-1] = u
-    moved = (trace.outputs != np.arange(len(powers)))[:, None, None]
-    gaps = np.where(moved, np.maximum(np.abs(powers), np.abs(reference)), np.abs(powers - reference))
-    return float(gaps.max())
+    moved = trace.outputs != np.arange(len(actual))
+    actual[moved] = np.maximum(np.abs(actual[moved]), np.abs(reference[moved]))
+    reference[moved] = 0
+    return actual, reference
 
 
 def _run_dense(circuit: Circuit, arr: np.ndarray) -> np.ndarray:

@@ -18,29 +18,34 @@ So P(x, b) = s + b - xor_int(s, b) = 2*b*s.  Past the regrouping, every
 lemma but the binomial theorem is a polynomial identity of degree at most
 1 in each variable, so a check on 2 points per variable proves it for all
 integers (Alon, "Combinatorial Nullstellensatz", 1999), as the tests do.
-``parity_sums`` gives P for all 2^n inputs at once, for the linear trace too.
+``parity_sums`` gives P for all 2^n inputs at once, to the exhaustive
+verifiers and to the simulator's linear trace.
 
 Everything here is exact integer arithmetic.  ``parity_sum_direct`` is the
-literal definition for one bit vector, in Python ints; the recurrent and
-closed forms take bit vectors along a table's last axis and return int64
-arrays, so bit vectors are capped at ``MAX_BITS``.  Every verifier reports
-the first input where two of its forms disagree.
+literal definition for one bit vector, in Python ints.  The recurrent and
+closed forms take a table of bit vectors along its last axis and return
+int64 arrays, so bit vectors are capped at ``MAX_BITS``.  Every verifier
+evaluates its forms over all its inputs at once and reports the first
+input where two forms disagree, so its output is deterministic.
 
 The exhaustive verifiers hold no table: in ``itertools.product`` order,
-assignment x is assignment x // 2 with the bit x % 2 appended, so ``_bits``
-reads it from its index, and both forms grow from width 1, the recurrent
-one by the append step ``_append``.  Only the sampled verifier folds a
-table, of seeded rows (``_fold``).  The public ``parity_sum_recurrent`` and
-``parity_sum_closed_form`` validate their input and are the references the
-verifiers' forms are tested against.
+assignment x is assignment x // 2 with the bit x % 2 appended, so
+``_bits`` reads an assignment from its index, and both forms of every
+assignment grow from width 1 by the append step ``_append`` (recurrent)
+and the running product 2^(k-1) * x_1 * ... * x_k (closed).  Only the
+sampled verifier folds a table, of seeded rows (``_fold``).  The verifiers
+do not re-validate what they build; the public ``parity_sum_recurrent``
+and ``parity_sum_closed_form`` validate their input and are the
+references the verifiers' forms are tested against.
 
 Prefix policy: the sampled closed-form check and the sum-shift laws each
-check every width k = 1..n on a prefix of one table seeded with n: the
-k-bit prefixes of n-bit rows, or x from the first k bits of (n + 1)-bit
-rows and z from bit k + 1.  Width n's rows are those seeded with n; a
-smaller width's rows, and so its report under a broken ``xor_int``, depend
-on n.  The one cache holds the direct sums of the last two widths,
-read-only over immutable bytes.
+draw one table seeded with n and check every width k = 1..n on a prefix of
+its rows.  The closed form takes the k-bit prefixes of n-bit rows; the
+sum-shift laws take x from the first k bits of (n + 1)-bit rows and z from
+bit k + 1.  Each width still sees independent, uniform rows, and width n's
+rows are those seeded with n; a smaller width's rows, and so its report
+under a broken ``xor_int``, depend on n.  The one cache holds the direct
+sums of the last two widths, read-only over immutable bytes.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ from mcusynth.simulator import (
     operator_distance,
     reference_mcu,
     run_circuit,
-    trace_distance,
+    trace_operands,
 )
 from mcusynth.synthesize import peephole_cancel, synth_mcu
 from mcusynth.textio import format_circuit, parse_circuit
@@ -379,7 +379,7 @@ class TestLinearTrace:
         n = circuit.width - 1
         trace = linear_trace(circuit)
         assert trace is not None
-        traced = trace_distance(trace, u)
+        traced = operator_distance(*trace_operands(trace, u))
         dense_op = circuit_unitary(circuit)
         dense = operator_distance(dense_op, reference_mcu(n, u))
         assert abs(traced - dense) < 1e-12
@@ -398,9 +398,9 @@ class TestLinearTrace:
         # |x0 x1> -> |x0, x0 ^ x1>
         assert list(trace.outputs) == [0, 1, 3, 2]
         assert not trace.exponents.any()
-        assert trace_distance(trace, I2) == 1.0
+        assert operator_distance(*trace_operands(trace, I2)) == 1.0
         # the all-ones block moves too, so its gap is max(1, max|H|)
-        assert trace_distance(trace, H) == 1.0
+        assert operator_distance(*trace_operands(trace, H)) == 1.0
 
     @pytest.mark.parametrize("signs", [[1] * 10, [-1] * 10, [1, -1] * 5], ids=["cv", "cvdg", "mixed"])
     def test_powers_are_bitwise_those_of_power(self, signs):
