@@ -4,10 +4,9 @@ Gates carry symbolic labels rather than matrices: a circuit has at most one
 controlled-V matrix, bound once at the circuit level (``v_binding``), and it
 has one whenever it has a cv or cvdg gate.  That keeps peephole cancellation
 exact, since cv and cvdg are inverses by construction.  Circuits are
-immutable, and their arrays are read-only: ``v_binding`` is backed by
-immutable bytes, and ``table`` is a view of a frozen array (a bytes copy
-would double its cost on a 16 MiB file), so only its ``base`` can be made
-writable again.
+immutable, and their arrays lie over immutable bytes: ``table`` and
+``v_binding`` are copied once into ``bytes``, so no array reachable from a
+circuit, through ``.base`` or not, can be made writable.
 
 A gate is one row (kind, control, target) of ints, kind an index into
 ``GATE_KINDS``; ``cnot``, ``cv`` and ``cvdg`` build such rows.  A circuit
@@ -35,7 +34,7 @@ GATE_KINDS = ("cnot", "cv", "cvdg")
 # the kind column holds each gate's index in GATE_KINDS
 CNOT_CODE, CV_CODE, CVDG_CODE = range(len(GATE_KINDS))
 INVERSE_CODE = np.array([CNOT_CODE, CVDG_CODE, CV_CODE])
-# the widest circuit, so that gate keys stay in int64 (Circuit.pair_ids)
+# the widest circuit, so that gate keys stay below 3 * 2^60 < 2^63 (Circuit.gate_keys)
 MAX_QUBITS = 2**30
 
 
@@ -91,10 +90,12 @@ class Circuit:
 
     ``width`` is an int and ``gates`` an (m, 3) array-like of integer
     (kind, control, target) rows within int64, ``()`` for no gates; other
-    input raises ValueError.  The rows are copied once into ``table`` and
-    checked there; without ``v_binding`` the first cv-kind row is refused
-    after the gate checks, and a (3, m) table is refused unless m = 3, where
-    the two shapes cannot be told apart.  Gates apply left to right.
+    input raises ValueError.  The rows are copied once, into the bytes
+    behind ``table``, and checked there, and ``v_binding`` is copied the
+    same way, so neither nor any ``.base`` can be made writable.  Without
+    ``v_binding`` the first cv-kind row is refused after the gate checks, and
+    a (3, m) table is refused unless m = 3, where the two shapes cannot be
+    told apart.  Gates apply left to right.
     """
 
     __slots__ = ("width", "table", "v_binding")
@@ -113,15 +114,12 @@ class Circuit:
         exact = np.can_cast(rows.dtype, np.int64) or rows.dtype == np.uint64 and not (rows >> 63).any()
         if rows.size and not exact:
             raise ValueError(f"gate rows must be integers within int64, got {rows.dtype}")
-        table = rows.T.astype(np.int64, order="C")
+        # tobytes writes C order from any layout, so this is the one copy
+        table = np.frombuffer(rows.T.astype(np.int64, copy=False).tobytes(), dtype=np.int64).reshape(3, -1)
         self._check_gate(width, table)
-        # frozen behind views: numpy keeps a view of a read-only base read-only
-        table.setflags(write=False)
         object.__setattr__(self, "width", int(width))
-        object.__setattr__(self, "table", table.view())
+        object.__setattr__(self, "table", table)
         if v_binding is not None:
-            # a private copy over immutable bytes, so freezing never touches
-            # the caller's array and no base of it can be made writable
             v_binding = require_unitary(v_binding, name="v binding")
             v_binding = np.frombuffer(v_binding.tobytes(), dtype=complex).reshape(2, 2)
         elif (unbound := table[0] != CNOT_CODE).any():
@@ -166,11 +164,14 @@ class Circuit:
         """(kind code, control, target) of each gate, as Python ints."""
         return zip(*self.table.tolist())
 
-    def pair_ids(self) -> np.ndarray:
-        """One int64 per gate, equal for two gates iff they share both wires:
-        control * width + target < 2^60 at width <= MAX_QUBITS = 2^30, so a
-        key id * len(GATE_KINDS) + kind stays below 2^62, inside int64."""
-        return self.control * self.width + self.target
+    def gate_keys(self) -> np.ndarray:
+        """One key per gate, equal for two gates iff they are the same gate:
+        (control * width + target) * 3 + kind, below 3 * width^2, in the
+        smallest unsigned dtype that holds that bound (16 bits, which numpy
+        sorts by radix, up to width 147).  At width <= MAX_QUBITS = 2^30
+        the bound is 3 * 2^60 < 2^63, so the int64 arithmetic is exact."""
+        keys = (self.control * self.width + self.target) * len(GATE_KINDS) + self.kind
+        return keys.astype(np.min_scalar_type(len(GATE_KINDS) * self.width**2))
 
     @property
     def gates(self) -> np.ndarray:

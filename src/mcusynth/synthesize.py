@@ -60,7 +60,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .circuit import CNOT_CODE, CV_CODE, CVDG_CODE, GATE_KINDS, INVERSE_CODE, Circuit, GateCounts
+from .circuit import CNOT_CODE, CV_CODE, CVDG_CODE, INVERSE_CODE, Circuit, GateCounts
 from .unitary2 import unitary_root
 
 
@@ -155,11 +155,13 @@ def peephole_cancel(circuit: Circuit) -> Circuit:
     idempotent; the simulated operator is unchanged and the gate count never
     increases.
     """
-    # a gate's key equals another's inverse key iff the two cancel
-    pair = circuit.pair_ids() * len(GATE_KINDS)
-    keys = (pair + circuit.kind).tolist()
+    # a gate's key equals another's inverse key iff the two cancel.  Keys
+    # past width 37,837 are uint64, which numpy mixes with int64 into float64
+    keys = circuit.gate_keys().astype(np.int64)
+    inverses = keys + (INVERSE_CODE[circuit.kind] - circuit.kind)
+    keys = keys.tolist()
     kept: list[int] = []
-    for row, inverse in enumerate((pair + INVERSE_CODE[circuit.kind]).tolist()):
+    for row, inverse in enumerate(inverses.tolist()):
         if kept and keys[kept[-1]] == inverse:
             kept.pop()
         else:

@@ -19,9 +19,9 @@ first cv-kind gate.
 
 Files are read and written as UTF-8, whatever the locale.  Both
 directions work on distinct lines, not per gate: ``format_circuit``
-numbers the gates by sorting one (kind, wires) key each, in the smallest
-unsigned dtype that holds it (16 bits, so a radix sort, up to 147 qubits),
-renders each distinct gate once and gathers the lines, and
+numbers the gates by sorting ``Circuit.gate_keys()`` (16 bits, so a radix
+sort, up to 147 qubits), renders each distinct gate once and gathers the
+lines, and
 ``parse_circuit`` reads each distinct line once.  It cuts the text into
 slices of about 1 MiB, each ending just after a "\n", splits each slice
 with ``str.splitlines``, numbers the slice's distinct lines, reads each
@@ -99,12 +99,8 @@ def format_circuit(circuit: Circuit, header: str | None = None) -> str:
     if circuit.v_binding is not None:
         flat = map(repr, circuit.v_binding.reshape(-1).view(float).tolist())
         lines.append("vmatrix " + " ".join(flat))
-    # a circuit repeats few distinct gates: render each once, then gather.
-    # Keys below 3 * width^2 fit 16 bits up to width 147, every width synth
-    # writes, and numpy sorts 16-bit keys by radix
-    keys = circuit.pair_ids() * len(GATE_KINDS) + circuit.kind
-    keys = keys.astype(np.min_scalar_type(len(GATE_KINDS) * circuit.width**2))
-    _, first, which = np.unique(keys, return_index=True, return_inverse=True)
+    # a circuit repeats few distinct gates: render each once, then gather
+    _, first, which = np.unique(circuit.gate_keys(), return_index=True, return_inverse=True)
     distinct = [f"{GATE_KINDS[k]} {c} {t}" for k, c, t in circuit.table[:, first].T.tolist()]
     lines.extend(np.array(distinct, dtype=object)[which.reshape(-1)].tolist())
     return "\n".join(lines) + "\n"
@@ -176,7 +172,7 @@ def _read(text: str):
     table holds the gates above that fault, or all of them."""
     width = v = error = None
     rows, gate_ids, gate_lines = [], [], []  # per slice
-    start = lineno = seen = 0  # where the slice starts, the lines and distinct gate rows above it
+    start = lineno = seen = 0  # where the slice starts, the lines and distinct rows above it
     while start < len(text) and error is None:
         # just past the first "\n" that leaves _SLICE characters, or the end
         end = text.find("\n", start + _SLICE - 1) + 1 or len(text)
@@ -202,12 +198,11 @@ def _read(text: str):
                 kind = kind[:i]
                 break
         gates = np.flatnonzero(kind >= 0)
-        # the distinct gate rows, numbered on from those of the slices above
-        is_gate = distinct[0] >= 0
-        rows.append(distinct[:, is_gate])
-        gate_ids.append((np.cumsum(is_gate, dtype=np.int32) + (seen - 1))[index[gates]])
+        # the slice's distinct rows, numbered on from those of the slices above
+        rows.append(distinct)
+        gate_ids.append(index[gates] + seen)
         gate_lines.append((gates + lineno + 1).astype(np.int32))
-        start, lineno, seen = end, lineno + index.shape[0], seen + rows[-1].shape[1]
+        start, lineno, seen = end, lineno + index.shape[0], seen + len(lines)
     if width is None:
         raise CircuitFormatError("missing 'qubits' line")
     table = np.concatenate(rows, axis=1)[:, np.concatenate(gate_ids)]

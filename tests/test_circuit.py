@@ -17,12 +17,13 @@ from mcusynth.circuit import (
     cvdg,
 )
 from mcusynth.simulator import circuit_unitary, operator_distance
+from mcusynth.synthesize import peephole_cancel, synth_mcu
 from mcusynth.textio import format_circuit, parse_circuit
 from mcusynth.unitary2 import NAMED_GATES
 
 from conftest import random_unitary
 
-X = NAMED_GATES["X"]
+X, H = NAMED_GATES["X"], NAMED_GATES["H"]
 
 RNG = np.random.default_rng(5)
 
@@ -74,8 +75,10 @@ class TestCircuit:
             Circuit(0)
 
     def test_width_bound(self):
-        top = Circuit(MAX_QUBITS, [cnot(MAX_QUBITS - 1, MAX_QUBITS - 2)])
-        assert top.pair_ids().tolist() == [(MAX_QUBITS - 1) * MAX_QUBITS + MAX_QUBITS - 2]
+        # the top of the key range, 3 * MAX_QUBITS^2 - 4 < 3 * 2^60, is exact
+        top = Circuit(MAX_QUBITS, [cvdg(MAX_QUBITS - 1, MAX_QUBITS - 2)], X)
+        assert top.gate_keys().dtype == np.uint64
+        assert top.gate_keys().tolist() == [3 * MAX_QUBITS**2 - 4]
         with pytest.raises(ValueError, match=f"^need width <= {MAX_QUBITS}, got {MAX_QUBITS + 1}$"):
             Circuit(MAX_QUBITS + 1)
 
@@ -262,6 +265,41 @@ class TestGateTable:
         c = Circuit(3, self.GATES, X)
         assert repr(c) == "Circuit(width=3, [cv(0,2), cv(1,2), cnot(0,1), cvdg(1,2), cnot(0,1)], v bound)"
         assert repr(Circuit(1)) == "Circuit(width=1, [])"
+
+
+def bases(array):
+    """``array`` and every array behind it through ``.base``."""
+    while isinstance(array, np.ndarray):
+        yield array
+        array = array.base
+
+
+class TestFrozen:
+    """No array reachable from a circuit can be made writable, whichever
+    path built it."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Circuit(3, np.array(TestGateTable.GATES, dtype=np.int64), X),
+            lambda: Circuit(3, TestGateTable.TABLE.T, X),
+            lambda: Circuit(3, TestGateTable.GATES, X),
+            lambda: Circuit(3, np.array(TestGateTable.GATES, dtype=np.uint8), X),
+            lambda: parse_circuit("qubits 3\nvmatrix 0 0 1 0 1 0 0 0\ncv 0 2\ncnot 0 1\ncvdg 1 2\n"),
+            lambda: synth_mcu(3, H),
+            lambda: synth_mcu(3, H, gray=True),
+            lambda: peephole_cancel(synth_mcu(3, H)),
+        ],
+        ids=["int64-rows", "table-T", "list", "uint8-rows", "parse_circuit", "synth", "synth-gray", "peephole"],
+    )
+    def test_no_base_can_be_made_writable(self, build):
+        c = build()
+        for array in (c.table, c.gates, c.kind, c.control, c.target, c.v_binding):
+            steps = list(bases(array))
+            assert steps
+            for step in steps:
+                with pytest.raises(ValueError):
+                    step.setflags(write=True)
 
 
 @st.composite

@@ -390,9 +390,9 @@ class TestColumnTextIO:
         "width, key_type", [(147, np.uint16), (148, np.uint32), ((1 << 16) + 1, np.uint64)]
     )
     def test_gate_keys_at_each_dtype_boundary(self, width, key_type):
-        # format_circuit numbers gates by their keys (control * width +
-        # target) * 3 + kind, below 3 * width^2, in the smallest unsigned
-        # dtype; the top wires give the largest keys
+        # format_circuit numbers gates by Circuit.gate_keys(), (control *
+        # width + target) * 3 + kind, below 3 * width^2, in the smallest
+        # unsigned dtype; the top wires give the largest keys
         assert np.min_scalar_type(len(GATE_KINDS) * width**2) == key_type
         top, below = width - 1, width - 2
         pairs = [(top, below), (below, top), (top, 0), (0, top)]
@@ -405,6 +405,7 @@ class TestColumnTextIO:
                 rows.append((alias_kind, *divmod(pair, width)))
         gates = [rows[i] for i in RNG.permutation(np.arange(100) % len(rows))]
         circuit = Circuit(width, gates, X)
+        assert circuit.gate_keys().dtype == key_type
         body = "".join(f"{GATE_KINDS[kind]} {c} {t}\n" for kind, c, t in gates)
         text = format_circuit(circuit)
         assert text.split("\n", 2)[2] == body

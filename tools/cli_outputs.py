@@ -1,22 +1,27 @@
-"""List the stdout and exit code of `check` and `simulate` over a fixed sweep.
+"""List the stdout and exit code of every command over a fixed sweep.
 
 Run from a checkout, with the mcusynth to list on the import path:
 
     PYTHONPATH=src python tools/cli_outputs.py > outputs.txt
 
-The sweep: n = 1..7 controls, canonical and Gray order, the named gates
-X, Z, H, S and T.  Each synthesized file is kept whole and with one of up
-to six evenly spaced gates deleted.  Every file is checked under four
-``--gate`` specs (its own gate, I, Y and one explicit matrix) and simulated
-on four basis inputs.  Each case prints one JSON line: the argv, the exit
-code and the stdout.  The files live under relative names in a temporary
-directory, so the listing names no path of its own, and two checkouts give
-the same outputs when ``diff`` of their listings is empty.
+The sweep: n = 1..7 controls, canonical and Gray order.  ``synth`` runs for
+the named gates X, Z, H, S and T and for one explicit matrix, and lists the
+SHA-256 of each file it writes.  Each named gate's file is kept whole and
+with one of up to six evenly spaced gates deleted.  Every such file is
+checked under four ``--gate`` specs (its own gate, I, Y and the explicit
+matrix) and simulated on four basis inputs.  ``verify-identity`` runs in
+full mode at n = 1..12, and with ``--recurrent-only`` at N = 20..24 with
+250, 1000 and the default samples.  Each case prints one JSON line: the
+argv, the exit code, the stdout and, for ``synth``, the file's SHA-256.
+The files live under relative names in a temporary directory, so the
+listing names no path of its own, and two checkouts give the same outputs
+when ``diff`` of their listings is empty.
 """
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -29,13 +34,20 @@ GATES = ("X", "Z", "H", "S", "T")
 DELETIONS = 6
 # a unitary that is no named gate
 MATRIX = {"matrix": [[[0.6, 0.0], [0.0, 0.8]], [[0.0, 0.8], [0.6, 0.0]]]}
+FULL_WIDTHS = range(1, 13)
+SAMPLED_WIDTHS = range(20, 25)
+SAMPLES = (250, 1000, None)
 
 
-def run(argv: list[str]) -> None:
+def run(argv: list[str], written: str | None = None) -> None:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(argv)
-    print(json.dumps([argv, code, out.getvalue()]))
+    case = [argv, code, out.getvalue()]
+    if written is not None:
+        with open(written, "rb") as f:
+            case.append(hashlib.sha256(f.read()).hexdigest())
+    print(json.dumps(case))
 
 
 def sweep() -> None:
@@ -44,11 +56,12 @@ def sweep() -> None:
     for n in CONTROLS:
         inputs = ["1" * n + "0", "1" * n + "1", "0" * (n + 1), ("10" * n)[: n + 1]]
         for optimize in (False, True):
-            for gate in GATES:
-                name = f"c{n}{'g' if optimize else ''}{gate}.circ"
+            for gate in GATES + ("@matrix.json",):
+                name = f"c{n}{'g' if optimize else ''}{gate.lstrip('@').split('.')[0]}.circ"
                 synth = ["synth", "--controls", str(n), "--gate", gate, "--out", name]
-                with contextlib.redirect_stdout(io.StringIO()):
-                    main(synth + ["--optimize"] * optimize)
+                run(synth + ["--optimize"] * optimize, written=name)
+                if gate not in GATES:
+                    continue
                 with open(name, encoding="utf-8") as f:
                     lines = f.read().splitlines(keepends=True)
                 rows = [i for i, line in enumerate(lines) if line.split()[:1] in (["cnot"], ["cv"], ["cvdg"])]
@@ -63,6 +76,12 @@ def sweep() -> None:
                         run(["check", "--circuit", path, "--controls", str(n), "--gate", spec])
                     for bits in inputs:
                         run(["simulate", "--circuit", path, "--input", bits])
+    for n in FULL_WIDTHS:
+        run(["verify-identity", "--n", str(n)])
+    for n in SAMPLED_WIDTHS:
+        for samples in SAMPLES:
+            given = [] if samples is None else ["--samples", str(samples)]
+            run(["verify-identity", "--n", str(n), "--recurrent-only"] + given)
 
 
 if __name__ == "__main__":
