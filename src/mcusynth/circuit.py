@@ -4,18 +4,17 @@ Gates carry symbolic labels rather than matrices: a circuit has at most one
 controlled-V matrix, bound once at the circuit level (``v_binding``), and it
 has one whenever it has a cv or cvdg gate.  That keeps peephole cancellation
 exact, since cv and cvdg are inverses by construction.  Circuits are
-immutable, and their arrays lie over immutable bytes: ``table`` and
+immutable, and their arrays lie over immutable bytes: the gates and
 ``v_binding`` are copied once into ``bytes``, so no array reachable from a
 circuit, through ``.base`` or not, can be made writable.
 
 A gate is one row (kind, control, target) of ints, kind an index into
-``GATE_KINDS``; ``cnot``, ``cv`` and ``cvdg`` build such rows.  A circuit
-is built from an (m, 3) array-like of rows and stores them as a struct of
-arrays: ``table`` is one read-only (3, m) int64 array whose rows ``kind``,
-``control`` and ``target`` hold the m gates in application order, and
-``gates`` is its (m, 3) transpose, the rows again.  The synthesizer, the
-peephole pass, the text format and both simulators read and write those
-columns; the constructor validates every gate in one vectorized pass.
+``GATE_KINDS``.  A circuit is built from an (m, 3) array-like of rows and
+stores them in one field, ``gates``: the read-only (m, 3) int64 rows in
+application order, the transpose view of one (3, m) C-order copy, so each
+column ``gates[:, j]`` (kind, control, target) is contiguous.  The
+synthesizer, the peephole pass, the text format and both simulators read
+those columns; the constructor validates every gate in one vectorized pass.
 
 Qubit index convention: qubit 0 is the leftmost tensor factor, i.e. the most
 significant bit of a basis index.
@@ -54,18 +53,6 @@ def _gate_problem(code: int, control: int, target: int, width: int) -> str | Non
     return None
 
 
-def cnot(control: int, target: int) -> tuple[int, int, int]:
-    return (CNOT_CODE, control, target)
-
-
-def cv(control: int, target: int) -> tuple[int, int, int]:
-    return (CV_CODE, control, target)
-
-
-def cvdg(control: int, target: int) -> tuple[int, int, int]:
-    return (CVDG_CODE, control, target)
-
-
 @dataclass(frozen=True)
 class GateCounts:
     cnot: int
@@ -86,19 +73,20 @@ class GateError(ValueError):
 
 
 class Circuit:
-    """Qubit count plus an ordered gate table, with an optional V binding.
+    """Qubit count plus its ordered gates, with an optional V binding.
 
     ``width`` is an int and ``gates`` an (m, 3) array-like of integer
     (kind, control, target) rows within int64, ``()`` for no gates; other
-    input raises ValueError.  The rows are copied once, into the bytes
-    behind ``table``, and checked there, and ``v_binding`` is copied the
-    same way, so neither nor any ``.base`` can be made writable.  Without
-    ``v_binding`` the first cv-kind row is refused after the gate checks, and
-    a (3, m) table is refused unless m = 3, where the two shapes cannot be
-    told apart.  Gates apply left to right.
+    input raises ValueError.  The rows are copied once, a column at a time,
+    into the bytes behind the ``gates`` field and checked there, and
+    ``v_binding`` is copied the same way, so neither nor any ``.base`` can
+    be made writable.  Without ``v_binding`` the first cv-kind row is
+    refused after the gate checks, and a (3, m) table is refused unless
+    m = 3, where the two shapes cannot be told apart.  Gates apply left to
+    right.
     """
 
-    __slots__ = ("width", "table", "v_binding")
+    __slots__ = ("width", "gates", "v_binding")
 
     def __init__(self, width: int, gates=(), v_binding: np.ndarray | None = None):
         if not isinstance(width, (int, np.integer)) or width < 1:
@@ -118,7 +106,7 @@ class Circuit:
         table = np.frombuffer(rows.T.astype(np.int64, copy=False).tobytes(), dtype=np.int64).reshape(3, -1)
         self._check_gate(width, table)
         object.__setattr__(self, "width", int(width))
-        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "gates", table.T)
         if v_binding is not None:
             v_binding = require_unitary(v_binding, name="v binding")
             v_binding = np.frombuffer(v_binding.tobytes(), dtype=complex).reshape(2, 2)
@@ -132,8 +120,8 @@ class Circuit:
 
     @staticmethod
     def _check_gate(width: int, table: np.ndarray) -> None:
-        """Raise GateError for the first row of ``table`` that is no gate on
-        ``width`` qubits, in ``_gate_problem``'s words."""
+        """Raise GateError for the first column of the (3, m) ``table`` that
+        is no gate on ``width`` qubits, in ``_gate_problem``'s words."""
         kind, control, target = table
         bad = (
             (kind < 0)
@@ -148,21 +136,9 @@ class Circuit:
             row = int(bad.argmax())
             raise GateError(row, _gate_problem(*table[:, row].tolist(), width))
 
-    @property
-    def kind(self) -> np.ndarray:
-        return self.table[0]
-
-    @property
-    def control(self) -> np.ndarray:
-        return self.table[1]
-
-    @property
-    def target(self) -> np.ndarray:
-        return self.table[2]
-
     def rows(self) -> Iterator[tuple[int, int, int]]:
         """(kind code, control, target) of each gate, as Python ints."""
-        return zip(*self.table.tolist())
+        return zip(*self.gates.T.tolist())
 
     def gate_keys(self) -> np.ndarray:
         """One key per gate, equal for two gates iff they are the same gate:
@@ -170,25 +146,21 @@ class Circuit:
         smallest unsigned dtype that holds that bound (16 bits, which numpy
         sorts by radix, up to width 147).  At width <= MAX_QUBITS = 2^30
         the bound is 3 * 2^60 < 2^63, so the int64 arithmetic is exact."""
-        keys = (self.control * self.width + self.target) * len(GATE_KINDS) + self.kind
+        kind, control, target = self.gates.T
+        keys = (control * self.width + target) * len(GATE_KINDS) + kind
         return keys.astype(np.min_scalar_type(len(GATE_KINDS) * self.width**2))
 
-    @property
-    def gates(self) -> np.ndarray:
-        """The (m, 3) rows, a read-only view of ``table``."""
-        return self.table.T
-
     def counts(self) -> GateCounts:
-        cnot, cv, cvdg = np.bincount(self.kind, minlength=len(GATE_KINDS)).tolist()
+        cnot, cv, cvdg = np.bincount(self.gates[:, 0], minlength=len(GATE_KINDS)).tolist()
         return GateCounts(cnot=cnot, cv=cv, cvdg=cvdg)
 
     def __len__(self) -> int:
-        return self.table.shape[1]
+        return len(self.gates)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Circuit):
             return NotImplemented
-        if self.width != other.width or not np.array_equal(self.table, other.table):
+        if self.width != other.width or not np.array_equal(self.gates, other.gates):
             return False
         if self.v_binding is None or other.v_binding is None:
             return self.v_binding is other.v_binding

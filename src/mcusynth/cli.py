@@ -7,11 +7,13 @@ Subcommands:
     check --circuit PATH --controls N --gate SPEC
     simulate --circuit PATH --input BITS
 
-``simulator`` decides the route of ``check`` and ``simulate``: the exact
-linear trace for the synthesizer's shape, at every width ``synth`` emits,
-else the dense simulator under its caps, whose ``DenseCapError`` exits 2
-here before the dense loop runs.  ``simulate`` refuses past
-``MAX_CONTROLS`` + 1 qubits before it allocates the state.
+``cmd_check`` takes the exact linear trace when ``linear_trace`` returns
+one, as it does for the synthesizer's shape at every width ``synth``
+emits, and falls back to the dense ``circuit_unitary`` when it returns
+None; ``run_circuit`` makes the same choice for ``simulate``.  The dense
+route runs under its caps, whose ``DenseCapError`` exits 2 here before
+the dense loop runs.  ``simulate`` refuses past ``MAX_CONTROLS`` + 1
+qubits before it allocates the state.
 
 Exit codes are a stable contract: 0 success / all checks pass, 1 a
 verification failed, 2 usage or parse error.

@@ -93,8 +93,9 @@ def linear_trace(circuit: Circuit) -> LinearTrace | None:
     from the gate columns before anything of size 2^width is allocated.
     """
     n = circuit.width - 1
-    cnots = circuit.kind == CNOT_CODE
-    if (cnots & ((circuit.control == n) | (circuit.target == n)) | ~cnots & (circuit.target != n)).any():
+    kinds, controls, targets = circuit.gates.T
+    cnots = kinds == CNOT_CODE
+    if (cnots & ((controls == n) | (targets == n)) | ~cnots & (targets != n)).any():
         return None
     masks = [1 << (n - 1 - i) for i in range(n)]
     applied = []  # the mask each cv-kind gate reads, in gate order
@@ -110,7 +111,7 @@ def linear_trace(circuit: Circuit) -> LinearTrace | None:
         column = sum(((mask >> j) & 1) << (n - 1 - i) for i, mask in enumerate(masks))
         outputs = np.concatenate((outputs, outputs ^ column))
     c = np.zeros(1 << n, dtype=np.int64)
-    np.add.at(c, np.array(applied, dtype=np.int64), np.where(circuit.kind[~cnots] == CV_CODE, 1, -1))
+    np.add.at(c, np.array(applied, dtype=np.int64), np.where(kinds[~cnots] == CV_CODE, 1, -1))
     return LinearTrace(outputs, parity_sums(c), I2 if circuit.v_binding is None else circuit.v_binding)
 
 

@@ -158,7 +158,8 @@ def peephole_cancel(circuit: Circuit) -> Circuit:
     # a gate's key equals another's inverse key iff the two cancel.  Keys
     # past width 37,837 are uint64, which numpy mixes with int64 into float64
     keys = circuit.gate_keys().astype(np.int64)
-    inverses = keys + (INVERSE_CODE[circuit.kind] - circuit.kind)
+    kinds = circuit.gates[:, 0]
+    inverses = keys + (INVERSE_CODE[kinds] - kinds)
     keys = keys.tolist()
     kept: list[int] = []
     for row, inverse in enumerate(inverses.tolist()):

@@ -101,7 +101,7 @@ def format_circuit(circuit: Circuit, header: str | None = None) -> str:
         lines.append("vmatrix " + " ".join(flat))
     # a circuit repeats few distinct gates: render each once, then gather
     _, first, which = np.unique(circuit.gate_keys(), return_index=True, return_inverse=True)
-    distinct = [f"{GATE_KINDS[k]} {c} {t}" for k, c, t in circuit.table[:, first].T.tolist()]
+    distinct = [f"{GATE_KINDS[k]} {c} {t}" for k, c, t in circuit.gates[first].tolist()]
     lines.extend(np.array(distinct, dtype=object)[which.reshape(-1)].tolist())
     return "\n".join(lines) + "\n"
 

@@ -1,5 +1,7 @@
 import numpy as np
 
+from mcusynth.circuit import CNOT_CODE, CV_CODE, CVDG_CODE
+
 
 def basis_index(bits) -> int:
     """Basis index of |bits>, qubit 0 the most significant bit."""
@@ -19,3 +21,15 @@ def random_unitary(rng: np.random.Generator) -> np.ndarray:
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
     return q * (d / np.abs(d))
+
+
+def cnot(control: int, target: int) -> tuple[int, int, int]:
+    return (CNOT_CODE, control, target)
+
+
+def cv(control: int, target: int) -> tuple[int, int, int]:
+    return (CV_CODE, control, target)
+
+
+def cvdg(control: int, target: int) -> tuple[int, int, int]:
+    return (CVDG_CODE, control, target)

@@ -12,16 +12,13 @@ from mcusynth.circuit import (
     Circuit,
     GateError,
     _gate_problem,
-    cnot,
-    cv,
-    cvdg,
 )
 from mcusynth.simulator import circuit_unitary, operator_distance
 from mcusynth.synthesize import peephole_cancel, synth_mcu
 from mcusynth.textio import format_circuit, parse_circuit
 from mcusynth.unitary2 import NAMED_GATES
 
-from conftest import random_unitary
+from conftest import cnot, cv, cvdg, random_unitary
 
 X, H = NAMED_GATES["X"], NAMED_GATES["H"]
 
@@ -168,8 +165,8 @@ class TestCircuit:
 
 
 class TestGateTable:
-    """The circuit's own form: a (3, m) int table of the rows it is built
-    from, kind codes index GATE_KINDS."""
+    """The circuit's one gate field: the (m, 3) int rows it is built from,
+    stored a column at a time; kind codes index GATE_KINDS."""
 
     GATES = [cv(0, 2), cv(1, 2), cnot(0, 1), cvdg(1, 2), cnot(0, 1)]
     TABLE = np.array([[1, 1, 0, 2, 0], [0, 1, 0, 1, 0], [2, 2, 1, 2, 1]])
@@ -177,21 +174,19 @@ class TestGateTable:
     def test_table_and_gates_build_the_same_circuit(self):
         a, b = Circuit(3, self.TABLE.T, X), Circuit(3, self.GATES, X)
         assert a == b
-        assert np.array_equal(a.table, self.TABLE)
-        assert a.table.flags.c_contiguous
-        assert [a.kind.tolist(), a.control.tolist(), a.target.tolist()] == self.TABLE.tolist()
+        assert np.array_equal(a.gates.T, self.TABLE)
         assert list(a.rows()) == self.GATES
 
     def test_table_is_a_private_read_only_copy(self):
         for mine in (self.TABLE.T.copy(), self.TABLE.copy().T):
             c = Circuit(3, mine, X)
             mine[0, 1] = 2  # caller's array stays writable, the circuit unchanged
-            assert c.control[0] == 0
+            assert c.gates[0, 1] == 0
             with pytest.raises(ValueError):
-                c.table[1, 0] = 2
+                c.gates[0, 1] = 2
             # and stays read-only: the flag cannot be set again
             with pytest.raises(ValueError):
-                c.table.setflags(write=True)
+                c.gates.setflags(write=True)
 
     @pytest.mark.parametrize(
         "column, message",
@@ -250,7 +245,6 @@ class TestGateTable:
         c = Circuit(3, self.GATES, X)
         assert len(c.gates) == len(c) == 5
         assert c.gates.shape == (5, 3)
-        assert np.shares_memory(c.gates, c.table)
         assert c.gates.tolist() == [list(row) for row in self.GATES]
         assert tuple(c.gates[2].tolist()) == cnot(0, 1) == tuple(c.gates[-1].tolist())
         assert c.gates[1:3].tolist() == [list(cv(1, 2)), list(cnot(0, 1))]
@@ -260,6 +254,17 @@ class TestGateTable:
             c.gates[0, 0] = 0
         with pytest.raises(ValueError):
             c.gates.setflags(write=True)
+
+    def test_one_gate_field(self):
+        # the gates are one field, not aliased under other names; each
+        # column is contiguous, for the passes that read one at a time
+        public = sorted(name for name in dir(Circuit) if not name.startswith("_"))
+        assert public == ["counts", "gate_keys", "gates", "rows", "v_binding", "width"]
+        for c in (Circuit(3, self.GATES, X), Circuit(3, self.TABLE.T, X), synth_mcu(3, H), Circuit(2)):
+            assert c.gates.shape == (len(c), 3)
+            assert c.gates.dtype == np.int64
+            assert not c.gates.flags.writeable
+            assert all(c.gates[:, j].flags.c_contiguous for j in range(3))
 
     def test_repr_names_each_gate(self):
         c = Circuit(3, self.GATES, X)
@@ -294,7 +299,7 @@ class TestFrozen:
     )
     def test_no_base_can_be_made_writable(self, build):
         c = build()
-        for array in (c.table, c.gates, c.kind, c.control, c.target, c.v_binding):
+        for array in (c.gates, c.v_binding):
             steps = list(bases(array))
             assert steps
             for step in steps:
@@ -341,7 +346,7 @@ class TestOneConstructor:
             return
         assert not flagged, rows
         assert list(c.rows()) == rows
-        for frozen in (c.table, c.gates) + (() if v is None else (c.v_binding,)):
+        for frozen in (c.gates,) + (() if v is None else (c.v_binding,)):
             with pytest.raises(ValueError):
                 frozen.setflags(write=True)
         assert Circuit(width, c.gates, c.v_binding) == c

@@ -268,6 +268,28 @@ class TestCheck:
         assert main(["check", "--circuit", str(path), "--controls", str(controls), "--gate", "H"]) == code
         assert capsys.readouterr().out == out
 
+    def test_distance_comes_from_operator_distance(self, tmp_path, monkeypatch, capsys):
+        # a mutant passes once cli.operator_distance says 0.0, on either
+        # route, so check measures no distance of its own
+        path = self.synth(tmp_path, 3, "H")
+        lines = path.read_text().splitlines(keepends=True)
+        del lines[next(i for i, l in enumerate(lines) if l.split()[:1] == ["cv"])]
+        trace, dense = tmp_path / "trace.circ", tmp_path / "dense.circ"
+        trace.write_text("".join(lines))
+        # aimed at the target wire, this cnot leaves the trace's class
+        dense.write_text("".join(lines) + "cnot 0 3\n")
+        assert simulator.linear_trace(read_circuit(trace)) is not None
+        assert simulator.linear_trace(read_circuit(dense)) is None
+        runs = [["check", "--circuit", str(path), "--controls", "3", "--gate", "H"] for path in (trace, dense)]
+        capsys.readouterr()
+        for args in runs:
+            assert main(args) == 1
+            assert capsys.readouterr().out.endswith("\nFAIL (tolerance 1e-09)\n")
+        monkeypatch.setattr(cli, "operator_distance", lambda a, b: 0.0)
+        for args in runs:
+            assert main(args) == 0
+            assert capsys.readouterr().out == "distance 0.0\nPASS\n"
+
     def test_cv_only_file_passes_for_the_identity(self, tmp_path, capsys):
         # V = X has order 2 and every wire applies it twice: the operator is
         # the identity, though its coefficients are not the synthesizer's

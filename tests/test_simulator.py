@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcusynth.circuit import GATE_KINDS, Circuit, GateError, cnot, cv, cvdg
+from mcusynth.circuit import GATE_KINDS, Circuit, GateError
 from mcusynth.cli import CHECK_TOLERANCE
 from mcusynth import simulator
 from mcusynth.simulator import (
@@ -21,7 +21,7 @@ from mcusynth.synthesize import peephole_cancel, synth_mcu
 from mcusynth.textio import format_circuit, parse_circuit
 from mcusynth.unitary2 import I2, NAMED_GATES, power, unitary_root
 
-from conftest import basis_state, random_unitary
+from conftest import basis_state, cnot, cv, cvdg, random_unitary
 
 H, T, X = (NAMED_GATES[name] for name in "HTX")
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcusynth.circuit import CNOT_CODE, CV_CODE, CVDG_CODE, MAX_QUBITS, Circuit, cnot, cv, cvdg
+from mcusynth.circuit import CNOT_CODE, CV_CODE, CVDG_CODE, MAX_QUBITS, Circuit
 from mcusynth.simulator import (
     circuit_unitary,
     linear_trace,
@@ -18,7 +18,7 @@ from mcusynth.synthesize import canonical_counts, peephole_cancel, synth_mcu
 from mcusynth.unitary2 import I2, NAMED_GATES, power, unitary_root
 from mcusynth.z2identity import parity_sum_direct, signed_parity_terms
 
-from conftest import basis_index, random_unitary
+from conftest import basis_index, cnot, cv, cvdg, random_unitary
 
 H, T, X = (NAMED_GATES[name] for name in "HTX")
 
@@ -405,7 +405,7 @@ class TestLowerBounds:
         for sign, subset in signed_parity_terms(n):
             want[sum(1 << (n - 1 - i) for i in subset)] = sign
         assert coeffs.tolist() == want.tolist()
-        cv_kind = np.count_nonzero(circuit.kind != CNOT_CODE)
+        cv_kind = np.count_nonzero(circuit.gates[:, 0] != CNOT_CODE)
         assert cv_kind == np.abs(coeffs).sum() == (1 << n) - 1
 
     @pytest.mark.parametrize("n, fewest", [(1, 0), (2, 2), (3, 6), (4, 14)])
@@ -439,9 +439,9 @@ class TestArrayEmitter:
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_matches_combinations_table(self, n):
-        table = synth_mcu(n, H).table
-        assert table.shape == (3, canonical_counts(n).total)
-        assert np.array_equal(table, combinations_table(n))
+        gates = synth_mcu(n, H).gates
+        assert gates.shape == (canonical_counts(n).total, 3)
+        assert np.array_equal(gates.T, combinations_table(n))
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_peephole_matches_stack_walk(self, n):

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mcusynth import textio
-from mcusynth.circuit import CNOT_CODE, GATE_KINDS, MAX_QUBITS, Circuit, cnot, cv
+from mcusynth.circuit import CNOT_CODE, GATE_KINDS, MAX_QUBITS, Circuit
 from mcusynth.synthesize import synth_mcu
 from mcusynth.textio import (
     CircuitFormatError,
@@ -21,7 +21,7 @@ from mcusynth.textio import (
 )
 from mcusynth.unitary2 import NAMED_GATES, require_unitary
 
-from conftest import random_unitary
+from conftest import cnot, cv, random_unitary
 
 H, T, X = (NAMED_GATES[name] for name in "HTX")
 

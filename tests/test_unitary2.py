@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from mcusynth import z2identity
-from mcusynth.circuit import Circuit, cnot
+from mcusynth.circuit import Circuit
 from mcusynth.simulator import linear_trace
 from mcusynth.textio import parse_gate_spec
 from mcusynth.unitary2 import I2, NAMED_GATES, power, require_unitary, unitary_root
 
-from conftest import random_unitary
+from conftest import cnot, random_unitary
 
 X, Y, Z, H, S, T = (NAMED_GATES[name] for name in "XYZHST")
 

@@ -4,18 +4,22 @@ Run from a checkout, with the mcusynth to list on the import path:
 
     PYTHONPATH=src python tools/cli_outputs.py > outputs.txt
 
-The sweep: n = 1..7 controls, canonical and Gray order.  ``synth`` runs for
-the named gates X, Z, H, S and T and for one explicit matrix, and lists the
-SHA-256 of each file it writes.  Each named gate's file is kept whole and
-with one of up to six evenly spaced gates deleted.  Every such file is
-checked under four ``--gate`` specs (its own gate, I, Y and the explicit
-matrix) and simulated on four basis inputs.  ``verify-identity`` runs in
-full mode at n = 1..12, and with ``--recurrent-only`` at N = 20..24 with
-250, 1000 and the default samples.  Each case prints one JSON line: the
-argv, the exit code, the stdout and, for ``synth``, the file's SHA-256.
-The files live under relative names in a temporary directory, so the
-listing names no path of its own, and two checkouts give the same outputs
-when ``diff`` of their listings is empty.
+The sweep runs all four commands: ``synth``, ``check``, ``simulate`` and
+``verify-identity``.  At n = 1..7 controls, canonical and Gray order,
+``synth`` runs for the named gates X, Z, H, S and T and for one explicit
+matrix, and lists the SHA-256 of each file it writes.  Each named gate's
+file is kept whole and with one of up to six evenly spaced gates deleted;
+these files take the linear-trace route.  At n = 1..4 the whole file is
+also kept with ``cnot 0 n`` appended (aimed at the target) and with
+``cnot n 0`` appended (the target used as a control); these take the dense
+route.  Every such file is checked under four ``--gate`` specs (its own
+gate, I, Y and the explicit matrix) and simulated on four basis inputs.
+``verify-identity`` runs in full mode at n = 1..12, and with
+``--recurrent-only`` at N = 20..24 with 250, 1000 and the default samples.
+Each case prints one JSON line: the argv, the exit code, the stdout and,
+for ``synth``, the file's SHA-256.  The files live under relative names in
+a temporary directory, so the listing names no path of its own, and two
+checkouts give the same outputs when ``diff`` of their listings is empty.
 """
 
 from __future__ import annotations
@@ -32,6 +36,9 @@ from mcusynth.cli import main
 CONTROLS = range(1, 8)
 GATES = ("X", "Z", "H", "S", "T")
 DELETIONS = 6
+# controls whose kept files are also listed with a cnot on the target wire
+# appended, which sends them down the dense route
+DENSE_CONTROLS = range(1, 5)
 # a unitary that is no named gate
 MATRIX = {"matrix": [[[0.6, 0.0], [0.0, 0.8]], [[0.0, 0.8], [0.6, 0.0]]]}
 FULL_WIDTHS = range(1, 13)
@@ -71,6 +78,12 @@ def sweep() -> None:
                     with open(mutant, "w", encoding="utf-8") as f:
                         f.write("".join(line for i, line in enumerate(lines) if i != rows[k]))
                     files.append(mutant)
+                if n in DENSE_CONTROLS:
+                    for control, target in ((0, n), (n, 0)):
+                        dense = f"{name[:-5]}+{control}{target}.circ"
+                        with open(dense, "w", encoding="utf-8") as f:
+                            f.write("".join(lines) + f"cnot {control} {target}\n")
+                        files.append(dense)
                 for path in files:
                     for spec in (gate, "I", "Y", "@matrix.json"):
                         run(["check", "--circuit", path, "--controls", str(n), "--gate", spec])
