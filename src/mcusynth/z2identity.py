@@ -31,12 +31,23 @@ input where two forms disagree, so its output is deterministic.
 The exhaustive verifiers hold no table: in ``itertools.product`` order,
 assignment x is assignment x // 2 with the bit x % 2 appended, so
 ``_bits`` reads an assignment from its index, and both forms of every
-assignment grow from width 1 by the append step ``_append`` (recurrent)
-and the running product 2^(k-1) * x_1 * ... * x_k (closed).  Only the
-sampled verifier folds a table, of seeded rows (``_fold``).  The verifiers
-do not re-validate what they build; the public ``parity_sum_recurrent``
-and ``parity_sum_closed_form`` validate their input and are the
-references the verifiers' forms are tested against.
+width-k assignment grow from width k - 1's by one append step: ``_append``
+for the recurrent form, one more factor of the running product
+2^(k-1) * x_1 * ... * x_k for the closed form.  ``verify-identity`` checks
+widths 1..n in order, so ``_forms`` grows each width once, from the forms
+the width before left.  Only the sampled verifier folds a table, of seeded
+rows (``_fold``).  The verifiers do not re-validate what they build; the
+public ``parity_sum_recurrent`` and ``parity_sum_closed_form`` validate
+their input and are the references the verifiers' forms are tested
+against.
+
+Each law check is one array pass over all its cases.  The ``xor_int`` laws
+evaluate ``xor_int`` once on the table of pairs and once per nested or
+shifted term on the grid of triples.  The sum-shift laws check every width
+in one pass over their table (``_sum_shift_reports``), by running sums of
+x_i and of x_i xor 1 down its rows.  The binomial check reads all its
+sides from one int64 Pascal triangle (``_pascal``), while
+``alternating_binomial_sides`` keeps the ``math.comb`` definition.
 
 Prefix policy: the sampled closed-form check and the sum-shift laws each
 draw one table seeded with n and check every width k = 1..n on a prefix of
@@ -44,8 +55,12 @@ its rows.  The closed form takes the k-bit prefixes of n-bit rows; the
 sum-shift laws take x from the first k bits of (n + 1)-bit rows and z from
 bit k + 1.  Each width still sees independent, uniform rows, and width n's
 rows are those seeded with n; a smaller width's rows, and so its report
-under a broken ``xor_int``, depend on n.  The one cache holds the direct
-sums of the last two widths, read-only over immutable bytes.
+under a broken ``xor_int``, depend on n.
+
+Two things outlive a call, and no report, law table or triangle is among
+them: the direct sums of the last two widths, read-only over immutable
+bytes, and the read-only forms of the last width below
+``EXHAUSTIVE_LIMIT``, which the next width grows from.
 """
 
 from __future__ import annotations
@@ -60,9 +75,9 @@ import numpy as np
 
 # the largest n for the exhaustive verifiers and parity_sum_direct.  Each
 # width costs a few int64 arrays of 2^n entries and no table of assignments:
-# `verify-identity --n 20` takes 0.43-0.55 s and peaks at 79 MiB RSS in a
+# `verify-identity --n 20` takes 0.46-0.54 s and peaks at 80 MiB RSS in a
 # fresh interpreter, while both verifiers at widths 20 and 21 alone take
-# 0.66-0.68 s at 130 MiB (2-core Xeon)
+# 0.61-0.70 s at 133 MiB (2-core Xeon)
 EXHAUSTIVE_LIMIT = 20
 
 # the forms' values reach 2^(n-1), so at n <= 62 they and the sums and
@@ -269,12 +284,29 @@ def parity_sum_closed_form(bits) -> np.ndarray:
     return np.int64(1 << (bits.shape[-1] - 1)) * bits.all(axis=-1)
 
 
+# verify-identity checks widths 1..n in order, so each width's forms grow
+# from the width below by one append step.  This slot keeps the forms of
+# the last width below EXHAUSTIVE_LIMIT, keyed by width and by the xor_int
+# that grew them, until the next call takes them; the widest forms are
+# never grown from, so they are not kept past their check
+_GROWN: dict[tuple[int, Callable], tuple[np.ndarray, np.ndarray]] = {}
+
+
 def _forms(n: int) -> tuple[np.ndarray, np.ndarray]:
     # the recurrent and the closed form of every width-n assignment, in
-    # product order, grown from width 1, where a bit is both its forms
-    recurrent = closed = np.arange(2, dtype=np.int64)
-    for _ in range(n - 1):
+    # product order: grown from the kept width n - 1, or else from width 1,
+    # where a bit is both its forms
+    width, recurrent = 1, np.arange(2, dtype=np.int64)
+    closed = recurrent
+    if (n - 1, xor_int) in _GROWN:
+        width, (recurrent, closed) = n - 1, _GROWN.pop((n - 1, xor_int))
+    _GROWN.clear()
+    for _ in range(width, n):
         recurrent, closed = _append(recurrent), (closed[:, None] * (0, 2)).reshape(-1)
+    if n < EXHAUSTIVE_LIMIT:
+        recurrent.setflags(write=False)
+        closed.setflags(write=False)
+        _GROWN[n, xor_int] = recurrent, closed
     return recurrent, closed
 
 
@@ -355,35 +387,44 @@ def verify_xor_int_laws() -> CheckReport:
 
     plus the unary facts x(+)0 == x, x(+)1 == 1 - x, x(+)x == 2x(1 - x),
     which are checked first.  Triples run x-major, laws in the order above.
+    xor_int runs five times: once on the table of pairs, which the unary
+    facts, commutativity and the terms xor_int(x, z) and xor_int(y, z) read,
+    and once on the (x, y, z) grid for each nested or shifted term.
     """
     name = f"xor-int-laws [{XOR_LAW_LO},{XOR_LAW_HI}]"
     v = np.arange(XOR_LAW_LO, XOR_LAW_HI + 1, dtype=np.int64)
-    unary = np.stack(
-        (xor_int(v, 0) != v, xor_int(v, 1) != 1 - v, xor_int(v, v) != 2 * v * (1 - v)),
-        axis=-1,
-    )
+    pairs = xor_int(v[:, None], v)  # pairs[i, j] = xor_int(v[i], v[j])
+    zero, one = -XOR_LAW_LO, 1 - XOR_LAW_LO  # the columns of y = 0 and y = 1
+    facts = (pairs[:, zero] != v, pairs[:, one] != 1 - v, pairs.diagonal() != 2 * v * (1 - v))
     kinds = ("zero", "one", "self")
-    facts = _report(name, "triples", unary.any(-1), lambda i: (kinds[unary[i].argmax()], v[i]))
-    if not facts.passed:
-        return dataclasses.replace(facts, checked=0)  # no triple was checked yet
-    x, y, z = (g.reshape(-1) for g in np.meshgrid(v, v, v, indexing="ij"))
-    laws = np.stack(
-        (
-            xor_int(x, y) != xor_int(y, x),
-            xor_int(xor_int(x, y), z) != xor_int(x, xor_int(y, z)),
-            xor_int(x, z) + xor_int(y, z) != xor_int(x + y, z) + z,
-            xor_int(x, z) - xor_int(y, z) != xor_int(x - y, z) - z,
-        ),
-        axis=-1,
+    report = _report(
+        name, "triples", facts[0] | facts[1] | facts[2], lambda i: (kinds[_first(facts, i)], v[i])
+    )
+    if not report.passed:
+        return dataclasses.replace(report, checked=0)  # no triple was checked yet
+    # axis 0 is x, axis 1 y and axis 2 z
+    x, y, z, grid = v[:, None, None], v[:, None], v, (v.size,) * 3
+    xz, yz = pairs[:, None, :], pairs
+    laws = (
+        np.broadcast_to((pairs != pairs.T)[:, :, None], grid),
+        xor_int(pairs[:, :, None], z) != xor_int(x, yz),
+        xz + yz != xor_int(x + y, z) + z,
+        xz - yz != xor_int(x - y, z) - z,
     )
 
     def witness(k):
-        law = laws[k].argmax()
+        triple = np.unravel_index(k, grid)
+        law = _first(laws, triple)
         # commutativity involves x and y only
         kind = ("commutativity", "associativity", "sum-shift", "difference-shift")[law]
-        return (kind, x[k], y[k], z[k])[: 3 if law == 0 else 4]
+        return (kind, *v[list(triple)])[: 3 if law == 0 else 4]
 
-    return _report(name, "triples", laws.any(axis=-1), witness)
+    return _report(name, "triples", (laws[0] | laws[1] | laws[2] | laws[3]).reshape(-1), witness)
+
+
+def _first(flags: tuple[np.ndarray, ...], index) -> int:
+    # the first of the flag arrays that is True at index
+    return next(j for j, flag in enumerate(flags) if flag[index])
 
 
 def verify_sum_shift_laws(n: int) -> list[CheckReport]:
@@ -402,30 +443,55 @@ def verify_sum_shift_laws(n: int) -> list[CheckReport]:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     rows = np.random.default_rng(n).integers(0, 2, size=(SUM_SHIFT_TRIALS, n + 1), dtype=np.int8)
-    bits = np.ascontiguousarray(rows.T)  # row i - 1 holds bit i of every trial
-    return [_sum_shift_report(bits[:k], bits[k]) for k in range(1, n + 1)]
+    return _sum_shift_reports(np.ascontiguousarray(rows.T))
 
 
-def _sum_shift_report(xs: np.ndarray, z_bits: np.ndarray) -> CheckReport:
-    # both shift identities on every trial: row i - 1 of xs holds x_i of
-    # every trial, and z_bits holds z
-    n = len(xs)
-    z = z_bits.astype(np.int64)
-    flipped = xs ^ z_bits  # x_i xor z, bit by bit
-    # sums over the odd positions i = 1, 3, ... (sign +) and the even ones (sign -)
-    odd, even = xs[::2].sum(axis=0), xs[1::2].sum(axis=0)
-    flipped_odd, flipped_even = flipped[::2].sum(axis=0), flipped[1::2].sum(axis=0)
+def _sum_shift_reports(bits: np.ndarray) -> list[CheckReport]:
+    """Both shift identities for every width k = 1..n of a table of n + 1
+    bits per trial, in one pass: row i - 1 holds bit i of every trial, and
+    width k takes x_1..x_k from the first k rows and z from row k + 1.
 
+    Prefix sums down the rows, of x_i and of x_i xor 1, odd positions
+    (sign +) apart from even ones (sign -), give every width's sums at
+    once; z picks between the two, since x xor z is x or x xor 1.  Row
+    k - 1 of every array below belongs to width k."""
+    n, trials = bits.shape[0] - 1, bits.shape[1]
+    # every sum, side and term of xor_int lies in [-2(n + 1), 2(n + 1)]
+    dtype = np.min_scalar_type(-2 * (n + 1) - 1)
+    xs = bits[:-1]
+    terms = np.stack((xs, xs ^ np.int8(1)), axis=1).astype(dtype)  # x_i, x_i xor 1
+    position = np.arange(1, n + 1)[:, None]  # of row i - 1, and width k's k
+    parity = np.hstack((position % 2 == 1, position % 2 == 0)).astype(dtype)  # odd, even
+    # sums[k - 1, f, p]: the sum of the terms f at the positions of parity p
+    # (0 odd, 1 even) up to k, as a running sum row by row: np.cumsum is
+    # several times slower on these short small-int rows
+    sums = terms[:, :, None] * parity[:, None, :, None]
+    for i in range(1, n):
+        np.add(sums[i - 1], sums[i], out=sums[i])
+    z = bits[1:].astype(dtype)
+    plain_odd, plain_even = sums[:, 0, 0], sums[:, 0, 1]
+    flipped_odd = plain_odd + z * (sums[:, 1, 0] - plain_odd)
+    flipped_even = plain_even + z * (sums[:, 1, 1] - plain_even)
+
+    # (k - 1) * z and ((1 + (-1)^k) // 2) * z
+    plain_shift, alt_shift = (position - 1).astype(dtype) * z, parity[:, 1:] * z
     left_plain = flipped_odd + flipped_even
-    right_plain = xor_int(odd + even, z) + (n - 1) * z
+    right_plain = xor_int(plain_odd + plain_even, z) + plain_shift
     left_alt = flipped_odd - flipped_even
-    right_alt = xor_int(odd - even, z) - ((1 + (-1) ** n) // 2) * z
-    return _report(
-        f"sum-shift-laws n={n}",
-        "samples",
-        (left_plain != right_plain) | (left_alt != right_alt),
-        lambda k: (xs[:, k], z[k], left_plain[k], right_plain[k], left_alt[k], right_alt[k]),
-    )
+    right_alt = xor_int(plain_odd - plain_even, z) - alt_shift
+    mismatch = (left_plain != right_plain) | (left_alt != right_alt)
+
+    reports = []
+    failed, first = mismatch.any(axis=1).tolist(), mismatch.argmax(axis=1).tolist()
+    for width, t in enumerate(first, 1):
+        name = f"sum-shift-laws n={width}"
+        if not failed[width - 1]:
+            reports.append(CheckReport(name, True, trials, "samples"))
+            continue
+        sides = (left_plain, right_plain, left_alt, right_alt)
+        witness = (xs[:width, t], z[width - 1, t], *(side[width - 1, t] for side in sides))
+        reports.append(CheckReport(name, False, t + 1, "samples", tuple(_plain(v) for v in witness)))
+    return reports
 
 
 def alternating_binomial_sides(n: int) -> tuple[int, int]:
@@ -433,6 +499,9 @@ def alternating_binomial_sides(n: int) -> tuple[int, int]:
 
     Left:  sum_{i=1}^{n-1} (-1)^i * (C(n, i) - 1)
     Right: -(1 + (-1)^n) / 2     (i.e. -1 for even n, 0 for odd n)
+
+    This is the definition in Python ints, and the reference that
+    ``verify_alternating_binomial``'s array sides are tested against.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
@@ -442,13 +511,27 @@ def alternating_binomial_sides(n: int) -> tuple[int, int]:
     return lhs, rhs
 
 
+def _pascal(hi: int) -> np.ndarray:
+    # C(n, i) at [n, i] for 0 <= i <= n <= hi, zero above the diagonal:
+    # exact in int64 while row n's sum 2^n stays below 2^63
+    triangle = np.zeros((hi + 1, hi + 1), dtype=np.int64)
+    triangle[:, 0] = 1
+    for n in range(1, hi + 1):
+        np.add(triangle[n - 1, 1:], triangle[n - 1, :-1], out=triangle[n, 1:])
+    return triangle
+
+
 def verify_alternating_binomial() -> CheckReport:
-    """Check the alternating binomial identity for n = BINOMIAL_LO..BINOMIAL_HI."""
-    # the sides stay Python ints; only the mismatch flags become an array
-    sides = [alternating_binomial_sides(n) for n in range(BINOMIAL_LO, BINOMIAL_HI + 1)]
+    """Check the alternating binomial identity for n = BINOMIAL_LO..BINOMIAL_HI,
+    every side read from one Pascal triangle in int64."""
+    n = np.arange(BINOMIAL_LO, BINOMIAL_HI + 1, dtype=np.int64)
+    i = np.arange(BINOMIAL_HI + 1, dtype=np.int64)
+    sign, inner = 1 - 2 * (i % 2), (1 <= i) & (i < n[:, None])  # (-1)^i; i = 1..n - 1
+    lhs = np.where(inner, (_pascal(BINOMIAL_HI)[n] - 1) * sign, 0).sum(axis=1)
+    rhs = n % 2 - 1  # -(1 + (-1)^n) / 2
     return _report(
         f"alternating-binomial n={BINOMIAL_LO}..{BINOMIAL_HI}",
         "values",
-        np.array([lhs != rhs for lhs, rhs in sides]),
-        lambda k: (BINOMIAL_LO + k, *sides[k]),
+        lhs != rhs,
+        lambda k: (BINOMIAL_LO + k, lhs[k], rhs[k]),
     )

@@ -218,6 +218,25 @@ class TestExhaustiveForms:
         assert closed.tolist() == parity_sum_closed_form(rows).tolist()
         assert [z2identity._bits(x, n) for x in range(1 << n)] == rows
 
+    def test_each_width_grows_from_the_one_before(self, monkeypatch):
+        # verify-identity's order, widths 1..n, takes one append step per
+        # width.  A width out of that order, or under another xor_int,
+        # grows from width 1, and the widest forms are not kept
+        steps, real = [], z2identity._append
+        monkeypatch.setattr(z2identity, "_append", lambda s: steps.append(len(s)) or real(s))
+        for k in range(1, 7):
+            assert verify_closed_form(k).passed
+        assert steps == [2, 4, 8, 16, 32]
+        steps.clear()
+        assert verify_closed_form(4).passed
+        assert steps == [2, 4, 8]
+        steps.clear()
+        monkeypatch.setattr(z2identity, "xor_int", lambda x, y: x + y - 2 * x * y)
+        assert verify_closed_form(5).passed
+        assert steps == [2, 4, 8, 16]
+        assert verify_closed_form(EXHAUSTIVE_LIMIT).passed
+        assert z2identity._GROWN == {}
+
 
 class TestParitySums:
     @pytest.mark.parametrize("n", range(1, 11))
@@ -473,19 +492,44 @@ class TestVerifiers:
     def test_sum_shift_rows_are_seeded_with_n(self, monkeypatch):
         # width k checks the first k bits of the rows seeded with n against
         # their bit k + 1, so width n's rows are the same whatever its
-        # neighbours
-        real, given_rows = z2identity._sum_shift_report, []
+        # neighbours.  The one-pass helper is given those rows, one bit per
+        # row; under an xor_int that is off by one everywhere, each width
+        # fails at the first row and names its first k bits and bit k + 1
+        real, given = z2identity._sum_shift_reports, []
         monkeypatch.setattr(
-            z2identity,
-            "_sum_shift_report",
-            lambda xs, z: given_rows.append((xs, z)) or real(xs, z),
+            z2identity, "_sum_shift_reports", lambda bits: given.append(bits) or real(bits)
         )
         assert all(r.passed for r in verify_sum_shift_laws(6))
         rows = np.random.default_rng(6).integers(0, 2, size=(500, 7), dtype=np.int8)
-        # the helper takes x_i of every trial as row i - 1
-        assert [(xs.T.tolist(), z.tolist()) for xs, z in given_rows] == [
-            (rows[:, :k].tolist(), rows[:, k].tolist()) for k in range(1, 7)
+        assert [bits.T.tolist() for bits in given] == [rows.tolist()]
+        monkeypatch.setattr(z2identity, "xor_int", lambda x, y: xor_int(x, y) + 1)
+        reports = verify_sum_shift_laws(6)
+        assert [(r.checked, r.counterexample[:2]) for r in reports] == [
+            (1, (tuple(rows[0, :k].tolist()), int(rows[0, k]))) for k in range(1, 7)
         ]
+
+    @pytest.mark.parametrize("n", [62, 63, 64, 127])
+    def test_sum_shift_sides_fit_their_dtype(self, n):
+        # the one pass keeps its sums in the smallest integer type that
+        # holds -2(n + 1) - 1: int8 up to n = 62, int16 from n = 63.  A
+        # type too small wraps a side, and the width fails
+        assert [r.summary() for r in verify_sum_shift_laws(n)] == [
+            f"sum-shift-laws n={k}: PASS (500 samples)" for k in range(1, n + 1)
+        ]
+
+    @given(st.integers(-9, 9), st.integers(-9, 9))
+    @settings(max_examples=60, deadline=None)
+    def test_xor_int_laws_match_a_triple_loop(self, a, b):
+        # xor_int wrong at the single point (a, b): the report equals a
+        # Python loop over the unary facts, then over the triples in
+        # x-major order and the laws in order, in plain ints
+        def mutant(x, y):
+            return xor_int(x, y) + ((x == a) & (y == b))
+
+        with mock.patch.object(z2identity, "xor_int", mutant):
+            got = verify_xor_int_laws()
+        assert got == xor_int_laws_reference(mutant)
+        assert all(type(v) is int for v in (got.counterexample or ())[1:])
 
     @given(
         st.integers(1, 24),
@@ -548,6 +592,29 @@ class TestVerifiers:
         assert report.summary() == "closed-form n=2: PASS (4 assignments)"
 
 
+def xor_int_laws_reference(xor):
+    """verify_xor_int_laws' report, rebuilt one case at a time in Python ints."""
+    name, values = "xor-int-laws [-8,8]", range(z2identity.XOR_LAW_LO, z2identity.XOR_LAW_HI + 1)
+    for v in values:
+        for kind, holds in (
+            ("zero", xor(v, 0) == v),
+            ("one", xor(v, 1) == 1 - v),
+            ("self", xor(v, v) == 2 * v * (1 - v)),
+        ):
+            if not holds:
+                return z2identity.CheckReport(name, False, 0, "triples", (kind, v))
+    for i, (x, y, z) in enumerate(itertools.product(values, repeat=3)):
+        for kind, holds, case in (
+            ("commutativity", xor(x, y) == xor(y, x), (x, y)),
+            ("associativity", xor(xor(x, y), z) == xor(x, xor(y, z)), (x, y, z)),
+            ("sum-shift", xor(x, z) + xor(y, z) == xor(x + y, z) + z, (x, y, z)),
+            ("difference-shift", xor(x, z) - xor(y, z) == xor(x - y, z) - z, (x, y, z)),
+        ):
+            if not holds:
+                return z2identity.CheckReport(name, False, i + 1, "triples", (kind, *case))
+    return z2identity.CheckReport(name, True, len(values) ** 3, "triples")
+
+
 class TestAlternatingBinomial:
     def test_small_values(self):
         assert alternating_binomial_sides(2) == (-1, -1)
@@ -571,6 +638,39 @@ class TestAlternatingBinomial:
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
             alternating_binomial_sides(1)
+
+    def test_pascal_triangle_is_exact(self):
+        # every entry the verifier reads is C(n, i); a cap raised past what
+        # int64 holds wraps an entry and fails here
+        hi = z2identity.BINOMIAL_HI
+        triangle = z2identity._pascal(hi)
+        assert triangle.dtype == np.int64
+        assert triangle.tolist() == [
+            [math.comb(n, i) for i in range(hi + 1)] for n in range(hi + 1)
+        ]
+
+    @pytest.mark.parametrize("n, i", [(2, 1), (37, 12), (60, 59), (41, 0), (41, 41)])
+    def test_reports_a_wrong_triangle_entry(self, monkeypatch, n, i):
+        # C(n, i) one too large: row n fails with the sides it read, unless
+        # i lies outside the sum's 1..n - 1
+        real = z2identity._pascal
+
+        def perturbed(hi):
+            triangle = real(hi)
+            triangle[n, i] += 1
+            return triangle
+
+        monkeypatch.setattr(z2identity, "_pascal", perturbed)
+        report = verify_alternating_binomial()
+        if not 1 <= i < n:
+            assert report.summary() == "alternating-binomial n=2..60: PASS (59 values)"
+            return
+        lhs, rhs = alternating_binomial_sides(n)
+        want = (n, lhs + (-1) ** i, rhs)
+        assert report == z2identity.CheckReport(
+            "alternating-binomial n=2..60", False, n - 1, "values", want
+        )
+        assert all(type(v) is int for v in report.counterexample)
 
 
 def shifted(a, z, c):

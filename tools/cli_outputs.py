@@ -4,6 +4,9 @@ Run from a checkout, with the mcusynth to list on the import path:
 
     PYTHONPATH=src python tools/cli_outputs.py > outputs.txt
 
+``sweep(main)`` runs the sweep through any tree's ``cli.main``, which is how
+``tools/ab.py --outputs`` compares two trees in one interpreter.
+
 The sweep runs all four commands: ``synth``, ``check``, ``simulate`` and
 ``verify-identity``.  At n = 1..7 controls, canonical and Gray order,
 ``synth`` runs for the named gates X, Z, H, S and T and for one explicit
@@ -31,8 +34,6 @@ import json
 import os
 import tempfile
 
-from mcusynth.cli import main
-
 CONTROLS = range(1, 8)
 GATES = ("X", "Z", "H", "S", "T")
 DELETIONS = 6
@@ -46,7 +47,7 @@ SAMPLED_WIDTHS = range(20, 25)
 SAMPLES = (250, 1000, None)
 
 
-def run(argv: list[str], written: str | None = None) -> None:
+def run(main, argv: list[str], written: str | None = None) -> None:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(argv)
@@ -57,7 +58,7 @@ def run(argv: list[str], written: str | None = None) -> None:
     print(json.dumps(case))
 
 
-def sweep() -> None:
+def sweep(main) -> None:
     with open("matrix.json", "w", encoding="utf-8") as f:
         json.dump(MATRIX, f)
     for n in CONTROLS:
@@ -66,7 +67,7 @@ def sweep() -> None:
             for gate in GATES + ("@matrix.json",):
                 name = f"c{n}{'g' if optimize else ''}{gate.lstrip('@').split('.')[0]}.circ"
                 synth = ["synth", "--controls", str(n), "--gate", gate, "--out", name]
-                run(synth + ["--optimize"] * optimize, written=name)
+                run(main, synth + ["--optimize"] * optimize, written=name)
                 if gate not in GATES:
                     continue
                 with open(name, encoding="utf-8") as f:
@@ -86,18 +87,20 @@ def sweep() -> None:
                         files.append(dense)
                 for path in files:
                     for spec in (gate, "I", "Y", "@matrix.json"):
-                        run(["check", "--circuit", path, "--controls", str(n), "--gate", spec])
+                        run(main, ["check", "--circuit", path, "--controls", str(n), "--gate", spec])
                     for bits in inputs:
-                        run(["simulate", "--circuit", path, "--input", bits])
+                        run(main, ["simulate", "--circuit", path, "--input", bits])
     for n in FULL_WIDTHS:
-        run(["verify-identity", "--n", str(n)])
+        run(main, ["verify-identity", "--n", str(n)])
     for n in SAMPLED_WIDTHS:
         for samples in SAMPLES:
             given = [] if samples is None else ["--samples", str(samples)]
-            run(["verify-identity", "--n", str(n), "--recurrent-only"] + given)
+            run(main, ["verify-identity", "--n", str(n), "--recurrent-only"] + given)
 
 
 if __name__ == "__main__":
+    from mcusynth.cli import main
+
     with tempfile.TemporaryDirectory() as workdir:
         os.chdir(workdir)
-        sweep()
+        sweep(main)
