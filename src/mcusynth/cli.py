@@ -54,7 +54,7 @@ from .textio import CircuitFormatError, parse_gate_spec, read_circuit, write_cir
 RECURRENT_LIMIT = 24
 # the sampled verifier holds one samples x n int8 table, 24 MB at this cap
 # and n = 24, plus int64 temporaries of z2identity._FOLD_ROWS rows per pass.
-# There `verify-identity --n 24 --recurrent-only` takes 0.39-0.41 s and peaks
+# There `verify-identity --n 24 --recurrent-only` takes 0.37-0.45 s and peaks
 # at 58 MiB RSS in a fresh interpreter (2-core Xeon).  CI fails it above 100 MiB
 MAX_SAMPLES = 1_000_000
 # synth_mcu emits 2^n - 1 + 2*(n*2^(n-1) - 2^n + 1) gates: 983,041 at n=16,

@@ -75,7 +75,7 @@ import numpy as np
 
 # the largest n for the exhaustive verifiers and parity_sum_direct.  Each
 # width costs a few int64 arrays of 2^n entries and no table of assignments:
-# `verify-identity --n 20` takes 0.46-0.54 s and peaks at 80 MiB RSS in a
+# `verify-identity --n 20` takes 0.39-0.52 s and peaks at 80 MiB RSS in a
 # fresh interpreter, while both verifiers at widths 20 and 21 alone take
 # 0.61-0.70 s at 133 MiB (2-core Xeon)
 EXHAUSTIVE_LIMIT = 20
