@@ -117,10 +117,11 @@ def cmd_verify_identity(args: argparse.Namespace) -> int:
         # the recurrence at k + 1, and width k's forms for the closed form
         # at k + 1, so each is built once; printed closed-form first
         recurrence = []
-        for k in range(1, n + 1):
-            reports.append(z2identity.verify_closed_form(k))
-            if k > 1:
-                recurrence.append(z2identity.verify_append_recurrence(k))
+        with z2identity.growing_forms():
+            for k in range(1, n + 1):
+                reports.append(z2identity.verify_closed_form(k))
+                if k > 1:
+                    recurrence.append(z2identity.verify_append_recurrence(k))
         reports += recurrence
 
     reports.append(z2identity.verify_xor_int_laws())

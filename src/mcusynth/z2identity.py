@@ -34,8 +34,8 @@ assignment x is assignment x // 2 with the bit x % 2 appended, so
 width-k assignment grow from width k - 1's by one append step: ``_append``
 for the recurrent form, one more factor of the running product
 2^(k-1) * x_1 * ... * x_k for the closed form.  ``verify-identity`` checks
-widths 1..n in order, so ``_forms`` grows each width once, from the forms
-the width before left.  Only the sampled verifier folds a table, of seeded
+widths 1..n in order inside ``growing_forms()``, so ``_forms`` grows each
+width once, from the forms the width before left.  Only the sampled verifier folds a table, of seeded
 rows (``_fold``).  The verifiers do not re-validate what they build; the
 public ``parity_sum_recurrent`` and ``parity_sum_closed_form`` validate
 their input and are the references the verifiers' forms are tested
@@ -57,14 +57,16 @@ bit k + 1.  Each width still sees independent, uniform rows, and width n's
 rows are those seeded with n; a smaller width's rows, and so its report
 under a broken ``xor_int``, depend on n.
 
-Two things outlive a call, and no report, law table or triangle is among
-them: the direct sums of the last two widths, read-only over immutable
-bytes, and the read-only forms of the last width below
-``EXHAUSTIVE_LIMIT``, which the next width grows from.
+One thing outlives a call, and it is no report, law table or triangle:
+the direct sums of the last two widths, read-only over immutable bytes.  Inside ``growing_forms()``, as ``verify-identity`` runs
+its widths, the read-only forms of the last width below
+``EXHAUSTIVE_LIMIT`` also wait for the next width to grow from them; they
+go when the block ends.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import itertools
@@ -285,11 +287,26 @@ def parity_sum_closed_form(bits) -> np.ndarray:
 
 
 # verify-identity checks widths 1..n in order, so each width's forms grow
-# from the width below by one append step.  This slot keeps the forms of
-# the last width below EXHAUSTIVE_LIMIT, keyed by width and by the xor_int
-# that grew them, until the next call takes them; the widest forms are
-# never grown from, so they are not kept past their check
-_GROWN: dict[tuple[int, Callable], tuple[np.ndarray, np.ndarray]] = {}
+# from the width below by one append step.  Inside growing_forms() this
+# slot keeps the forms of the last width below EXHAUSTIVE_LIMIT, keyed by
+# width and by the xor_int that grew them, until the next width takes
+# them: at most width 19's, two int64 arrays of 4 MiB.  The widest forms
+# are never grown from, so they are not kept past their check.  Outside
+# the block there is no slot and every width grows from width 1
+_GROWN: dict[tuple[int, Callable], tuple[np.ndarray, np.ndarray]] | None = None
+
+
+@contextlib.contextmanager
+def growing_forms() -> Iterator[None]:
+    """Inside this block ``verify_closed_form(k)`` grows width k's forms
+    from those that ``verify_closed_form(k - 1)`` left; on leaving it the
+    forms are dropped."""
+    global _GROWN
+    _GROWN = {}
+    try:
+        yield
+    finally:
+        _GROWN = None
 
 
 def _forms(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -298,15 +315,16 @@ def _forms(n: int) -> tuple[np.ndarray, np.ndarray]:
     # where a bit is both its forms
     width, recurrent = 1, np.arange(2, dtype=np.int64)
     closed = recurrent
-    if (n - 1, xor_int) in _GROWN:
-        width, (recurrent, closed) = n - 1, _GROWN.pop((n - 1, xor_int))
-    _GROWN.clear()
+    kept = {} if _GROWN is None else _GROWN
+    if (n - 1, xor_int) in kept:
+        width, (recurrent, closed) = n - 1, kept.pop((n - 1, xor_int))
+    kept.clear()
     for _ in range(width, n):
         recurrent, closed = _append(recurrent), (closed[:, None] * (0, 2)).reshape(-1)
     if n < EXHAUSTIVE_LIMIT:
         recurrent.setflags(write=False)
         closed.setflags(write=False)
-        _GROWN[n, xor_int] = recurrent, closed
+        kept[n, xor_int] = recurrent, closed
     return recurrent, closed
 
 

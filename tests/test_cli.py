@@ -34,7 +34,8 @@ class TestVerifyIdentity:
 
     def test_full_mode_builds_each_width_once(self, monkeypatch, capsys):
         # one parity_sums call per width, smallest first; the lines keep
-        # their order: every closed-form line before every recurrence line
+        # their order: every closed-form line before every recurrence line.
+        # No width's forms are kept once the request ends
         widths = []
         real = z2identity.parity_sums
         monkeypatch.setattr(
@@ -43,6 +44,7 @@ class TestVerifyIdentity:
         z2identity._direct_sums.cache_clear()
         assert main(["verify-identity", "--n", "12"]) == 0
         assert widths == list(range(1, 13))
+        assert z2identity._GROWN is None
         lines = capsys.readouterr().out.splitlines()
         assert lines[:12] == [f"closed-form n={k}: PASS ({2**k} assignments)" for k in range(1, 13)]
         assert lines[12:23] == [f"recurrence n={k}: PASS ({2**k} cases)" for k in range(2, 13)]

@@ -44,6 +44,32 @@ XOR_MUTANTS = {
 FOLD_ROWS = [z2identity._FOLD_ROWS, 1, 7, 64]
 
 
+def sum_shift_one_width_at_a_time(n, xor):
+    """verify_sum_shift_laws(n) under ``xor``, each width k rebuilt alone in
+    Python ints: x is the first k bits of a row seeded with n, z its bit
+    k + 1."""
+    rows = np.random.default_rng(n).integers(0, 2, size=(500, n + 1), dtype=np.int8).tolist()
+    want = []
+    for k in range(1, n + 1):
+        report = z2identity.CheckReport(f"sum-shift-laws n={k}", True, 500, "samples")
+        for i, row in enumerate(rows):
+            xs, z = row[:k], row[k]
+            flipped = [x ^ z for x in xs]
+            sides = (
+                sum(flipped),
+                int(xor(sum(xs), z)) + (k - 1) * z,
+                sum(flipped[::2]) - sum(flipped[1::2]),
+                int(xor(sum(xs[::2]) - sum(xs[1::2]), z)) - ((1 + (-1) ** k) // 2) * z,
+            )
+            if sides[0] != sides[1] or sides[2] != sides[3]:
+                report = dataclasses.replace(
+                    report, passed=False, checked=i + 1, counterexample=(tuple(xs), z, *sides)
+                )
+                break
+        want.append(report)
+    return want
+
+
 def mark_fold(monkeypatch, form, hit):
     """Make ``form`` ("recurrent" or "closed") of the sampled verifier's fold
     one too large on the rows whose k-bit prefix ``hit(prefixes)`` marks."""
@@ -219,23 +245,32 @@ class TestExhaustiveForms:
         assert [z2identity._bits(x, n) for x in range(1 << n)] == rows
 
     def test_each_width_grows_from_the_one_before(self, monkeypatch):
-        # verify-identity's order, widths 1..n, takes one append step per
-        # width.  A width out of that order, or under another xor_int,
-        # grows from width 1, and the widest forms are not kept
+        # verify-identity's order, widths 1..n inside growing_forms(), takes
+        # one append step per width.  A width out of that order, or under
+        # another xor_int, grows from width 1, the widest forms are not
+        # kept, and the block keeps nothing once it ends
         steps, real = [], z2identity._append
         monkeypatch.setattr(z2identity, "_append", lambda s: steps.append(len(s)) or real(s))
-        for k in range(1, 7):
+        with z2identity.growing_forms():
+            for k in range(1, 7):
+                assert verify_closed_form(k).passed
+            assert steps == [2, 4, 8, 16, 32]
+            steps.clear()
+            assert verify_closed_form(4).passed
+            assert steps == [2, 4, 8]
+            steps.clear()
+            monkeypatch.setattr(z2identity, "xor_int", lambda x, y: x + y - 2 * x * y)
+            assert verify_closed_form(5).passed
+            assert steps == [2, 4, 8, 16]
+            assert verify_closed_form(EXHAUSTIVE_LIMIT).passed
+            assert z2identity._GROWN == {}
+            assert verify_closed_form(3).passed
+            assert list(z2identity._GROWN) == [(3, z2identity.xor_int)]
+        assert z2identity._GROWN is None
+        steps.clear()
+        for k in (3, 4):
             assert verify_closed_form(k).passed
-        assert steps == [2, 4, 8, 16, 32]
-        steps.clear()
-        assert verify_closed_form(4).passed
-        assert steps == [2, 4, 8]
-        steps.clear()
-        monkeypatch.setattr(z2identity, "xor_int", lambda x, y: x + y - 2 * x * y)
-        assert verify_closed_form(5).passed
-        assert steps == [2, 4, 8, 16]
-        assert verify_closed_form(EXHAUSTIVE_LIMIT).passed
-        assert z2identity._GROWN == {}
+        assert steps == [2, 4, 2, 4, 8] and z2identity._GROWN is None
 
 
 class TestParitySums:
@@ -468,26 +503,7 @@ class TestVerifiers:
         xor = XOR_MUTANTS[mutant]
         with mock.patch.object(z2identity, "xor_int", xor):
             got = verify_sum_shift_laws(n)
-        rows = np.random.default_rng(n).integers(0, 2, size=(500, n + 1), dtype=np.int8).tolist()
-        want = []
-        for k in range(1, n + 1):
-            report = z2identity.CheckReport(f"sum-shift-laws n={k}", True, 500, "samples")
-            for i, row in enumerate(rows):
-                xs, z = row[:k], row[k]
-                flipped = [x ^ z for x in xs]
-                sides = (
-                    sum(flipped),
-                    int(xor(sum(xs), z)) + (k - 1) * z,
-                    sum(flipped[::2]) - sum(flipped[1::2]),
-                    int(xor(sum(xs[::2]) - sum(xs[1::2]), z)) - ((1 + (-1) ** k) // 2) * z,
-                )
-                if sides[0] != sides[1] or sides[2] != sides[3]:
-                    report = dataclasses.replace(
-                        report, passed=False, checked=i + 1, counterexample=(tuple(xs), z, *sides)
-                    )
-                    break
-            want.append(report)
-        assert got == want
+        assert got == sum_shift_one_width_at_a_time(n, xor)
 
     def test_sum_shift_rows_are_seeded_with_n(self, monkeypatch):
         # width k checks the first k bits of the rows seeded with n against
@@ -508,14 +524,25 @@ class TestVerifiers:
             (1, (tuple(rows[0, :k].tolist()), int(rows[0, k]))) for k in range(1, 7)
         ]
 
-    @pytest.mark.parametrize("n", [62, 63, 64, 127])
-    def test_sum_shift_sides_fit_their_dtype(self, n):
+    @pytest.mark.parametrize("n, dtype", [(62, np.int8), (63, np.int16), (64, np.int16), (127, np.int16)])
+    def test_sum_shift_sides_fit_their_dtype(self, n, dtype):
         # the one pass keeps its sums in the smallest integer type that
-        # holds -2(n + 1) - 1: int8 up to n = 62, int16 from n = 63.  A
-        # type too small wraps a side, and the width fails
-        assert [r.summary() for r in verify_sum_shift_laws(n)] == [
-            f"sum-shift-laws n={k}: PASS (500 samples)" for k in range(1, n + 1)
-        ]
+        # holds -2(n + 1) - 1: int8 up to n = 62, int16 from n = 63.  Its
+        # ring operations wrap in a type too small, so a correct xor_int
+        # still passes there, but the sides that a failing width names
+        # wrap.  With xor_int as x + y, the plain right side at z = 1 is
+        # sum x_i + k, past int8 at n = 127, and every report still
+        # equals the Python-int rebuild
+        seen = []
+
+        def plus(x, y):
+            seen.append(x.dtype)
+            return x + y
+
+        with mock.patch.object(z2identity, "xor_int", plus):
+            got = verify_sum_shift_laws(n)
+        assert set(seen) == {np.dtype(dtype)}
+        assert got == sum_shift_one_width_at_a_time(n, lambda x, y: x + y)
 
     @given(st.integers(-9, 9), st.integers(-9, 9))
     @settings(max_examples=60, deadline=None)

@@ -2,27 +2,28 @@
 
 Run from a checkout:
 
-    python tools/ab.py REV [--rounds N] [--name NAME] [--only PREFIX ...]
+    python tools/ab.py REV [--rounds N] [--name NAME]
     python tools/ab.py REV --outputs
 
 ``git archive`` extracts REV's ``src/mcusynth`` into a temporary directory.
 That tree ("base") and this checkout's ``src/mcusynth`` ("change") are
 imported as two packages, each under its own name, so each tree's relative
-imports stay inside it.  Each round runs every request class once per tree,
-in a shuffled tree order, through that tree's ``cli.main``, with
-``gc.collect()`` before each request.  The classes follow the bench
-workloads' mixes: ``synth``, ``check`` and ``simulate`` at 10-12 controls,
-plain and ``--optimize``; ``verify-identity`` in full mode at N = 10-12; and
-``--recurrent-only`` at N = 20-24 with 250 and 1000 samples.
+imports stay inside it.  The requests are the bench's own: each round takes
+one round of every workload in ``bench/workloads.py``, its inputs drawn
+from one generator seeded with 0, so the request classes are those that
+``bench/run.py`` runs, with inputs drawn the same way.  Each request runs once per tree, in a shuffled tree
+order, through that tree's ``cli.main``, with ``gc.collect()`` before it;
+its client-side prepare step runs once, before both and outside the
+timing, and each tree's answer is judged by the request's known answer.
 
 The result goes to ``BENCH_ab_<NAME>.json`` in the current directory.  It
-holds the host, both revisions, each class's median time per tree, and per
-command the round-level ratios (the base tree's time over the change's, so
-above 1 is faster) with their median and a bootstrap 95% interval.  A ratio
-of per-round time sums is used, not a median of per-request ratios: a
-``synth`` request writes a file, so its single times are bimodal.  This
-measures in-process request time only; fresh-process metrics (``setup_s``,
-peak RSS) stay with ``bench/run.py``.
+holds the host, both revisions, each request class's median time per tree,
+and per command the round-level ratios (the base tree's time over the
+change's, so above 1 is faster) with their median and a bootstrap 95%
+interval.  A ratio of per-round time sums is used, not a median of
+per-request ratios: a ``synth`` request writes a file, so its single times
+are bimodal.  This measures in-process request time only; fresh-process
+metrics (``setup_s``, peak RSS) stay with ``bench/run.py``.
 
 ``--outputs`` runs ``tools/cli_outputs.py``'s sweep through both trees and
 exits 1 at the first case whose output differs.
@@ -82,50 +83,27 @@ def load(alias: str, package: Path):
     return importlib.import_module(f"{alias}.cli")
 
 
-def request_classes(workdir: Path) -> dict[str, list[str]]:
-    """label -> argv.  ``{tree}`` in an argv names that tree's own output file."""
-    classes = {}
-    for n in (10, 11, 12):
-        for kind in ("raw", "opt"):
-            circuit = str(workdir / f"c{n}{kind}.circ")
-            classes[f"synth n={n} {kind}"] = synth_argv(n, kind, workdir / f"{{tree}}{n}{kind}.circ")
-            classes[f"check w{n + 1} {kind}"] = [
-                "check", "--circuit", circuit, "--controls", str(n), "--gate", "H"
-            ]
-            classes[f"simulate w{n + 1} {kind}"] = [
-                "simulate", "--circuit", circuit, "--input", "1" * (n + 1)
-            ]
-    for n in (10, 11, 12):
-        classes[f"verify-identity n={n}"] = ["verify-identity", "--n", str(n)]
-    for n in (20, 21, 22, 23, 24):
-        for samples in (250, 1000):
-            argv = ["verify-identity", "--n", str(n), "--recurrent-only", "--samples", str(samples)]
-            classes[f"verify-identity n={n} recurrent samples={samples}"] = argv
-    return classes
+def round_makers() -> list:
+    """The round function of every bench workload, from bench/workloads.py,
+    which imports nothing of mcusynth."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    return [workload.make_round for workload in workloads.WORKLOADS.values()]
 
 
-def synth_argv(n: int, kind: str, out: Path) -> list[str]:
-    argv = ["synth", "--controls", str(n), "--gate", "H", "--out", str(out)]
-    return argv + ["--optimize"] * (kind == "opt")
-
-
-def prepare(main, workdir: Path) -> None:
-    # the files that check and simulate read, written once for both trees
-    for n in (10, 11, 12):
-        for kind in ("raw", "opt"):
-            call(main, synth_argv(n, kind, workdir / f"c{n}{kind}.circ"))
-
-
-def call(main, argv: list[str]) -> float:
-    """Seconds that one request takes; a request that does not exit 0 is an error."""
+def call(main, request) -> float:
+    """Seconds that one request takes; a wrong answer is an error."""
     out = io.StringIO()
     gc.collect()
-    with contextlib.redirect_stdout(out):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         start = time.perf_counter()
-        code = main(argv)
+        code = main(request.argv)
         elapsed = time.perf_counter() - start
-    if code != 0:
-        raise RuntimeError(f"{' '.join(argv)} exited {code}:\n{out.getvalue()}")
+    error = request.check(code, out.getvalue())
+    if error is not None:
+        raise RuntimeError(f"{' '.join(request.argv)}: {error}")
     return elapsed
 
 
@@ -143,8 +121,11 @@ def bootstrap(ratios: list[float], rng: np.random.Generator) -> list[float]:
     return np.percentile(np.median(draws, axis=1), [2.5, 97.5]).tolist()
 
 
-def compare(rev: str, rounds: int, only: list[str] | None = None) -> dict:
+def compare(rev: str, rounds: int) -> dict:
     """Both trees' times over ``rounds`` interleaved rounds, as the JSON record."""
+    times = {tree: {} for tree in TREES}  # label -> every request's time
+    sums = {tree: {} for tree in TREES}  # command -> each round's total time
+    commands = {}  # label -> command
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         mains = {
@@ -153,35 +134,24 @@ def compare(rev: str, rounds: int, only: list[str] | None = None) -> dict:
         }
         workdir = tmp / "work"
         workdir.mkdir()
-        classes = request_classes(workdir)
-        if only:
-            classes = {
-                label: argv for label, argv in classes.items() if label.startswith(tuple(only))
-            }
-            if not classes:
-                raise SystemExit(f"no class label starts with any of {only}")
-        prepare(mains["change"], workdir)
-        order = random.Random(0)
-        times = {tree: {label: [] for label in classes} for tree in TREES}
-        for _ in range(rounds):
-            for label, argv in classes.items():
+        makers, inputs, order = round_makers(), np.random.default_rng(0), random.Random(0)
+        for index in range(rounds):
+            for request in [r for make in makers for r in make(inputs, workdir, index)]:
+                commands[request.label] = request.argv[0]
+                if request.prepare is not None:
+                    request.prepare()
                 for tree in order.sample(TREES, 2):
-                    argv_tree = [a.replace("{tree}", tree) for a in argv]
-                    times[tree][label].append(call(mains[tree], argv_tree))
+                    elapsed = call(mains[tree], request)
+                    times[tree].setdefault(request.label, []).append(elapsed)
+                    per_round = sums[tree].setdefault(request.argv[0], [0.0] * rounds)
+                    per_round[index] += elapsed
 
     rng = np.random.default_rng(0)
-    commands = {}
-    for label, argv in classes.items():
-        commands.setdefault(argv[0], []).append(label)
     groups = {}
-    for command, labels in commands.items():
-        ratios = [
-            sum(times["base"][label][r] for label in labels)
-            / sum(times["change"][label][r] for label in labels)
-            for r in range(rounds)
-        ]
+    for command, base in sums["base"].items():
+        ratios = [b / c for b, c in zip(base, sums["change"][command])]
         groups[command] = {
-            "classes": labels,
+            "classes": sorted(label for label, c in commands.items() if c == command),
             "per_round_ratio": ratios,
             "median_ratio": statistics.median(ratios),
             "ci95": bootstrap(ratios, rng),
@@ -204,7 +174,7 @@ def compare(rev: str, rounds: int, only: list[str] | None = None) -> dict:
         "rounds": rounds,
         "class_median_s": {
             label: {tree: statistics.median(times[tree][label]) for tree in TREES}
-            for label in classes
+            for label in sorted(commands)
         },
         "groups": groups,
     }
@@ -245,16 +215,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("rev", help="the git revision to compare this checkout's src/ against")
     parser.add_argument("--rounds", type=int, default=40)
     parser.add_argument("--name", help="writes BENCH_ab_NAME.json (default: the short REV)")
-    parser.add_argument(
-        "--only", action="append", metavar="PREFIX", help="run only the classes whose label starts so"
-    )
     parser.add_argument("--outputs", action="store_true", help="compare outputs, not times")
     args = parser.parse_args(argv)
     if args.outputs:
         return same_outputs(args.rev)
     if args.rounds < 2:
         parser.error("--rounds must be at least 2")
-    record = compare(args.rev, args.rounds, args.only)
+    record = compare(args.rev, args.rounds)
     name = args.name or git("rev-parse", "--short", args.rev).decode().strip()
     path = Path(f"BENCH_ab_{name}.json")
     path.write_text(json.dumps(record, indent=1) + "\n")
