@@ -35,11 +35,11 @@ width-k assignment grow from width k - 1's by one append step: ``_append``
 for the recurrent form, one more factor of the running product
 2^(k-1) * x_1 * ... * x_k for the closed form.  ``verify-identity`` checks
 widths 1..n in order inside ``growing_forms()``, so ``_forms`` grows each
-width once, from the forms the width before left.  Only the sampled verifier folds a table, of seeded
-rows (``_fold``).  The verifiers do not re-validate what they build; the
-public ``parity_sum_recurrent`` and ``parity_sum_closed_form`` validate
-their input and are the references the verifiers' forms are tested
-against.
+width once, from the forms the width before left.  Only the sampled
+verifier folds a table, of seeded rows (``_fold``).  The verifiers do not
+re-validate what they build; the public ``parity_sum_recurrent`` and
+``parity_sum_closed_form`` validate their input and are the references
+the verifiers' forms are tested against.
 
 Each law check is one array pass over all its cases.  The ``xor_int`` laws
 evaluate ``xor_int`` once on the table of pairs and once per nested or
@@ -58,10 +58,10 @@ rows are those seeded with n; a smaller width's rows, and so its report
 under a broken ``xor_int``, depend on n.
 
 One thing outlives a call, and it is no report, law table or triangle:
-the direct sums of the last two widths, read-only over immutable bytes.  Inside ``growing_forms()``, as ``verify-identity`` runs
-its widths, the read-only forms of the last width below
-``EXHAUSTIVE_LIMIT`` also wait for the next width to grow from them; they
-go when the block ends.
+the direct sums of the last two widths, read-only over immutable bytes.
+Inside ``growing_forms()``, as ``verify-identity`` runs its widths, the
+read-only forms of the last width below ``EXHAUSTIVE_LIMIT`` also wait for
+the next width to grow from them; they go when the block ends.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ import numpy as np
 
 # the largest n for the exhaustive verifiers and parity_sum_direct.  Each
 # width costs a few int64 arrays of 2^n entries and no table of assignments:
-# `verify-identity --n 20` takes 0.39-0.52 s and peaks at 80 MiB RSS in a
+# `verify-identity --n 20` takes 0.36-0.51 s and peaks at 81 MiB RSS in a
 # fresh interpreter, while both verifiers at widths 20 and 21 alone take
 # 0.61-0.70 s at 133 MiB (2-core Xeon)
 EXHAUSTIVE_LIMIT = 20

@@ -524,7 +524,9 @@ class TestVerifiers:
             (1, (tuple(rows[0, :k].tolist()), int(rows[0, k]))) for k in range(1, 7)
         ]
 
-    @pytest.mark.parametrize("n, dtype", [(62, np.int8), (63, np.int16), (64, np.int16), (127, np.int16)])
+    @pytest.mark.parametrize(
+        "n, dtype", [(62, np.int8), (63, np.int16), (64, np.int16), (127, np.int16)]
+    )
     def test_sum_shift_sides_fit_their_dtype(self, n, dtype):
         # the one pass keeps its sums in the smallest integer type that
         # holds -2(n + 1) - 1: int8 up to n = 62, int16 from n = 63.  Its

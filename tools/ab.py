@@ -11,10 +11,11 @@ imported as two packages, each under its own name, so each tree's relative
 imports stay inside it.  The requests are the bench's own: each round takes
 one round of every workload in ``bench/workloads.py``, its inputs drawn
 from one generator seeded with 0, so the request classes are those that
-``bench/run.py`` runs, with inputs drawn the same way.  Each request runs once per tree, in a shuffled tree
-order, through that tree's ``cli.main``, with ``gc.collect()`` before it;
-its client-side prepare step runs once, before both and outside the
-timing, and each tree's answer is judged by the request's known answer.
+``bench/run.py`` runs, with inputs drawn the same way.  Each request runs
+once per tree, in a shuffled tree order, through that tree's ``cli.main``,
+with ``gc.collect()`` before it.  Its client-side prepare step runs once,
+before both and outside the timing, and each tree's answer is judged by
+the request's known answer.
 
 The result goes to ``BENCH_ab_<NAME>.json`` in the current directory.  It
 holds the host, both revisions, each request class's median time per tree,
@@ -86,7 +87,8 @@ def load(alias: str, package: Path):
 def round_makers() -> list:
     """The round function of every bench workload, from bench/workloads.py,
     which imports nothing of mcusynth."""
-    spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "bench" / "workloads.py")
+    path = ROOT / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = workloads  # its dataclasses look their module up
     spec.loader.exec_module(workloads)
