@@ -109,21 +109,10 @@ def cmd_verify_identity(args: argparse.Namespace) -> int:
             " (use --recurrent-only beyond that)"
         )
 
-    reports = []
     if args.recurrent_only:
-        reports += z2identity.verify_closed_form_sampled_prefixes(n, samples)
+        reports = z2identity.verify_closed_form_sampled_prefixes(n, samples)
     else:
-        # z2identity keeps width k's direct sums for both verifiers at k and
-        # the recurrence at k + 1, and width k's forms for the closed form
-        # at k + 1, so each is built once; printed closed-form first
-        recurrence = []
-        with z2identity.growing_forms():
-            for k in range(1, n + 1):
-                reports.append(z2identity.verify_closed_form(k))
-                if k > 1:
-                    recurrence.append(z2identity.verify_append_recurrence(k))
-        reports += recurrence
-
+        reports = z2identity.verify_exhaustive(n)
     reports.append(z2identity.verify_xor_int_laws())
     reports += z2identity.verify_sum_shift_laws(n)
     reports.append(z2identity.verify_alternating_binomial())

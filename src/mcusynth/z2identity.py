@@ -33,13 +33,15 @@ assignment x is assignment x // 2 with the bit x % 2 appended, so
 ``_bits`` reads an assignment from its index, and both forms of every
 width-k assignment grow from width k - 1's by one append step: ``_append``
 for the recurrent form, one more factor of the running product
-2^(k-1) * x_1 * ... * x_k for the closed form.  ``verify-identity`` checks
-widths 1..n in order inside ``growing_forms()``, so ``_forms`` grows each
-width once, from the forms the width before left.  Only the sampled
-verifier folds a table, of seeded rows (``_fold``).  The verifiers do not
-re-validate what they build; the public ``parity_sum_recurrent`` and
-``parity_sum_closed_form`` validate their input and are the references
-the verifiers' forms are tested against.
+2^(k-1) * x_1 * ... * x_k for the closed form.  ``verify_exhaustive``,
+the full mode of ``verify-identity``, runs widths 1..n in one loop: it
+builds each width's direct sums once, grows its forms once from the width
+before, and passes them to ``verify_closed_form`` and
+``verify_append_recurrence``, which build their own when called alone.
+Only the sampled verifier folds a table, of seeded rows (``_fold``).  The
+verifiers do not re-validate what they build; the public
+``parity_sum_recurrent`` and ``parity_sum_closed_form`` validate their
+input and are the references the verifiers' forms are tested against.
 
 Each law check is one array pass over all its cases.  The ``xor_int`` laws
 evaluate ``xor_int`` once on the table of pairs and once per nested or
@@ -57,18 +59,14 @@ bit k + 1.  Each width still sees independent, uniform rows, and width n's
 rows are those seeded with n; a smaller width's rows, and so its report
 under a broken ``xor_int``, depend on n.
 
-One thing outlives a call, and it is no report, law table or triangle:
-the direct sums of the last two widths, read-only over immutable bytes.
-Inside ``growing_forms()``, as ``verify-identity`` runs its widths, the
-read-only forms of the last width below ``EXHAUSTIVE_LIMIT`` also wait for
-the next width to grow from them; they go when the block ends.
+Nothing outlives a call: the module holds no arrays and no cache.
+``verify_exhaustive`` keeps a width's arrays in its loop's locals only
+while a later width still reads them.
 """
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
-import functools
 import itertools
 import math
 from typing import Callable, Iterator, Sequence
@@ -77,9 +75,10 @@ import numpy as np
 
 # the largest n for the exhaustive verifiers and parity_sum_direct.  Each
 # width costs a few int64 arrays of 2^n entries and no table of assignments:
-# `verify-identity --n 20` takes 0.36-0.51 s and peaks at 81 MiB RSS in a
-# fresh interpreter, while both verifiers at widths 20 and 21 alone take
-# 0.61-0.70 s at 133 MiB (2-core Xeon)
+# `verify-identity --n 20` takes 0.38-0.45 s and peaks at 78 MiB RSS in a
+# fresh interpreter, and verify_closed_form(20) and
+# verify_append_recurrence(20), each building its own arrays, take
+# 0.37-0.41 s together at 77 MiB (2-core Xeon)
 EXHAUSTIVE_LIMIT = 20
 
 # the forms' values reach 2^(n-1), so at n <= 62 they and the sums and
@@ -191,12 +190,6 @@ def parity_sums(coeffs: np.ndarray) -> np.ndarray:
     return a
 
 
-# the one cache: verify-identity runs verify_closed_form(k) and then
-# verify_append_recurrence(k), which reuse the sums of widths k - 1 and k.
-# The recurrence reads width k - 1 first, or verify_closed_form(k + 1)
-# evicts width k and every width is built twice.  Results are read-only
-# arrays over immutable bytes
-@functools.lru_cache(maxsize=2)
 def _direct_sums(n: int) -> np.ndarray:
     # parity_sum_direct of every width-n assignment, in product order: the
     # coefficient of subset mask S is the sign of a |S|-element subset, so
@@ -205,8 +198,7 @@ def _direct_sums(n: int) -> np.ndarray:
     for _ in range(n):
         signs = np.concatenate((signs, -signs))  # -(-1)^popcount of 0..2^n - 1
     signs[0] = 0
-    # backed by immutable bytes, so no view or base can be made writable
-    return np.frombuffer(parity_sums(signs).tobytes(), dtype=np.int64)
+    return parity_sums(signs)
 
 
 def _bits(x: int, n: int) -> tuple[int, ...]:
@@ -286,54 +278,56 @@ def parity_sum_closed_form(bits) -> np.ndarray:
     return np.int64(1 << (bits.shape[-1] - 1)) * bits.all(axis=-1)
 
 
-# verify-identity checks widths 1..n in order, so each width's forms grow
-# from the width below by one append step.  Inside growing_forms() this
-# slot keeps the forms of the last width below EXHAUSTIVE_LIMIT, keyed by
-# width and by the xor_int that grew them, until the next width takes
-# them: at most width 19's, two int64 arrays of 4 MiB.  The widest forms
-# are never grown from, so they are not kept past their check.  Outside
-# the block there is no slot and every width grows from width 1
-_GROWN: dict[tuple[int, Callable], tuple[np.ndarray, np.ndarray]] | None = None
-
-
-@contextlib.contextmanager
-def growing_forms() -> Iterator[None]:
-    """Inside this block ``verify_closed_form(k)`` grows width k's forms
-    from those that ``verify_closed_form(k - 1)`` left; on leaving it the
-    forms are dropped."""
-    global _GROWN
-    _GROWN = {}
-    try:
-        yield
-    finally:
-        _GROWN = None
+def _grow(recurrent: np.ndarray, closed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # width k's recurrent and closed forms to width k + 1's, by one append step
+    return _append(recurrent), (closed[:, None] * (0, 2)).reshape(-1)
 
 
 def _forms(n: int) -> tuple[np.ndarray, np.ndarray]:
     # the recurrent and the closed form of every width-n assignment, in
-    # product order: grown from the kept width n - 1, or else from width 1,
-    # where a bit is both its forms
-    width, recurrent = 1, np.arange(2, dtype=np.int64)
-    closed = recurrent
-    kept = {} if _GROWN is None else _GROWN
-    if (n - 1, xor_int) in kept:
-        width, (recurrent, closed) = n - 1, kept.pop((n - 1, xor_int))
-    kept.clear()
-    for _ in range(width, n):
-        recurrent, closed = _append(recurrent), (closed[:, None] * (0, 2)).reshape(-1)
-    if n < EXHAUSTIVE_LIMIT:
-        recurrent.setflags(write=False)
-        closed.setflags(write=False)
-        kept[n, xor_int] = recurrent, closed
-    return recurrent, closed
+    # product order, grown from width 1, where a bit is both its forms
+    forms = np.arange(2, dtype=np.int64), np.arange(2, dtype=np.int64)
+    for _ in range(1, n):
+        forms = _grow(*forms)
+    return forms
 
 
-def verify_closed_form(n: int) -> CheckReport:
-    """Exhaustively confirm direct == recurrent == closed form for width n."""
+def verify_exhaustive(n: int) -> list[CheckReport]:
+    """The reports of ``verify_closed_form(k)`` for k = 1..n, then of
+    ``verify_append_recurrence(k)`` for k = 2..n.
+
+    Width k's direct sums are built once, for both verifiers at k and the
+    recurrence at k + 1, and its forms are grown once, from width k - 1's.
+    Each array goes once no later width needs it, the widest forms before
+    the last recurrence check."""
     if not 1 <= n <= EXHAUSTIVE_LIMIT:
         raise ValueError(f"need 1 <= n <= {EXHAUSTIVE_LIMIT}, got {n}")
-    direct = _direct_sums(n)  # before the forms, so the two peaks do not add
-    recurrent, closed = _forms(n)
+    closed_form, recurrence = [], []
+    forms, below = _forms(1), None
+    for k in range(1, n + 1):
+        direct = _direct_sums(k)  # before the forms, so the two peaks do not add
+        if k > 1:
+            forms = _grow(*forms)
+        closed_form.append(verify_closed_form(k, (direct, *forms)))
+        if k == n:
+            forms = None
+        if below is not None:
+            recurrence.append(verify_append_recurrence(k, (below, direct)))
+        below = direct
+    return closed_form + recurrence
+
+
+def verify_closed_form(n: int, built: tuple[np.ndarray, ...] | None = None) -> CheckReport:
+    """Exhaustively confirm direct == recurrent == closed form for width n.
+
+    ``built`` is width n's direct sums, recurrent and closed form, as
+    ``verify_exhaustive`` passes them; without it they are built here."""
+    if not 1 <= n <= EXHAUSTIVE_LIMIT:
+        raise ValueError(f"need 1 <= n <= {EXHAUSTIVE_LIMIT}, got {n}")
+    if built is None:
+        direct = _direct_sums(n)  # before the forms, so the two peaks do not add
+        built = (direct, *_forms(n))
+    direct, recurrent, closed = built
     return _report(
         f"closed-form n={n}",
         "assignments",
@@ -374,19 +368,20 @@ def verify_closed_form_sampled_prefixes(n: int, samples: int) -> list[CheckRepor
     return reports
 
 
-def verify_append_recurrence(n: int) -> CheckReport:
+def verify_append_recurrence(n: int, built: tuple[np.ndarray, ...] | None = None) -> CheckReport:
     """Check the append step pointwise for every width-n assignment.
 
     For every prefix p of length n-1 and appended bit b, the direct sum of
     p + (b,) must equal  s + b - xor_int(s, b)  with s the direct sum of p.
     The left operand of xor_int is a full integer here, not a bit; that is
-    precisely what the integer extension exists for.
+    precisely what the integer extension exists for.  ``built`` is the
+    direct sums of widths n - 1 and n, as ``verify_exhaustive`` passes
+    them; without it they are built here.
     """
     if not 2 <= n <= EXHAUSTIVE_LIMIT:
         raise ValueError(f"need 2 <= n <= {EXHAUSTIVE_LIMIT}, got {n}")
-    # width n - 1 first: see the cache at _direct_sums
-    want = _append(_direct_sums(n - 1))
-    sums = _direct_sums(n)
+    below, sums = (_direct_sums(n - 1), _direct_sums(n)) if built is None else built
+    want = _append(below)
     return _report(
         f"recurrence n={n}",
         "cases",

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -33,21 +34,78 @@ class TestVerifyIdentity:
         assert "all checks passed" in out
 
     def test_full_mode_builds_each_width_once(self, monkeypatch, capsys):
-        # one parity_sums call per width, smallest first; the lines keep
-        # their order: every closed-form line before every recurrence line.
-        # No width's forms are kept once the request ends
-        widths = []
-        real = z2identity.parity_sums
+        # one parity_sums call per width, smallest first, and one append
+        # step per grown width and per recurrence: width k's forms grow from
+        # width k - 1's, then the recurrence at k appends to width k - 1's
+        # direct sums.  The lines keep their order: every closed-form line
+        # before every recurrence line
+        widths, steps = [], []
+        sums, append = z2identity.parity_sums, z2identity._append
         monkeypatch.setattr(
-            z2identity, "parity_sums", lambda c: widths.append(len(c).bit_length() - 1) or real(c)
+            z2identity, "parity_sums", lambda c: widths.append(len(c).bit_length() - 1) or sums(c)
         )
-        z2identity._direct_sums.cache_clear()
+        monkeypatch.setattr(z2identity, "_append", lambda s: steps.append(len(s)) or append(s))
         assert main(["verify-identity", "--n", "12"]) == 0
         assert widths == list(range(1, 13))
-        assert z2identity._GROWN is None
+        assert steps == [2 ** (k - 1) for k in range(2, 13) for _ in ("forms", "recurrence")]
         lines = capsys.readouterr().out.splitlines()
         assert lines[:12] == [f"closed-form n={k}: PASS ({2**k} assignments)" for k in range(1, 13)]
         assert lines[12:23] == [f"recurrence n={k}: PASS ({2**k} cases)" for k in range(2, 13)]
+
+    def test_full_mode_keeps_nothing(self, capsys):
+        # the request adds no module state, and holds no width's array once
+        # it returns: less stays allocated than width 11's direct sums
+        assert main(["verify-identity", "--n", "3"]) == 0
+        before = dict(vars(z2identity))
+        tracemalloc.start()
+        try:
+            allocated = tracemalloc.get_traced_memory()[0]
+            assert main(["verify-identity", "--n", "12"]) == 0
+            kept = tracemalloc.get_traced_memory()[0] - allocated
+        finally:
+            tracemalloc.stop()
+        assert vars(z2identity) == before
+        assert kept < 8 << 11
+
+    def test_full_mode_failure(self, monkeypatch, capsys):
+        # an xor_int wrong at (2, 1) breaks the recurrent form of the
+        # all-ones assignments past width 2 and the recurrence at width 3
+        # alone.  Each closed-form and recurrence line is the report of the
+        # one-width verifier called alone, and the exit code is 1
+        real = z2identity.xor_int
+        monkeypatch.setattr(
+            z2identity, "xor_int", lambda x, y: real(x, y) + ((x == 2) & (y == 1))
+        )
+        n = 8
+        assert main(["verify-identity", "--n", str(n)]) == 1
+        want = [z2identity.verify_closed_form(k).summary() for k in range(1, n + 1)]
+        want += [z2identity.verify_append_recurrence(k).summary() for k in range(2, n + 1)]
+        out = capsys.readouterr().out.splitlines()
+        assert out[: 2 * n - 1] == want
+        assert "FAIL" in want[2] and "FAIL" in want[n + 1] and "FAIL" not in want[n + 2]
+        assert "all checks passed" not in out
+
+    @pytest.mark.parametrize(
+        "verifier, line",
+        [
+            ("verify_closed_form", "closed-form n=3: FAIL (1 assignments) counterexample=('stub',)"),
+            ("verify_append_recurrence", "recurrence n=3: FAIL (1 cases) counterexample=('stub',)"),
+        ],
+    )
+    def test_full_mode_shows_a_replaced_verifier(self, monkeypatch, capsys, verifier, line):
+        # full mode calls both one-width verifiers through the module, so a
+        # replacement that fails width 3 prints that line alone as FAIL
+        real = getattr(z2identity, verifier)
+
+        def stub(k, *args, **kwargs):
+            report = real(k, *args, **kwargs)
+            if k != 3:
+                return report
+            return z2identity.CheckReport(report.name, False, 1, report.unit, ("stub",))
+
+        monkeypatch.setattr(z2identity, verifier, stub)
+        assert main(["verify-identity", "--n", "8"]) == 1
+        assert [row for row in capsys.readouterr().out.splitlines() if "FAIL" in row] == [line]
 
     def test_out_of_range(self, capsys):
         assert main(["verify-identity", "--n", "0"]) == 2

@@ -4,7 +4,6 @@ import warnings
 import numpy as np
 import pytest
 
-from mcusynth import z2identity
 from mcusynth.circuit import Circuit
 from mcusynth.simulator import linear_trace
 from mcusynth.textio import parse_gate_spec
@@ -188,8 +187,6 @@ SHARED = {
     "I2.base": lambda: I2.base,
     "cnot-only trace v": lambda: linear_trace(Circuit(3, [cnot(0, 1)])).v,
     "cnot-only trace v.base": lambda: linear_trace(Circuit(3, [cnot(0, 1)])).v.base,
-    "_direct_sums(3)": lambda: z2identity._direct_sums(3),
-    "_direct_sums(3).base": lambda: z2identity._direct_sums(3).base,
 }
 
 
@@ -206,7 +203,6 @@ def test_shared_arrays_cannot_be_made_writable(name):
         shared = shared.base
     assert isinstance(shared, bytes)
     assert np.array_equal(parse_gate_spec("X"), [[0, 1], [1, 0]])
-    assert z2identity.verify_closed_form(3).passed
 
 
 def test_random_unitary_is_unitary():

@@ -26,6 +26,7 @@ from mcusynth.z2identity import (
     verify_closed_form,
     verify_closed_form_sampled,
     verify_closed_form_sampled_prefixes,
+    verify_exhaustive,
     verify_sum_shift_laws,
     verify_xor_int_laws,
     xor_int,
@@ -244,34 +245,6 @@ class TestExhaustiveForms:
         assert closed.tolist() == parity_sum_closed_form(rows).tolist()
         assert [z2identity._bits(x, n) for x in range(1 << n)] == rows
 
-    def test_each_width_grows_from_the_one_before(self, monkeypatch):
-        # verify-identity's order, widths 1..n inside growing_forms(), takes
-        # one append step per width.  A width out of that order, or under
-        # another xor_int, grows from width 1, the widest forms are not
-        # kept, and the block keeps nothing once it ends
-        steps, real = [], z2identity._append
-        monkeypatch.setattr(z2identity, "_append", lambda s: steps.append(len(s)) or real(s))
-        with z2identity.growing_forms():
-            for k in range(1, 7):
-                assert verify_closed_form(k).passed
-            assert steps == [2, 4, 8, 16, 32]
-            steps.clear()
-            assert verify_closed_form(4).passed
-            assert steps == [2, 4, 8]
-            steps.clear()
-            monkeypatch.setattr(z2identity, "xor_int", lambda x, y: x + y - 2 * x * y)
-            assert verify_closed_form(5).passed
-            assert steps == [2, 4, 8, 16]
-            assert verify_closed_form(EXHAUSTIVE_LIMIT).passed
-            assert z2identity._GROWN == {}
-            assert verify_closed_form(3).passed
-            assert list(z2identity._GROWN) == [(3, z2identity.xor_int)]
-        assert z2identity._GROWN is None
-        steps.clear()
-        for k in (3, 4):
-            assert verify_closed_form(k).passed
-        assert steps == [2, 4, 2, 4, 8] and z2identity._GROWN is None
-
 
 class TestParitySums:
     @pytest.mark.parametrize("n", range(1, 11))
@@ -331,6 +304,9 @@ class TestVerifiers:
             verify_closed_form(0)
         with pytest.raises(ValueError):
             verify_closed_form(EXHAUSTIVE_LIMIT + 1)
+        for n in (0, EXHAUSTIVE_LIMIT + 1):
+            with pytest.raises(ValueError):
+                verify_exhaustive(n)
 
     def test_closed_form_sampled(self):
         report = verify_closed_form_sampled(20, samples=500)
@@ -372,11 +348,20 @@ class TestVerifiers:
 
     @pytest.mark.parametrize("n", [1, 2, 6, 7, 8])
     @pytest.mark.parametrize("mutant", list(XOR_MUTANTS))
-    def test_closed_form_matches_one_row_at_a_time(self, mutant, n):
+    @pytest.mark.parametrize("route", ["one width", "exhaustive"])
+    def test_closed_form_matches_one_row_at_a_time(self, route, mutant, n):
         # the report rebuilt row by row from the definition and the public
-        # forms
+        # forms.  verify_exhaustive's reports are those of the one-width
+        # verifiers, called alone
         with mock.patch.object(z2identity, "xor_int", XOR_MUTANTS[mutant]):
-            got = verify_closed_form(n)
+            if route == "exhaustive":
+                got = verify_exhaustive(n)
+                assert got == [verify_closed_form(k) for k in range(1, n + 1)] + [
+                    verify_append_recurrence(k) for k in range(2, n + 1)
+                ]
+                got = got[n - 1]
+            else:
+                got = verify_closed_form(n)
             want = z2identity.CheckReport(f"closed-form n={n}", True, 1 << n, "assignments")
             for i, bits in enumerate(itertools.product((0, 1), repeat=n)):
                 direct = parity_sum_direct(bits)
