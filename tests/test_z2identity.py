@@ -348,20 +348,16 @@ class TestVerifiers:
 
     @pytest.mark.parametrize("n", [1, 2, 6, 7, 8])
     @pytest.mark.parametrize("mutant", list(XOR_MUTANTS))
-    @pytest.mark.parametrize("route", ["one width", "exhaustive"])
-    def test_closed_form_matches_one_row_at_a_time(self, route, mutant, n):
+    def test_closed_form_matches_one_row_at_a_time(self, mutant, n):
         # the report rebuilt row by row from the definition and the public
-        # forms.  verify_exhaustive's reports are those of the one-width
-        # verifiers, called alone
+        # forms, alone and as verify_exhaustive's width n; its reports are
+        # those of the one-width verifiers, called alone
         with mock.patch.object(z2identity, "xor_int", XOR_MUTANTS[mutant]):
-            if route == "exhaustive":
-                got = verify_exhaustive(n)
-                assert got == [verify_closed_form(k) for k in range(1, n + 1)] + [
-                    verify_append_recurrence(k) for k in range(2, n + 1)
-                ]
-                got = got[n - 1]
-            else:
-                got = verify_closed_form(n)
+            got = verify_closed_form(n)
+            reports = verify_exhaustive(n)
+            assert reports == [verify_closed_form(k) for k in range(1, n + 1)] + [
+                verify_append_recurrence(k) for k in range(2, n + 1)
+            ]
             want = z2identity.CheckReport(f"closed-form n={n}", True, 1 << n, "assignments")
             for i, bits in enumerate(itertools.product((0, 1), repeat=n)):
                 direct = parity_sum_direct(bits)
@@ -371,7 +367,7 @@ class TestVerifiers:
                         want, passed=False, checked=i + 1, counterexample=(bits, *forms)
                     )
                     break
-        assert got == want
+        assert got == reports[n - 1] == want
 
     @pytest.mark.parametrize(
         "wrong_at, prefix, b, checked",
