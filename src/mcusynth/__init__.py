@@ -11,7 +11,6 @@ of the synthesizer's shape and a dense brute-force simulator for the rest.
 from .simulator import circuit_unitary, linear_trace, operator_distance, reference_mcu
 from .synthesize import peephole_cancel, synth_mcu
 from .unitary2 import NAMED_GATES, unitary_root
-from .z2identity import parity_sum_direct
 
 __version__ = "0.1.0"
 
@@ -20,7 +19,6 @@ __all__ = [
     "circuit_unitary",
     "linear_trace",
     "operator_distance",
-    "parity_sum_direct",
     "peephole_cancel",
     "reference_mcu",
     "synth_mcu",

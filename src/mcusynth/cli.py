@@ -188,8 +188,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
     distance = operator_distance(actual, reference)
     # a round-off residual prints as 0.0, so the output does not move with it
-    shown = f"{distance:.12g}" if distance >= AMPLITUDE_FLOOR else "0.0"
-    print(f"distance {shown}")
+    print(f"distance {_fmt_number(distance if distance >= AMPLITUDE_FLOOR else 0.0)}")
     if distance < CHECK_TOLERANCE:
         print("PASS")
         return 0

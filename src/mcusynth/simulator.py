@@ -118,8 +118,8 @@ def linear_trace(circuit: Circuit) -> LinearTrace | None:
 def _v_powers(trace: LinearTrace) -> np.ndarray:
     # V^e(x) for every control index x.  One squaring chain per sign (of V,
     # or of its adjoint view for e < 0) serves every distinct e, and each V^e
-    # multiplies its set bits' entries into I2 in ascending order, as
-    # unitary2.power does, so it is bitwise what power(v, e) returns
+    # multiplies its set bits' squares into I2 in ascending order, so it is
+    # bitwise the product that repeated squaring of V (or V+) returns
     values, which = np.unique(trace.exponents, return_inverse=True)
     powers = np.empty((len(values), 2, 2), dtype=complex)
     powers[:] = I2

@@ -12,16 +12,16 @@ i.e. u fires exactly when every control is 1.  ``synth_mcu`` is the one
 entry point, and it emits the subsets in one of two orders straight into the
 circuit's int columns:
 
-* canonical (the default): the subset enumeration the identity engine uses
-  (size ascending, lexicographic within size), each subset a compute/apply/
-  uncompute block of its own: 2^n - 1 cv-kind gates and
-  2*(n*2^(n-1) - 2^n + 1) cnots.  n = 1 is a single cv with v = u, and
-  n = 2 is the five-gate sequence cv(0,2), cv(1,2), cnot(0,1), cvdg(1,2),
-  cnot(0,1) with v = sqrt(u) (Barenco et al. 1995, Lemma 6.1).  The
-  table is allocated once and filled a subset size at a time: the
-  k-subsets are the (k - 1)-subsets each grown by every higher wire, a
-  repeat and an arange that keep lexicographic order, and their blocks are
-  written whole through a (3, C(n, k), 2k - 1) view of the table.
+* canonical (the default): the subsets by size ascending, lexicographic
+  within a size, each subset a compute/apply/uncompute block of its own:
+  2^n - 1 cv-kind gates and 2*(n*2^(n-1) - 2^n + 1) cnots.  n = 1 is a
+  single cv with v = u, and n = 2 is the five-gate sequence cv(0,2),
+  cv(1,2), cnot(0,1), cvdg(1,2), cnot(0,1) with v = sqrt(u) (Barenco et al.
+  1995, Lemma 6.1).  The table is allocated once and filled a subset size
+  at a time: the k-subsets are the (k - 1)-subsets each grown by every
+  higher wire, a repeat and an arange that keep lexicographic order, and
+  their blocks are written whole through a (3, C(n, k), 2k - 1) view of the
+  table.
 * Gray (``gray=True``): the subsets in reflected Gray-code order, so that
   consecutive subsets differ in one wire and each parity moves to the next
   with a single cnot (Barenco et al. 1995, Lemma 7.1): 2^n - 1 cv-kind

@@ -1,4 +1,4 @@
-"""2x2 complex-unitary arithmetic: unitarity checks, powers and 2^k-th roots.
+"""2x2 complex-unitary arithmetic: unitarity checks and 2^k-th roots.
 
 Matrices are plain ``numpy`` arrays of shape (2, 2), dtype complex128.
 ``unitary_root`` is the one nontrivial operation: it returns the principal
@@ -51,20 +51,6 @@ def require_unitary(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     ):
         raise ValueError(f"{name} is not unitary within {INGEST_ATOL}")
     return m
-
-
-def power(a: np.ndarray, e: int) -> np.ndarray:
-    """a**e by repeated squaring; negative exponents use the adjoint."""
-    a = np.asarray(a, dtype=complex)
-    if e < 0:
-        return power(a.conj().T, -e)
-    result = I2.copy()
-    while e:
-        if e & 1:
-            result = result @ a
-        a = a @ a
-        e >>= 1
-    return result
 
 
 def unitary_root(u: np.ndarray, k: int) -> np.ndarray:

@@ -21,12 +21,12 @@ integers (Alon, "Combinatorial Nullstellensatz", 1999), as the tests do.
 ``parity_sums`` gives P for all 2^n inputs at once, to the exhaustive
 verifiers and to the simulator's linear trace.
 
-Everything here is exact integer arithmetic.  ``parity_sum_direct`` is the
-literal definition for one bit vector, in Python ints.  The recurrent and
-closed forms take a table of bit vectors along its last axis and return
-int64 arrays, so bit vectors are capped at ``MAX_BITS``.  Every verifier
-evaluates its forms over all its inputs at once and reports the first
-input where two forms disagree, so its output is deterministic.
+Everything here is exact integer arithmetic.  The direct sums, P by its
+definition for every assignment of a width, come from ``parity_sums``
+(``_direct_sums``).  The recurrent and closed forms are int64 arrays, so
+the sampled verifier's bit vectors are capped at ``MAX_BITS``.  Every
+verifier evaluates its forms over all its inputs at once and reports the
+first input where two forms disagree, so its output is deterministic.
 
 The exhaustive verifiers hold no table: in ``itertools.product`` order,
 assignment x is assignment x // 2 with the bit x % 2 appended, so
@@ -39,17 +39,15 @@ builds each width's direct sums once, grows its forms once from the width
 before, and passes them to ``verify_closed_form`` and
 ``verify_append_recurrence``, which build their own when called alone.
 Only the sampled verifier folds a table, of seeded rows (``_fold``).  The
-verifiers do not re-validate what they build; the public
-``parity_sum_recurrent`` and ``parity_sum_closed_form`` validate their
-input and are the references the verifiers' forms are tested against.
+verifiers do not re-validate what they build; the tests compare their
+forms with the definitions in ``tests/oracle.py``.
 
 Each law check is one array pass over all its cases.  The ``xor_int`` laws
 evaluate ``xor_int`` once on the table of pairs and once per nested or
 shifted term on the grid of triples.  The sum-shift laws check every width
 in one pass over their table (``_sum_shift_reports``), by running sums of
 x_i and of x_i xor 1 down its rows.  The binomial check reads all its
-sides from one int64 Pascal triangle (``_pascal``), while
-``alternating_binomial_sides`` keeps the ``math.comb`` definition.
+sides from one int64 Pascal triangle (``_pascal``).
 
 Prefix policy: the sampled closed-form check and the sum-shift laws each
 draw one table seeded with n and check every width k = 1..n on a prefix of
@@ -67,22 +65,20 @@ while a later width still reads them.
 from __future__ import annotations
 
 import dataclasses
-import itertools
-import math
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 import numpy as np
 
-# the largest n for the exhaustive verifiers and parity_sum_direct.  Each
-# width costs a few int64 arrays of 2^n entries and no table of assignments:
-# `verify-identity --n 20` takes 0.38-0.45 s and peaks at 78 MiB RSS in a
-# fresh interpreter, and verify_closed_form(20) and
-# verify_append_recurrence(20), each building its own arrays, take
-# 0.37-0.41 s together at 77 MiB (2-core Xeon)
+# the largest n for the exhaustive verifiers.  Each width costs a few int64
+# arrays of 2^n entries and no table of assignments: `verify-identity --n 20`
+# takes 0.38-0.45 s and peaks at 78 MiB RSS in a fresh interpreter, and
+# verify_closed_form(20) and verify_append_recurrence(20), each building its
+# own arrays, take 0.37-0.41 s together at 77 MiB (2-core Xeon)
 EXHAUSTIVE_LIMIT = 20
 
-# the forms' values reach 2^(n-1), so at n <= 62 they and the sums and
-# differences of two of them stay inside int64
+# the widest bit vector of the sampled verifier: its forms' values reach
+# 2^(n-1), so at n <= 62 they and the sums and differences of two of them
+# stay inside int64
 MAX_BITS = 62
 
 XOR_LAW_LO, XOR_LAW_HI = -8, 8  # verify_xor_int_laws: every triple in [-8, 8]^3
@@ -112,35 +108,6 @@ class CheckReport:
         return line
 
 
-def signed_parity_terms(n: int) -> list[tuple[int, tuple[int, ...]]]:
-    """(sign, subset) for every nonempty subset of range(n), in canonical order.
-
-    Canonical order is subset size ascending, lexicographic within a size.
-    Odd-sized subsets enter the parity sum with +1, even-sized with -1.
-    ``parity_sum_direct`` relies on it.
-    """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    return [
-        (1 if k % 2 else -1, subset)
-        for k in range(1, n + 1)
-        for subset in itertools.combinations(range(n), k)
-    ]
-
-
-def _bit_table(bits) -> np.ndarray:
-    # one bit vector per row of the last axis, validated
-    table = np.asarray(bits)
-    if table.ndim == 0 or table.shape[-1] == 0:
-        raise ValueError("bit vector must be nonempty")
-    if table.shape[-1] > MAX_BITS:
-        raise ValueError(f"bit vectors are capped at {MAX_BITS} bits, got {table.shape[-1]}")
-    bad = ~((table == 0) | (table == 1))
-    if bad.any():
-        raise ValueError(f"expected a bit in {{0, 1}}, got {_plain(table[bad][0])!r}")
-    return table
-
-
 def xor_int(x, y):
     """Integer extension of xor: x + y - 2*x*y.
 
@@ -149,22 +116,6 @@ def xor_int(x, y):
     on arrays.
     """
     return x + y - 2 * x * y
-
-
-def parity_sum_direct(bits: Sequence[int]) -> int:
-    """Alternating sum of subset xor-parities of one bit vector, by definition.
-
-    Sums sign * parity over the 2^n - 1 terms of ``signed_parity_terms(n)``
-    in Python ints; it is the reference the array forms are tested against.
-    Cost is O(n 2^n), so ``EXHAUSTIVE_LIMIT`` guards against accidental
-    huge n.
-    """
-    bits = _bit_table(bits).tolist()
-    n = len(bits)
-    if n > EXHAUSTIVE_LIMIT:
-        raise ValueError(f"direct enumeration capped at n={EXHAUSTIVE_LIMIT}, got n={n}")
-    terms = signed_parity_terms(n)
-    return sum(sign * (sum(bits[i] for i in subset) % 2) for sign, subset in terms)
 
 
 def parity_sums(coeffs: np.ndarray) -> np.ndarray:
@@ -191,7 +142,7 @@ def parity_sums(coeffs: np.ndarray) -> np.ndarray:
 
 
 def _direct_sums(n: int) -> np.ndarray:
-    # parity_sum_direct of every width-n assignment, in product order: the
+    # P by its definition, of every width-n assignment in product order: the
     # coefficient of subset mask S is the sign of a |S|-element subset, so
     # by symmetry the mask's bit order does not matter
     signs = np.full(1, -1, dtype=np.int64)
@@ -252,30 +203,6 @@ def _fold(table: np.ndarray) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]
             np.subtract(recurrent + b, xor_int(recurrent, b), out=recurrent)
             np.multiply(closed, 2 * b, out=closed)
             yield lo, k, recurrent, closed
-
-
-def parity_sum_recurrent(bits) -> np.ndarray:
-    """Alternating parity sum in O(n) via the append recurrence.
-
-    Appending a bit b to a vector with sum s gives  s + b - xor_int(s, b),
-    which collapses to 2*b*s.  Base case: a single bit is its own sum.
-    ``bits`` holds one bit vector along its last axis, or a table of them;
-    the result is int64 of the table's leading shape.  It takes one step per
-    bit over the whole table, with no passes, and is the reference the
-    verifiers' forms are tested against.
-    """
-    table = _bit_table(bits).astype(np.int8, copy=False)
-    total = table[..., 0].astype(np.int64)
-    for j in range(1, table.shape[-1]):
-        b = table[..., j]
-        total = total + b - xor_int(total, b)
-    return np.asarray(total)
-
-
-def parity_sum_closed_form(bits) -> np.ndarray:
-    """The closed form 2^(n-1) * x_1 * ... * x_n, along the last axis."""
-    bits = _bit_table(bits)
-    return np.int64(1 << (bits.shape[-1] - 1)) * bits.all(axis=-1)
 
 
 def _grow(recurrent: np.ndarray, closed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -505,23 +432,6 @@ def _sum_shift_reports(bits: np.ndarray) -> list[CheckReport]:
         witness = (xs[:width, t], z[width - 1, t], *(side[width - 1, t] for side in sides))
         reports.append(CheckReport(name, False, t + 1, "samples", tuple(_plain(v) for v in witness)))
     return reports
-
-
-def alternating_binomial_sides(n: int) -> tuple[int, int]:
-    """Both sides of the alternating binomial identity, exact integers.
-
-    Left:  sum_{i=1}^{n-1} (-1)^i * (C(n, i) - 1)
-    Right: -(1 + (-1)^n) / 2     (i.e. -1 for even n, 0 for odd n)
-
-    This is the definition in Python ints, and the reference that
-    ``verify_alternating_binomial``'s array sides are tested against.
-    """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    terms = [math.comb(n, i) - 1 for i in range(1, n)]  # i = 1, 2, ...
-    lhs = sum(terms[1::2]) - sum(terms[::2])
-    rhs = -((1 + (-1) ** n) // 2)
-    return lhs, rhs
 
 
 def _pascal(hi: int) -> np.ndarray:

@@ -4,6 +4,7 @@ import functools
 import importlib.util
 import json
 import subprocess
+import types
 from pathlib import Path
 
 import pytest
@@ -57,3 +58,62 @@ def test_a_a_record(tmp_path, monkeypatch, capsys):
         assert len(group["per_round_ratio"]) == 2
         lo, hi = group["ci95"]
         assert 0 < lo <= group["median_ratio"] <= hi
+
+
+
+def case(argv, code, out, *digest):
+    """One line of tools/cli_outputs.py's listing."""
+    return json.dumps([argv.split(), code, out, *digest])
+
+
+SYNTH = "synth --controls 1 --gate X --out c.circ", 0, "cnot=0 cv=1 cvdg=0 total=1\n", "ab12"
+CHECK = "check --circuit c.circ --controls 1 --gate Y", 1, "distance 1\nFAIL (tolerance 1e-09)\n"
+SIMULATE = "simulate --circuit c.circ --input 10", 0, "|11>: 1.0\n"
+LISTING = [case(*SYNTH), case(*CHECK), case(*SIMULATE)]
+
+
+def compare_outputs(monkeypatch, base, change):
+    """``tools/ab.py REV --outputs`` over two given listings, with no tree
+    extracted or imported."""
+    ab = load_ab()
+    listings = {"mcusynth_ab_base": base, "mcusynth_ab_change": change}
+    monkeypatch.setattr(ab, "extract", lambda rev, into: into)
+    monkeypatch.setattr(ab, "load", lambda alias, package: types.SimpleNamespace(main=alias))
+    monkeypatch.setattr(ab, "listing", lambda main: listings[main])
+    return ab.main(["REV", "--outputs"])
+
+
+def test_outputs_equal(monkeypatch, capsys):
+    assert compare_outputs(monkeypatch, LISTING, list(LISTING)) == 0
+    assert capsys.readouterr().out == "3 cases, all outputs equal\n"
+
+
+def test_outputs_differ(monkeypatch, capsys):
+    # one line per differing case: its first differing stdout line (null
+    # where it has none), else its exit code or file digest
+    change = [
+        case(*SYNTH[:3], "cd34"),
+        case(*CHECK[:2], "distance 1.0\nFAIL (tolerance 1e-09)\n"),
+        case(*SIMULATE[:2], SIMULATE[2] + "|10>: 0.0\n"),
+    ]
+    assert compare_outputs(monkeypatch, LISTING + [case(*CHECK)], change + [case(*CHECK)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        'synth --controls 1 --gate X --out c.circ: -["ab12"] +["cd34"]',
+        'check --circuit c.circ --controls 1 --gate Y: -"distance 1" +"distance 1.0"',
+        'simulate --circuit c.circ --input 10: -null +"|10>: 0.0"',
+        "3 of 4 cases differ",
+    ]
+    # the same stdout under another exit code
+    assert compare_outputs(monkeypatch, LISTING[:2], [LISTING[0], case(CHECK[0], 0, CHECK[2])]) == 1
+    assert capsys.readouterr().out.splitlines() == [f"{CHECK[0]}: -1 +0", "1 of 2 cases differ"]
+
+
+@pytest.mark.parametrize("longer", ["base", "change"])
+def test_outputs_of_different_lengths(monkeypatch, capsys, longer):
+    # a case that one listing lacks differs
+    base, change = (LISTING, LISTING[:2]) if longer == "base" else (LISTING[:2], LISTING)
+    assert compare_outputs(monkeypatch, base, change) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"{SIMULATE[0]}: only in {'REV' if longer == 'base' else 'the change'}",
+        "1 of 3 cases differ",
+    ]

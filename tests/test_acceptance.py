@@ -18,10 +18,8 @@ from mcusynth.simulator import (
     run_circuit,
 )
 from mcusynth.synthesize import synth_mcu
-from mcusynth.unitary2 import I2, NAMED_GATES, power, unitary_root
+from mcusynth.unitary2 import I2, NAMED_GATES, unitary_root
 from mcusynth.z2identity import (
-    alternating_binomial_sides,
-    parity_sum_direct,
     verify_append_recurrence,
     verify_closed_form,
     verify_sum_shift_laws,
@@ -30,6 +28,7 @@ from mcusynth.z2identity import (
 )
 
 from conftest import basis_index, random_unitary
+from oracle import alternating_binomial_sides, parity_sum_direct, power
 
 X = NAMED_GATES["X"]
 

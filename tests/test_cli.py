@@ -307,8 +307,8 @@ class TestCheck:
             (4, None, 0, "distance 0.0\nPASS\n"),
             (8, None, 0, "distance 0.0\nPASS\n"),
             # the controls no longer come back to x, so blocks move
-            (4, "cnot", 1, "distance 1\nFAIL (tolerance 1e-09)\n"),
-            (8, "cnot", 1, "distance 1\nFAIL (tolerance 1e-09)\n"),
+            (4, "cnot", 1, "distance 1.0\nFAIL (tolerance 1e-09)\n"),
+            (8, "cnot", 1, "distance 1.0\nFAIL (tolerance 1e-09)\n"),
             # the first cv-kind gate is cv 0 n in both orders, so deleting it
             # leaves the same V^-1 on every input with x_0 = 1
             (4, "cv", 1, "distance 0.333040011658\nFAIL (tolerance 1e-09)\n"),

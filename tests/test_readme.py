@@ -1,9 +1,12 @@
-"""README's library example and CLI block run as written."""
+"""README's library example and CLI block run as written, and the library
+example imports only the package's public names."""
 
+import ast
 import re
 import shlex
 from pathlib import Path
 
+import mcusynth
 from mcusynth.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -18,6 +21,19 @@ def section_block(heading, language):
 
 def test_library_example_runs():
     exec(compile(section_block("Library", "python"), "README.md (Library)", "exec"), {})
+
+
+def test_public_names():
+    # every name the package exports resolves, and README's example imports
+    # from the package only what it exports
+    assert sorted(mcusynth.__all__) == (
+        "NAMED_GATES circuit_unitary linear_trace operator_distance peephole_cancel"
+        " reference_mcu synth_mcu unitary_root"
+    ).split()
+    assert [name for name in mcusynth.__all__ if not hasattr(mcusynth, name)] == []
+    tree = ast.parse(section_block("Library", "python"))
+    imported = [a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for a in node.names]
+    assert imported and set(imported) <= set(mcusynth.__all__)
 
 
 def test_cli_example_runs(tmp_path, monkeypatch, capsys):

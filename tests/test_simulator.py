@@ -19,9 +19,10 @@ from mcusynth.simulator import (
 )
 from mcusynth.synthesize import peephole_cancel, synth_mcu
 from mcusynth.textio import format_circuit, parse_circuit
-from mcusynth.unitary2 import I2, NAMED_GATES, power, unitary_root
+from mcusynth.unitary2 import I2, NAMED_GATES, unitary_root
 
 from conftest import basis_state, cnot, cv, cvdg, random_unitary
+from oracle import power
 
 H, T, X = (NAMED_GATES[name] for name in "HTX")
 

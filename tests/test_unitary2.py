@@ -7,9 +7,10 @@ import pytest
 from mcusynth.circuit import Circuit
 from mcusynth.simulator import linear_trace
 from mcusynth.textio import parse_gate_spec
-from mcusynth.unitary2 import I2, NAMED_GATES, power, require_unitary, unitary_root
+from mcusynth.unitary2 import I2, NAMED_GATES, require_unitary, unitary_root
 
 from conftest import cnot, random_unitary
+from oracle import power
 
 X, Y, Z, H, S, T = (NAMED_GATES[name] for name in "XYZHST")
 

@@ -26,8 +26,10 @@ per-request ratios: a ``synth`` request writes a file, so its single times
 are bimodal.  This measures in-process request time only; fresh-process
 metrics (``setup_s``, peak RSS) stay with ``bench/run.py``.
 
-``--outputs`` runs ``tools/cli_outputs.py``'s sweep through both trees and
-exits 1 at the first case whose output differs.
+``--outputs`` runs ``tools/cli_outputs.py``'s sweep through both trees.
+It prints one line per case whose output differs: the case's argv and its
+first stdout line that differs, ``-`` for REV and ``+`` for the change.
+Then it prints how many cases differ and exits 1; if none does, it exits 0.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ import gc
 import importlib
 import importlib.util
 import io
+import itertools
 import json
 import os
 import platform
@@ -197,19 +200,38 @@ def listing(main) -> list[str]:
     return out.getvalue().splitlines()
 
 
+def difference(rev: str, before: str | None, after: str | None) -> str:
+    """The line for one case that REV's listing (``before``) and the
+    change's (``after``) differ on: its argv, then the first stdout line
+    that differs, as JSON (null where one stdout has no such line).  The
+    argv, if it differs, stands in for the line, and so do the exit code
+    and the file digest where the stdout agrees."""
+    if before is None or after is None:
+        argv = json.loads(before or after)[0]
+        return f"{' '.join(argv)}: only in {rev if after is None else 'the change'}"
+    (argv, code, out, *digest), (argv2, code2, out2, *digest2) = map(json.loads, (before, after))
+    pairs = [
+        (argv, argv2),
+        *itertools.zip_longest(out.splitlines(), out2.splitlines()),
+        (code, code2),
+        (digest, digest2),
+    ]
+    old, new = next(pair for pair in pairs if pair[0] != pair[1])
+    return f"{' '.join(argv)}: -{json.dumps(old)} +{json.dumps(new)}"
+
+
 def same_outputs(rev: str) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         base = listing(load("mcusynth_ab_base", extract(rev, Path(tmp))).main)
     change = listing(load("mcusynth_ab_change", ROOT / "src" / "mcusynth").main)
-    for before, after in zip(base, change):
-        if before != after:
-            print(f"first differing case:\n  {rev}: {before}\n  change: {after}")
-            return 1
-    if len(base) != len(change):
-        print(f"{rev} lists {len(base)} cases, the change {len(change)}")
-        return 1
-    print(f"{len(change)} cases, all outputs equal")
-    return 0
+    cases = list(itertools.zip_longest(base, change))
+    differ = [difference(rev, before, after) for before, after in cases if before != after]
+    if not differ:
+        print(f"{len(change)} cases, all outputs equal")
+        return 0
+    print(*differ, sep="\n")
+    print(f"{len(differ)} of {len(cases)} cases differ")
+    return 1
 
 
 def main(argv: list[str] | None = None) -> int:
