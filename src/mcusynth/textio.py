@@ -17,7 +17,8 @@ of ``cnot c t``, ``cv c t``, ``cvdg c t``, one gate per line.  A file with a
 cv or cvdg gate needs a ``vmatrix``; a missing one is reported last, at the
 first cv-kind gate.
 
-Files are read and written as UTF-8, whatever the locale.  Both
+Files are read and written as UTF-8, whatever the locale; one leading
+byte order mark is skipped on reading.  Both
 directions work on distinct lines, not per gate: ``format_circuit``
 numbers the gates by sorting ``Circuit.gate_keys()`` (16 bits, so a radix
 sort, up to 147 qubits), renders each distinct gate once and gathers the
@@ -80,9 +81,11 @@ def _read_text(path: str | Path, cap: int, what: str) -> str:
             data += f.read(cap + 1 - size)
     if len(data) > cap:
         raise CircuitFormatError(f"{path}: {what} exceeds the cap of {cap} bytes")
-    # UTF-8 whatever the locale, with Path.read_text's universal newlines
+    # UTF-8 whatever the locale, with Path.read_text's universal newlines.
+    # One leading byte order mark is dropped after decoding, not by
+    # utf-8-sig, so an error names its byte offset in the file
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise CircuitFormatError(
             f"{path}: {what} does not decode as {exc.encoding} at byte {exc.start} ({exc.reason})"

@@ -34,20 +34,21 @@ assignment x is assignment x // 2 with the bit x % 2 appended, so
 width-k assignment grow from width k - 1's by one append step: ``_append``
 for the recurrent form, one more factor of the running product
 2^(k-1) * x_1 * ... * x_k for the closed form.  ``verify_exhaustive``,
-the full mode of ``verify-identity``, runs widths 1..n in one loop: it
-builds each width's direct sums once, grows its forms once from the width
-before, and passes them to ``verify_closed_form`` and
-``verify_append_recurrence``, which build their own when called alone.
-Only the sampled verifier folds a table, of seeded rows (``_fold``).  The
-verifiers do not re-validate what they build; the tests compare their
-forms with the definitions in ``tests/oracle.py``.
+the full mode of ``verify-identity``, runs widths 1..n in one loop, the
+only place that makes a width's arrays: it computes each width's direct
+sums once, grows both its forms once from the width before, and hands
+them to ``verify_closed_form`` and ``verify_append_recurrence``, which
+only compare them.  Only the sampled verifier folds a table, of seeded
+rows (``_fold``).  The verifiers do not re-validate the arrays they
+compare; the tests compare their reports with rebuilds from the
+definitions in ``tests/oracle.py``.
 
 Each law check is one array pass over all its cases.  The ``xor_int`` laws
 evaluate ``xor_int`` once on the table of pairs and once per nested or
 shifted term on the grid of triples.  The sum-shift laws check every width
-in one pass over their table (``_sum_shift_reports``), by running sums of
-x_i and of x_i xor 1 down its rows.  The binomial check reads all its
-sides from one int64 Pascal triangle (``_pascal``).
+in one pass over their table (``_sum_shift_reports``), by two running sums
+down its rows, of x_i and of (-1)^(i-1) * x_i.  The binomial check reads
+all its sides from one int64 Pascal triangle (``_pascal``).
 
 Prefix policy: the sampled closed-form check and the sum-shift laws each
 draw one table seeded with n and check every width k = 1..n on a prefix of
@@ -71,9 +72,8 @@ import numpy as np
 
 # the largest n for the exhaustive verifiers.  Each width costs a few int64
 # arrays of 2^n entries and no table of assignments: `verify-identity --n 20`
-# takes 0.38-0.45 s and peaks at 78 MiB RSS in a fresh interpreter, and
-# verify_closed_form(20) and verify_append_recurrence(20), each building its
-# own arrays, take 0.37-0.41 s together at 77 MiB (2-core Xeon)
+# takes 0.38-0.45 s and peaks at 78 MiB RSS in a fresh interpreter (2-core
+# Xeon)
 EXHAUSTIVE_LIMIT = 20
 
 # the widest bit vector of the sampled verifier: its forms' values reach
@@ -205,56 +205,37 @@ def _fold(table: np.ndarray) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]
             yield lo, k, recurrent, closed
 
 
-def _grow(recurrent: np.ndarray, closed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # width k's recurrent and closed forms to width k + 1's, by one append step
-    return _append(recurrent), (closed[:, None] * (0, 2)).reshape(-1)
-
-
-def _forms(n: int) -> tuple[np.ndarray, np.ndarray]:
-    # the recurrent and the closed form of every width-n assignment, in
-    # product order, grown from width 1, where a bit is both its forms
-    forms = np.arange(2, dtype=np.int64), np.arange(2, dtype=np.int64)
-    for _ in range(1, n):
-        forms = _grow(*forms)
-    return forms
-
-
 def verify_exhaustive(n: int) -> list[CheckReport]:
-    """The reports of ``verify_closed_form(k)`` for k = 1..n, then of
-    ``verify_append_recurrence(k)`` for k = 2..n.
+    """The reports of ``verify_closed_form`` for widths k = 1..n, then of
+    ``verify_append_recurrence`` for k = 2..n.
 
-    Width k's direct sums are built once, for both verifiers at k and the
+    Width k's direct sums are made once, for both verifiers at k and the
     recurrence at k + 1, and its forms are grown once, from width k - 1's.
     Each array goes once no later width needs it, the widest forms before
     the last recurrence check."""
     if not 1 <= n <= EXHAUSTIVE_LIMIT:
         raise ValueError(f"need 1 <= n <= {EXHAUSTIVE_LIMIT}, got {n}")
     closed_form, recurrence = [], []
-    forms, below = _forms(1), None
+    recurrent = closed = np.arange(2, dtype=np.int64)  # width 1: a bit is both its forms
     for k in range(1, n + 1):
         direct = _direct_sums(k)  # before the forms, so the two peaks do not add
-        if k > 1:
-            forms = _grow(*forms)
-        closed_form.append(verify_closed_form(k, (direct, *forms)))
+        if k > 1:  # one append step, and one more factor of the running product
+            recurrent, closed = _append(recurrent), (closed[:, None] * (0, 2)).reshape(-1)
+        closed_form.append(verify_closed_form(k, direct, recurrent, closed))
         if k == n:
-            forms = None
-        if below is not None:
-            recurrence.append(verify_append_recurrence(k, (below, direct)))
+            recurrent = closed = None
+        if k > 1:
+            recurrence.append(verify_append_recurrence(k, below, direct))
         below = direct
     return closed_form + recurrence
 
 
-def verify_closed_form(n: int, built: tuple[np.ndarray, ...] | None = None) -> CheckReport:
-    """Exhaustively confirm direct == recurrent == closed form for width n.
-
-    ``built`` is width n's direct sums, recurrent and closed form, as
-    ``verify_exhaustive`` passes them; without it they are built here."""
-    if not 1 <= n <= EXHAUSTIVE_LIMIT:
-        raise ValueError(f"need 1 <= n <= {EXHAUSTIVE_LIMIT}, got {n}")
-    if built is None:
-        direct = _direct_sums(n)  # before the forms, so the two peaks do not add
-        built = (direct, *_forms(n))
-    direct, recurrent, closed = built
+def verify_closed_form(
+    n: int, direct: np.ndarray, recurrent: np.ndarray, closed: np.ndarray
+) -> CheckReport:
+    """Confirm direct == recurrent == closed form for every width-n
+    assignment, from width n's direct sums and both its forms in product
+    order, as ``verify_exhaustive`` hands them."""
     return _report(
         f"closed-form n={n}",
         "assignments",
@@ -295,19 +276,16 @@ def verify_closed_form_sampled_prefixes(n: int, samples: int) -> list[CheckRepor
     return reports
 
 
-def verify_append_recurrence(n: int, built: tuple[np.ndarray, ...] | None = None) -> CheckReport:
+def verify_append_recurrence(n: int, below: np.ndarray, sums: np.ndarray) -> CheckReport:
     """Check the append step pointwise for every width-n assignment.
 
     For every prefix p of length n-1 and appended bit b, the direct sum of
     p + (b,) must equal  s + b - xor_int(s, b)  with s the direct sum of p.
     The left operand of xor_int is a full integer here, not a bit; that is
-    precisely what the integer extension exists for.  ``built`` is the
-    direct sums of widths n - 1 and n, as ``verify_exhaustive`` passes
-    them; without it they are built here.
+    precisely what the integer extension exists for.  ``below`` and
+    ``sums`` are the direct sums of widths n - 1 and n, as
+    ``verify_exhaustive`` hands them.
     """
-    if not 2 <= n <= EXHAUSTIVE_LIMIT:
-        raise ValueError(f"need 2 <= n <= {EXHAUSTIVE_LIMIT}, got {n}")
-    below, sums = (_direct_sums(n - 1), _direct_sums(n)) if built is None else built
     want = _append(below)
     return _report(
         f"recurrence n={n}",
@@ -391,47 +369,38 @@ def _sum_shift_reports(bits: np.ndarray) -> list[CheckReport]:
     bits per trial, in one pass: row i - 1 holds bit i of every trial, and
     width k takes x_1..x_k from the first k rows and z from row k + 1.
 
-    Prefix sums down the rows, of x_i and of x_i xor 1, odd positions
-    (sign +) apart from even ones (sign -), give every width's sums at
-    once; z picks between the two, since x xor z is x or x xor 1.  Row
-    k - 1 of every array below belongs to width k."""
-    n, trials = bits.shape[0] - 1, bits.shape[1]
+    Two running sums down the rows, S = sum_i x_i and A = sum_i (-1)^(i-1)
+    x_i, give every width's sides at once: x xor 1 = 1 - x, so the left
+    sides are S + z * (k - 2S) and A + z * ((k mod 2) - 2A).  Row k - 1 of
+    every array below belongs to width k."""
+    n = bits.shape[0] - 1
     # every sum, side and term of xor_int lies in [-2(n + 1), 2(n + 1)]
     dtype = np.min_scalar_type(-2 * (n + 1) - 1)
-    xs = bits[:-1]
-    terms = np.stack((xs, xs ^ np.int8(1)), axis=1).astype(dtype)  # x_i, x_i xor 1
-    position = np.arange(1, n + 1)[:, None]  # of row i - 1, and width k's k
-    parity = np.hstack((position % 2 == 1, position % 2 == 0)).astype(dtype)  # odd, even
-    # sums[k - 1, f, p]: the sum of the terms f at the positions of parity p
-    # (0 odd, 1 even) up to k, as a running sum row by row: np.cumsum is
-    # several times slower on these short small-int rows
-    sums = terms[:, :, None] * parity[:, None, :, None]
+    xs, z = bits[:-1], bits[1:].astype(dtype)
+    k = np.arange(1, n + 1, dtype=dtype)[:, None]  # row k - 1's: width k, and x_k's position
+    odd = k % 2  # k mod 2, and (-1)^(k-1) = 2 * odd - 1
+    # sums[k - 1] holds S and A of width k, as a running sum row by row:
+    # np.cumsum is several times slower on these short small-int rows
+    sums = np.stack((xs, xs * (2 * odd - 1)), axis=1)
     for i in range(1, n):
         np.add(sums[i - 1], sums[i], out=sums[i])
-    z = bits[1:].astype(dtype)
-    plain_odd, plain_even = sums[:, 0, 0], sums[:, 0, 1]
-    flipped_odd = plain_odd + z * (sums[:, 1, 0] - plain_odd)
-    flipped_even = plain_even + z * (sums[:, 1, 1] - plain_even)
-
-    # (k - 1) * z and ((1 + (-1)^k) // 2) * z
-    plain_shift, alt_shift = (position - 1).astype(dtype) * z, parity[:, 1:] * z
-    left_plain = flipped_odd + flipped_even
-    right_plain = xor_int(plain_odd + plain_even, z) + plain_shift
-    left_alt = flipped_odd - flipped_even
-    right_alt = xor_int(plain_odd - plain_even, z) - alt_shift
-    mismatch = (left_plain != right_plain) | (left_alt != right_alt)
-
-    reports = []
-    failed, first = mismatch.any(axis=1).tolist(), mismatch.argmax(axis=1).tolist()
-    for width, t in enumerate(first, 1):
-        name = f"sum-shift-laws n={width}"
-        if not failed[width - 1]:
-            reports.append(CheckReport(name, True, trials, "samples"))
-            continue
-        sides = (left_plain, right_plain, left_alt, right_alt)
-        witness = (xs[:width, t], z[width - 1, t], *(side[width - 1, t] for side in sides))
-        reports.append(CheckReport(name, False, t + 1, "samples", tuple(_plain(v) for v in witness)))
-    return reports
+    s, a = sums[:, 0], sums[:, 1]
+    sides = (
+        s + z * (k - 2 * s),
+        xor_int(s, z) + (k - 1) * z,
+        a + z * (odd - 2 * a),
+        xor_int(a, z) - (1 - odd) * z,
+    )
+    mismatch = (sides[0] != sides[1]) | (sides[2] != sides[3])
+    return [
+        _report(
+            f"sum-shift-laws n={width}",
+            "samples",
+            mismatch[width - 1],
+            lambda t: (xs[:width, t], z[width - 1, t], *(side[width - 1, t] for side in sides)),
+        )
+        for width in range(1, n + 1)
+    ]
 
 
 def _pascal(hi: int) -> np.ndarray:

@@ -20,8 +20,7 @@ from mcusynth.simulator import (
 from mcusynth.synthesize import synth_mcu
 from mcusynth.unitary2 import I2, NAMED_GATES, unitary_root
 from mcusynth.z2identity import (
-    verify_append_recurrence,
-    verify_closed_form,
+    verify_exhaustive,
     verify_sum_shift_laws,
     verify_xor_int_laws,
     xor_int,
@@ -47,10 +46,9 @@ def random_states(rng, width, count):
 
 def test_criterion_1_identity_suite():
     start = time.perf_counter()
-    for n in range(1, 13):
-        assert verify_closed_form(n).passed, n
-    for n in range(2, 13):
-        assert verify_append_recurrence(n).passed, n
+    reports = verify_exhaustive(12)
+    assert len(reports) == 12 + 11
+    assert all(r.passed for r in reports), [r.summary() for r in reports if not r.passed]
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
     report("1 identity suite (n=1..12, exact)", elapsed)

@@ -70,16 +70,15 @@ class TestVerifyIdentity:
     def test_full_mode_failure(self, monkeypatch, capsys):
         # an xor_int wrong at (2, 1) breaks the recurrent form of the
         # all-ones assignments past width 2 and the recurrence at width 3
-        # alone.  Each closed-form and recurrence line is the report of the
-        # one-width verifier called alone, and the exit code is 1
+        # alone.  The closed-form and recurrence lines are the reports of
+        # verify_exhaustive, and the exit code is 1
         real = z2identity.xor_int
         monkeypatch.setattr(
             z2identity, "xor_int", lambda x, y: real(x, y) + ((x == 2) & (y == 1))
         )
         n = 8
         assert main(["verify-identity", "--n", str(n)]) == 1
-        want = [z2identity.verify_closed_form(k).summary() for k in range(1, n + 1)]
-        want += [z2identity.verify_append_recurrence(k).summary() for k in range(2, n + 1)]
+        want = [report.summary() for report in z2identity.verify_exhaustive(n)]
         out = capsys.readouterr().out.splitlines()
         assert out[: 2 * n - 1] == want
         assert "FAIL" in want[2] and "FAIL" in want[n + 1] and "FAIL" not in want[n + 2]

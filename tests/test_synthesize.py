@@ -119,10 +119,6 @@ class TestPlan:
         terms = signed_parity_terms(4)
         assert applied == [(subset[-1], CV_CODE if sign > 0 else CVDG_CODE) for sign, subset in terms]
 
-    def test_block_signs(self):
-        for sign, subset in signed_parity_terms(5):
-            assert sign == (-1) ** (len(subset) - 1)
-
     def test_single_control_uses_u_itself(self):
         u = random_unitary(RNG)
         assert np.array_equal(synth_mcu(1, u).v_binding, u)

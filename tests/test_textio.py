@@ -1,3 +1,4 @@
+import codecs
 import json
 import os
 from unittest import mock
@@ -587,3 +588,47 @@ class TestReadCaps:
         path = tmp_path / "c.circ"
         path.write_bytes(b"qubits 2\r\ncnot 0 1\rcnot 1 0\n")
         assert read_circuit(path) == parse_circuit(path.read_text())
+
+
+BOM = codecs.BOM_UTF8
+GATE_BYTES = json.dumps({"matrix": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]}).encode()
+
+
+class TestByteOrderMark:
+    """One leading UTF-8 byte order mark is skipped; a U+FEFF anywhere else
+    is text like any other."""
+
+    def test_marked_files_read_as_unmarked(self, tmp_path):
+        circuit, gate = tmp_path / "c.circ", tmp_path / "g.json"
+        circuit.write_bytes(BOM + b"qubits 2\ncnot 0 1\n")
+        gate.write_bytes(BOM + GATE_BYTES)
+        assert read_circuit(circuit) == Circuit(2, [cnot(0, 1)])
+        assert np.array_equal(load_gate_json(gate), X)
+
+    @pytest.mark.parametrize(
+        "body, line",
+        [(BOM + b"qubits 2\n", 1), (b"qubits 2\n" + BOM + b"cnot 0 1\n", 2)],
+        ids=["second_mark", "later_line"],
+    )
+    def test_other_marks_are_errors(self, tmp_path, body, line):
+        path = tmp_path / "c.circ"
+        path.write_bytes(BOM + body)
+        with pytest.raises(CircuitFormatError, match=f"^line {line}: "):
+            read_circuit(path)
+
+    def test_other_marks_in_a_gate_file_are_errors(self, tmp_path):
+        path = tmp_path / "g.json"
+        for body in (BOM + BOM + GATE_BYTES, GATE_BYTES[:1] + BOM + GATE_BYTES[1:]):
+            path.write_bytes(body)
+            with pytest.raises(CircuitFormatError, match="^cannot read gate file "):
+                load_gate_json(path)
+
+    def test_decode_error_names_the_file_offset(self, tmp_path):
+        # the bad byte's offset counts the mark's 3 bytes
+        path = tmp_path / "c.circ"
+        path.write_bytes(BOM + b"qubits 2\n#\xff\n")
+        with pytest.raises(CircuitFormatError) as exc:
+            read_circuit(path)
+        assert str(exc.value) == (
+            f"{path}: circuit file does not decode as utf-8 at byte 13 (invalid start byte)"
+        )

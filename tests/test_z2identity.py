@@ -72,6 +72,44 @@ def sum_shift_one_width_at_a_time(n, xor):
     return want
 
 
+def first_failure(name, unit, cases):
+    """The report over (holds, witness) cases taken one at a time: FAIL at
+    the first that does not hold, with its witness."""
+    checked = 0
+    for checked, (holds, witness) in enumerate(cases, 1):
+        if not holds:
+            return z2identity.CheckReport(name, False, checked, unit, witness)
+    return z2identity.CheckReport(name, True, checked, unit)
+
+
+def exhaustive_one_row_at_a_time(n):
+    """verify_exhaustive(n) under the current z2identity.xor_int, rebuilt
+    one assignment at a time from the definitions in tests/oracle.py.
+
+    Closed form: the direct sum, recurrent and closed form of each width-k
+    assignment agree.  Recurrence: the direct sum of p + (b,) equals
+    s + b - xor_int(s, b), with s the direct sum of p."""
+    xor, closed_form, recurrence = z2identity.xor_int, [], []
+    for k in range(1, n + 1):
+        rows = list(itertools.product((0, 1), repeat=k))
+        direct = [parity_sum_direct(bits) for bits in rows]
+        forms = [
+            (bits, d, int(parity_sum_recurrent(bits)), int(parity_sum_closed_form(bits)))
+            for bits, d in zip(rows, direct)
+        ]
+        cases = ((len(set(form[1:])) == 1, form) for form in forms)
+        closed_form.append(first_failure(f"closed-form n={k}", "assignments", cases))
+        if k > 1:
+            cases = []
+            for x, bits in enumerate(rows):
+                s, b = below[x // 2], bits[-1]
+                want = s + b - xor(s, b)
+                cases.append((direct[x] == want, (bits[:-1], b, direct[x], want)))
+            recurrence.append(first_failure(f"recurrence n={k}", "cases", cases))
+        below = direct
+    return closed_form + recurrence
+
+
 def mark_fold(monkeypatch, form, hit):
     """Make ``form`` ("recurrent" or "closed") of the sampled verifier's fold
     one too large on the rows whose k-bit prefix ``hit(prefixes)`` marks."""
@@ -122,22 +160,37 @@ class TestXor:
         assert xor_int(x, x) == 2 * x * (1 - x)
 
 
-class TestParitySum:
-    def test_known_values(self):
-        assert parity_sum_direct([1, 1]) == 2
-        assert parity_sum_direct([1, 1, 1]) == 4
-        assert parity_sum_direct([1, 1, 0]) == 0
-        assert parity_sum_direct([1, 1, 1, 1]) == 8
+class TestOracle:
+    """The definitions in tests/oracle.py, which the other tests trust,
+    against known values and against each other."""
 
-    def test_recurrent_known_values(self):
+    def test_known_values(self):
+        cases = {(0,): 0, (1,): 1, (1, 1): 2, (1, 1, 0): 0, (1, 1, 1): 4, (1, 1, 1, 1): 8}
+        assert {bits: parity_sum_direct(bits) for bits in cases} == cases
         assert parity_sum_recurrent([1, 1, 1]) == 4
         assert parity_sum_recurrent([1, 1, 1, 1, 1]) == 16
         for n in (2, 5, 9):
             assert parity_sum_recurrent([0] + [1] * (n - 1)) == 0
+        # 2^(n-1) on all ones, and a zero bit annihilates
+        for n in range(1, 11):
+            assert parity_sum_direct([1] * n) == 1 << (n - 1)
+            if n > 1:
+                assert parity_sum_direct([1] * (n - 1) + [0]) == 0
 
-    def test_single_bit(self):
-        assert parity_sum_direct([0]) == 0
-        assert parity_sum_direct([1]) == 1
+    def test_subset_terms(self):
+        # size ascending, lexicographic within a size; every nonempty subset
+        # once, of sign (-1)^(|S| - 1)
+        assert [subset for _, subset in signed_parity_terms(3)] == [
+            (0,), (1,), (2,),
+            (0, 1), (0, 2), (1, 2),
+            (0, 1, 2),
+        ]
+        for n in range(1, 7):
+            terms = signed_parity_terms(n)
+            assert len(terms) == (1 << n) - 1
+            assert len({subset for _, subset in terms}) == len(terms)
+        for sign, subset in signed_parity_terms(5):
+            assert sign == (-1) ** (len(subset) - 1)
 
     @given(bits_vectors)
     def test_three_routes_agree(self, bits):
@@ -145,12 +198,8 @@ class TestParitySum:
         assert direct == parity_sum_recurrent(bits)
         assert direct == parity_sum_closed_form(bits)
 
-    def test_zero_annihilates_and_all_ones(self):
-        for n in range(1, 11):
-            assert parity_sum_direct([1] * n) == 1 << (n - 1)
-            if n > 1:
-                assert parity_sum_direct([1] * (n - 1) + [0]) == 0
 
+class TestParitySum:
     def test_int64_bound(self):
         # 2^(n-1) at the sampled verifier's widest vector; one bit more is
         # refused, not wrapped
@@ -203,19 +252,6 @@ class TestFold:
         assert seen == [(lo, k) for lo in range(0, rows, fold_rows) for k in range(1, n + 1)]
 
 
-class TestExhaustiveForms:
-    @pytest.mark.parametrize("n", range(1, 11))
-    def test_both_forms_of_every_assignment(self, n):
-        # entry x of each form belongs to assignment x in product order,
-        # which _bits reads back from x
-        rows = list(itertools.product((0, 1), repeat=n))
-        recurrent, closed = z2identity._forms(n)
-        assert recurrent.dtype == closed.dtype == np.int64
-        assert recurrent.tolist() == parity_sum_recurrent(rows).tolist()
-        assert closed.tolist() == parity_sum_closed_form(rows).tolist()
-        assert [z2identity._bits(x, n) for x in range(1 << n)] == rows
-
-
 class TestParitySums:
     @pytest.mark.parametrize("n", range(1, 11))
     def test_signed_table_matches_definition(self, n):
@@ -238,38 +274,16 @@ class TestParitySums:
             assert sums[x] == want
 
 
-class TestSignedParityTerms:
-    def test_canonical_order(self):
-        terms = signed_parity_terms(3)
-        assert [subset for _, subset in terms] == [
-            (0,), (1,), (2,),
-            (0, 1), (0, 2), (1, 2),
-            (0, 1, 2),
-        ]
-
-    def test_covers_all_subsets_once(self):
-        for n in range(1, 7):
-            terms = signed_parity_terms(n)
-            assert len(terms) == (1 << n) - 1
-            assert len({subset for _, subset in terms}) == len(terms)
-
-    def test_sign_rule(self):
-        for sign, subset in signed_parity_terms(5):
-            assert sign == (-1) ** (len(subset) - 1)
-
-
 class TestVerifiers:
-    @pytest.mark.parametrize("n", [1, 2, 4, 10, 14, EXHAUSTIVE_LIMIT])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 10, 14, EXHAUSTIVE_LIMIT])
     def test_closed_form_passes(self, n):
-        report = verify_closed_form(n)
-        assert report.passed
-        assert report.checked == 1 << n
+        # every width's closed-form report of the full mode, then its
+        # recurrence reports, each over all 2^k cases
+        assert [r.summary() for r in verify_exhaustive(n)] == [
+            f"closed-form n={k}: PASS ({1 << k} assignments)" for k in range(1, n + 1)
+        ] + [f"recurrence n={k}: PASS ({1 << k} cases)" for k in range(2, n + 1)]
 
     def test_closed_form_range_guard(self):
-        with pytest.raises(ValueError):
-            verify_closed_form(0)
-        with pytest.raises(ValueError):
-            verify_closed_form(EXHAUSTIVE_LIMIT + 1)
         for n in (0, EXHAUSTIVE_LIMIT + 1):
             with pytest.raises(ValueError):
                 verify_exhaustive(n)
@@ -279,31 +293,21 @@ class TestVerifiers:
         assert report.passed
         assert report.checked == 500
 
-    @pytest.mark.parametrize("n", [2, 3, 5, 8, 14, EXHAUSTIVE_LIMIT])
-    def test_append_recurrence_passes(self, n):
-        report = verify_append_recurrence(n)
-        assert report.passed
-        assert report.checked == 1 << n
-
     @pytest.mark.parametrize(
         "broken, want", [("closed", (0, 0, 1)), ("recurrent", (0, 1, 0))],
         ids=["closed_form", "recurrent"],
     )
-    def test_closed_form_reports_first_failure(self, monkeypatch, broken, want):
+    def test_closed_form_reports_first_failure(self, broken, want):
         # one form is wrong at two assignments, so only its comparison with
         # the direct sums fails; the report names the earlier one
         bad, later = (0, 1, 1, 0, 1), (1, 1, 0, 0, 0)
         order = list(itertools.product((0, 1), repeat=5))
         hits = np.isin(np.arange(32), [order.index(bad), order.index(later)])
-        real, which = z2identity._forms, ("recurrent", "closed").index(broken)
-
-        def marked(n):
-            forms = list(real(n))
-            forms[which] = forms[which] + hits
-            return tuple(forms)
-
-        monkeypatch.setattr(z2identity, "_forms", marked)
-        report = verify_closed_form(5)
+        direct = np.array([parity_sum_direct(bits) for bits in order])
+        forms = [parity_sum_recurrent(order), parity_sum_closed_form(order)]
+        which = ("recurrent", "closed").index(broken)
+        forms[which] = forms[which] + hits
+        report = verify_closed_form(5, direct, *forms)
         assert not report.passed
         assert report.checked == order.index(bad) + 1
         assert report.counterexample == (bad,) + want
@@ -315,25 +319,10 @@ class TestVerifiers:
     @pytest.mark.parametrize("n", [1, 2, 6, 7, 8])
     @pytest.mark.parametrize("mutant", list(XOR_MUTANTS))
     def test_closed_form_matches_one_row_at_a_time(self, mutant, n):
-        # the report rebuilt row by row from the definition and the public
-        # forms, alone and as verify_exhaustive's width n; its reports are
-        # those of the one-width verifiers, called alone
+        # every closed-form and recurrence report of the full mode equals
+        # its rebuild, one row at a time, from the definitions
         with mock.patch.object(z2identity, "xor_int", XOR_MUTANTS[mutant]):
-            got = verify_closed_form(n)
-            reports = verify_exhaustive(n)
-            assert reports == [verify_closed_form(k) for k in range(1, n + 1)] + [
-                verify_append_recurrence(k) for k in range(2, n + 1)
-            ]
-            want = z2identity.CheckReport(f"closed-form n={n}", True, 1 << n, "assignments")
-            for i, bits in enumerate(itertools.product((0, 1), repeat=n)):
-                direct = parity_sum_direct(bits)
-                forms = (direct, int(parity_sum_recurrent(bits)), int(parity_sum_closed_form(bits)))
-                if len(set(forms)) > 1:
-                    want = dataclasses.replace(
-                        want, passed=False, checked=i + 1, counterexample=(bits, *forms)
-                    )
-                    break
-        assert got == reports[n - 1] == want
+            assert verify_exhaustive(n) == exhaustive_one_row_at_a_time(n)
 
     @pytest.mark.parametrize(
         "wrong_at, prefix, b, checked",
@@ -350,7 +339,7 @@ class TestVerifiers:
         monkeypatch.setattr(
             z2identity, "xor_int", lambda x, y: real(x, y) + ((x == a) & (y == b_at))
         )
-        report = verify_append_recurrence(4)
+        report = verify_append_recurrence(4, z2identity._direct_sums(3), z2identity._direct_sums(4))
         assert not report.passed
         assert report.checked == checked
         got_prefix, got_b, got, want = report.counterexample
@@ -564,7 +553,7 @@ class TestVerifiers:
         assert left == right == -1
 
     def test_report_summary_format(self):
-        report = verify_closed_form(2)
+        report = verify_exhaustive(2)[1]
         assert report.summary() == "closed-form n=2: PASS (4 assignments)"
 
 

@@ -19,15 +19,19 @@ route.  Every such file is checked under four ``--gate`` specs (its own
 gate, I, Y and the explicit matrix) and simulated on four basis inputs.
 ``verify-identity`` runs in full mode at n = 1..20, and with
 ``--recurrent-only`` at N = 20..24 with 250, 1000 and the default samples.
-That is 4,199 cases, which take about 3.1 s (2-core Xeon, Python 3.11).
-Each case prints one JSON line: the argv, the exit code, the stdout and,
-for ``synth``, the file's SHA-256.  The files live under relative names in
-a temporary directory, so the listing names no path of its own, and two
-checkouts give the same outputs when ``diff`` of their listings is empty.
+Last, a copy of the 2-control H file and of the explicit matrix, each
+behind a UTF-8 byte order mark, are simulated and synthesized from.  That
+is 4,201 cases, which take about 3.1 s (2-core Xeon, Python 3.11).  Each
+case prints one JSON line: the argv, the exit code, the stdout and, for a
+``synth`` that wrote its file, the file's SHA-256.  The files live under
+relative names in a temporary directory, so the listing names no path of
+its own, and two checkouts give the same outputs when ``diff`` of their
+listings is empty.
 """
 
 from __future__ import annotations
 
+import codecs
 import contextlib
 import hashlib
 import io
@@ -53,7 +57,7 @@ def run(main, argv: list[str], written: str | None = None) -> None:
     with contextlib.redirect_stdout(out):
         code = main(argv)
     case = [argv, code, out.getvalue()]
-    if written is not None:
+    if written is not None and os.path.exists(written):
         with open(written, "rb") as f:
             case.append(hashlib.sha256(f.read()).hexdigest())
     print(json.dumps(case))
@@ -97,6 +101,12 @@ def sweep(main) -> None:
         for samples in SAMPLES:
             given = [] if samples is None else ["--samples", str(samples)]
             run(main, ["verify-identity", "--n", str(n), "--recurrent-only"] + given)
+    for source, marked in (("c2H.circ", "bom.circ"), ("matrix.json", "bom.json")):
+        with open(source, "rb") as f, open(marked, "wb") as out:
+            out.write(codecs.BOM_UTF8 + f.read())
+    run(main, ["simulate", "--circuit", "bom.circ", "--input", "110"])
+    synth = ["synth", "--controls", "2", "--gate", "@bom.json", "--out", "bom-synth.circ"]
+    run(main, synth, written="bom-synth.circ")
 
 
 if __name__ == "__main__":
